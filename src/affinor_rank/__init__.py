@@ -47,8 +47,6 @@ from .errors import (
     InvalidAlgebra,
     InvalidBasis,
     MissingCertificate,
-    ModeMismatch,
-    NonFiniteEntry,
     NonFiniteState,
     NotClosed,
     NotInvertible,

@@ -19,24 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
-from .errors import (
-    DimensionMismatch,
-    InvalidAlgebra,
-    ModeMismatch,
-    NotClosed,
-    ShapeMismatch,
-)
-from .linalg import (
-    EXACT,
-    FLOAT,
-    Matrix,
-    Scalar,
-    SpanSolver,
-    as_fraction,
-    float_span_solve,
-)
+from .errors import DimensionMismatch, InvalidAlgebra, NotClosed, ShapeMismatch
+from .linalg import EXACT, Matrix, SpanSolver, as_fraction, scalar_to_json
 
 if TYPE_CHECKING:
     from .hullrank import AffinorBasis
@@ -47,8 +33,7 @@ class StructureConstants:
     """Third-order coefficient array of an n-dimensional algebra with unity."""
 
     n: int
-    mode: str
-    c: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __post_init__(self):
         if len(self.c) != self.n:
@@ -65,18 +50,12 @@ class StructureConstants:
         data = tuple(
             tuple(tuple(as_fraction(v) for v in row) for row in plane) for plane in c
         )
-        return StructureConstants(len(data), EXACT, data)
-
-    def require_exact(self):
-        if self.mode != EXACT:
-            raise ModeMismatch("this operation requires exact structure constants")
+        return StructureConstants(len(data), data)
 
     def to_json(self) -> dict:
-        from .linalg import scalar_to_json
-
         return {
             "n": self.n,
-            "mode": self.mode,
+            "mode": EXACT,
             "C": [
                 [[scalar_to_json(v) for v in row] for row in plane] for plane in self.c
             ],
@@ -87,7 +66,7 @@ class StructureConstants:
 class AlgebraElement:
     """Coefficient vector over the algebra basis."""
 
-    coeffs: tuple[Scalar, ...]
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
     def exact(values: Sequence) -> "AlgebraElement":
@@ -161,17 +140,11 @@ def verify_unity(sc: StructureConstants) -> VerifyResult:
 def _chat_raw(sc: StructureConstants) -> ChatMatrices:
     n = sc.n
     c_hat = tuple(
-        Matrix(
-            n, n, sc.mode,
-            tuple(tuple(sc.c[j][i][k] for k in range(n)) for j in range(n)),
-        )
+        Matrix(n, n, tuple(tuple(sc.c[j][i][k] for k in range(n)) for j in range(n)))
         for i in range(n)
     )
     c_hat_star = tuple(
-        Matrix(
-            n, n, sc.mode,
-            tuple(tuple(sc.c[i][k][j] for k in range(n)) for j in range(n)),
-        )
+        Matrix(n, n, tuple(tuple(sc.c[i][k][j] for k in range(n)) for j in range(n)))
         for i in range(n)
     )
     return ChatMatrices(c_hat, c_hat_star)
@@ -184,15 +157,15 @@ def chat(sc: StructureConstants) -> ChatMatrices:
     identity, which is the matrix form of the unity identities.
     """
     mats = _chat_raw(sc)
-    ident = Matrix.identity(sc.n, sc.mode)
+    ident = Matrix.identity(sc.n)
     if mats.c_hat[0].entries != ident.entries:
         raise InvalidAlgebra("first operator matrix is not the identity; unity fails")
     return mats
 
 
-def _combination(mats: Sequence[Matrix], coeffs: Sequence[Scalar], mode: str) -> Matrix:
+def _combination(mats: Sequence[Matrix], coeffs: Sequence[Fraction]) -> Matrix:
     n = mats[0].rows
-    acc = [[0 if mode == FLOAT else Fraction(0)] * n for _ in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
     for c, m in zip(coeffs, mats):
         if c == 0:
             continue
@@ -201,7 +174,7 @@ def _combination(mats: Sequence[Matrix], coeffs: Sequence[Scalar], mode: str) ->
             for j, v in enumerate(row):
                 if v != 0:
                     arow[j] += c * v
-    return Matrix(n, n, mode, tuple(tuple(row) for row in acc))
+    return Matrix(n, n, tuple(tuple(row) for row in acc))
 
 
 def verify_associativity(sc: StructureConstants) -> AssociativityResult:
@@ -217,11 +190,11 @@ def verify_associativity(sc: StructureConstants) -> AssociativityResult:
         for k in range(sc.n):
             coeffs = sc.c[j][k]
             lhs = mats.c_hat[j] @ mats.c_hat[k]
-            rhs = _combination(mats.c_hat, coeffs, sc.mode)
+            rhs = _combination(mats.c_hat, coeffs)
             if lhs.entries != rhs.entries:
                 violations.append((j, k))
             lhs_s = mats.c_hat_star[j] @ mats.c_hat_star[k]
-            rhs_s = _combination(mats.c_hat_star, coeffs, sc.mode)
+            rhs_s = _combination(mats.c_hat_star, coeffs)
             if lhs_s.entries != rhs_s.entries:
                 star_violations.append((j, k))
     ok = not violations
@@ -238,8 +211,7 @@ def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> Al
     """Product of two elements through the structure constants."""
     if len(a.coeffs) != sc.n or len(b.coeffs) != sc.n:
         raise DimensionMismatch("element length does not match algebra dimension")
-    zero = 0.0 if sc.mode == FLOAT else Fraction(0)
-    out = [zero] * sc.n
+    out = [Fraction(0)] * sc.n
     for i, ai in enumerate(a.coeffs):
         if ai == 0:
             continue
@@ -254,7 +226,7 @@ def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> Al
     return AlgebraElement(tuple(out))
 
 
-def from_affinors(basis: "AffinorBasis", tol: Optional[float] = None) -> StructureConstants:
+def from_affinors(basis: "AffinorBasis") -> StructureConstants:
     """Structure constants of a matrix span, when it is closed under products.
 
     Every pairwise product is expressed over the span; the first product
@@ -265,31 +237,15 @@ def from_affinors(basis: "AffinorBasis", tol: Optional[float] = None) -> Structu
     """
     mats = basis.mats
     n = len(mats)
-    if basis.mode == EXACT:
-        solver = SpanSolver(mats)
-        planes = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                prod = mats[i] @ mats[j]
-                coeffs = solver.coefficients(prod.vectorize())
-                if coeffs is None:
-                    raise NotClosed((i, j), solver.residual_sq(prod.vectorize()))
-                plane.append(coeffs)
-            planes.append(tuple(plane))
-        return StructureConstants(n, EXACT, tuple(planes))
-    if tol is None:
-        from .linalg import DEFAULT_FLOAT_TOL
-
-        tol = DEFAULT_FLOAT_TOL
+    solver = SpanSolver(mats)
     planes = []
     for i in range(n):
         plane = []
         for j in range(n):
             prod = mats[i] @ mats[j]
-            coeffs, resid = float_span_solve(mats, prod, tol)
+            coeffs = solver.coefficients(prod.vectorize())
             if coeffs is None:
-                raise NotClosed((i, j), resid * resid)
+                raise NotClosed((i, j), solver.residual_sq(prod.vectorize()))
             plane.append(coeffs)
         planes.append(tuple(plane))
-    return StructureConstants(n, FLOAT, tuple(planes))
+    return StructureConstants(n, tuple(planes))

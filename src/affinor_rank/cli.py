@@ -5,7 +5,9 @@ one-sided: 0 for a definitive positive (certificate emitted, identities
 verified, curve planar), 1 for a definitive negative (refutation in hand),
 2 for inconclusive outcomes (search exhausted, hypotheses inapplicable),
 64 for usage errors, 65 for malformed or invalid input files, 70 for
-internal inconsistencies that should never happen.
+internal inconsistencies that should never happen, including any
+unexpected exception (reported in one line on stderr, never as a
+traceback).
 
 Reports embed full witnesses and bases, so ``verify-report`` can audit a
 certificate with no access to the original inputs, through a re-derivation
@@ -351,6 +353,25 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def _indices_below(idx, size: int) -> bool:
+    """Whether ``idx`` is a list of ints in ``0..size-1``."""
+    return isinstance(idx, list) and all(type(i) is int and 0 <= i < size for i in idx)
+
+
+def _is_cube(c, n: int) -> bool:
+    """Whether ``c`` is an n x n x n nested list."""
+    return (
+        isinstance(c, list)
+        and len(c) == n
+        and all(
+            isinstance(plane, list)
+            and len(plane) == n
+            and all(isinstance(row, list) and len(row) == n for row in plane)
+            for plane in c
+        )
+    )
+
+
 def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool, str]:
     """Audit one embedded certificate from scratch.
 
@@ -369,7 +390,11 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         n = basis_json["n"]
     except (KeyError, TypeError) as exc:
         return False, f"malformed certificate: {exc!r}"
-    if len(mats) != n or len(witness) != m:
+    if (
+        len(mats) != n
+        or len(witness) != m
+        or any(len(mat) != m or any(len(row) != m for row in mat) for mat in mats)
+    ):
         return False, "certificate dimensions are inconsistent"
     if kind not in ("weak", "generic"):
         return False, f"unknown certificate kind {kind!r}"
@@ -381,22 +406,29 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
     pivot_rows = cert.get("pivot_rows", [])
     pivot_cols = cert.get("pivot_cols", [])
+    if not _indices_below(pivot_rows, n) or not _indices_below(pivot_cols, m):
+        return False, "pivot indices are not integers within the hull matrix"
     if len(pivot_rows) != claimed or len(pivot_cols) != claimed:
         return False, "pivot sets do not match the claimed rank"
     minor = [[hull_rows[i][j] for j in pivot_cols] for i in pivot_rows]
     if claimed and not _fresh_det_nonzero(minor):
         return False, "certified pivot minor is singular"
     if kind == "generic":
-        closure = cert.get("closure")
-        pair = cert.get("pair")
-        inequality = cert.get("inequality")
-        if closure is None or pair is None or inequality is None:
-            return False, "generic certificate is missing closure, pair or inequality"
-        if inequality["two_ell"] != 2 * n or inequality["two_ell"] > inequality["m"]:
+        try:
+            c = cert["closure"]["C"]
+            pair = cert["pair"]
+            x = [jsonio.exact_scalar_from_json(v, where, "pair.x") for v in pair["x"]]
+            y = [jsonio.exact_scalar_from_json(v, where, "pair.y") for v in pair["y"]]
+            pair_dim = pair["dim"]
+            two_ell, ineq_m = cert["inequality"]["two_ell"], cert["inequality"]["m"]
+        except (KeyError, TypeError) as exc:
+            return False, f"generic certificate lacks closure, pair or inequality: {exc!r}"
+        if two_ell != 2 * n or two_ell > ineq_m:
             return False, "dimension inequality record is wrong"
-        if inequality["m"] != m:
+        if ineq_m != m:
             return False, "dimension inequality module size is wrong"
-        c = closure["C"]
+        if not _is_cube(c, n):
+            return False, f"closure.C is not {n} x {n} x {n}"
         for i in range(n):
             for j in range(n):
                 prod = _matmul(mats[i], mats[j])
@@ -410,11 +442,11 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
                             combo[r][s] += coeff * mats[k][r][s]
                 if prod != combo:
                     return False, f"closure equation fails at pair ({i}, {j})"
-        x = [jsonio.exact_scalar_from_json(v, where, "pair.x") for v in pair["x"]]
-        y = [jsonio.exact_scalar_from_json(v, where, "pair.y") for v in pair["y"]]
+        if len(x) != m or len(y) != m:
+            return False, "pair vectors do not match the module dimension"
         stacked = [_apply(mat, x) for mat in mats] + [_apply(mat, y) for mat in mats]
         pair_rank = _fresh_rank(stacked)
-        if pair_rank != 2 * n or pair["dim"] != 2 * n:
+        if pair_rank != 2 * n or pair_dim != 2 * n:
             return False, f"pair span rank is {pair_rank}, expected {2 * n}"
     return True, "ok"
 
@@ -534,6 +566,16 @@ def dispatch(args) -> tuple[int, dict]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # The CLI is total: exit 1 means "definitive negative", so a crash
+    # must never surface as a traceback or as a verdict.
+    try:
+        return _run(argv)
+    except Exception as exc:
+        print(f"{TOOL_NAME}: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -139,7 +139,7 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
         for j, c in enumerate(blades):
             sign, d = blade_product(b, c, sig.s)
             entries[position[d]][j] = _ONE if sign > 0 else _MINUS_ONE
-        mats.append(Matrix(dim, dim, "exact", tuple(tuple(r) for r in entries)))
+        mats.append(Matrix(dim, dim, tuple(tuple(r) for r in entries)))
     cb = CliffordBasis(
         signature=sig,
         basis=AffinorBasis(tuple(mats), allow_equal_dim=True),
@@ -263,7 +263,7 @@ def _block_double(mat: Matrix) -> Matrix:
         entries.append(tuple(mat.entries[i]) + (_ZERO,) * m)
     for i in range(m):
         entries.append((_ZERO,) * m + tuple(mat.entries[i]))
-    return Matrix(2 * m, 2 * m, mat.mode, tuple(entries))
+    return Matrix(2 * m, 2 * m, tuple(entries))
 
 
 def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:

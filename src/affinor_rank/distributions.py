@@ -57,8 +57,6 @@ class Splitting:
         if q is not None:
             if not q.is_square or q.rows != self.m:
                 raise DimensionMismatch("change of basis must be m x m")
-            if q.mode != "exact":
-                raise SingularChangeOfBasis("change of basis must be exact")
             if det(q) == 0:
                 raise SingularChangeOfBasis("change of basis is singular")
 
@@ -101,7 +99,7 @@ class ProjectorSystem:
 
     def affinor_basis(self) -> AffinorBasis:
         """Hull basis {E, P_1, .., P_(n-1)} spanning the projector span."""
-        ident = Matrix.identity(self.m, self.projectors[0].mode)
+        ident = Matrix.identity(self.m)
         mats = (ident,) + self.projectors[:-1]
         return AffinorBasis(mats, allow_equal_dim=(len(mats) == self.m))
 
@@ -111,7 +109,7 @@ def _block_projector(m: int, start: int, size: int) -> Matrix:
         tuple(_ONE if i == j and start <= i < start + size else _ZERO for j in range(m))
         for i in range(m)
     ]
-    return Matrix(m, m, "exact", tuple(entries))
+    return Matrix(m, m, tuple(entries))
 
 
 def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
@@ -149,7 +147,7 @@ def verify_complete_system(
     total = projectors[0]
     for p in projectors[1:]:
         total = total + p
-    if total.entries != Matrix.identity(m, projectors[0].mode).entries:
+    if total.entries != Matrix.identity(m).entries:
         violations.append(("sum_to_identity",))
     return VerifyResult(not violations, tuple(violations))
 

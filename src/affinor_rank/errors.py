@@ -15,14 +15,6 @@ class DimensionMismatch(AffinorRankError):
     """Vector or algebra dimensions do not match."""
 
 
-class ModeMismatch(AffinorRankError):
-    """Exact and float values were mixed; coercion is never silent."""
-
-
-class NonFiniteEntry(AffinorRankError):
-    """A float matrix contains NaN or infinity."""
-
-
 class NotSquare(AffinorRankError):
     """A square matrix was required."""
 
@@ -40,8 +32,8 @@ class NotClosed(AffinorRankError):
 
     Attributes:
         pair: index pair (i, j) of the first product that leaves the span.
-        residual: squared distance of that product from the span (exact
-            Fraction in exact mode, float otherwise).
+        residual: squared distance of that product from the span, an
+            exact Fraction.
     """
 
     def __init__(self, pair, residual):

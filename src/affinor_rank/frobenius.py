@@ -39,7 +39,7 @@ from .hullrank import (
     RankCertificate,
     weak_rank_witness,
 )
-from .linalg import ExactVector, Matrix, det, exact_vector, from_rows, scalar_to_json
+from .linalg import ExactVector, Matrix, det, exact_vector, scalar_to_json
 from .multipoly import Poly, determinant, find_nonzero_point
 
 DEFAULT_SYMBOLIC_THRESHOLD = 6
@@ -94,7 +94,6 @@ class FrobeniusVerdict:
 
 def gram(sc: StructureConstants, lam) -> FrobeniusCandidate:
     """Bilinear form of the functional with coefficient vector ``lam``."""
-    sc.require_exact()
     lam = exact_vector(lam)
     if len(lam) != sc.n:
         raise DimensionMismatch("functional length does not match algebra dimension")
@@ -190,7 +189,6 @@ def find_frobenius_form(
                 proof={
                     "kind": "symbolic_zero_determinant",
                     "nvars": sc.n,
-                    "expanded_terms": 0,
                     "statement": (
                         "the determinant of the bilinear-form pencil is the "
                         "zero polynomial, so no functional is regular"
@@ -263,11 +261,9 @@ def _identification(sc: StructureConstants, mats: ChatMatrices, seed: int) -> di
     for _ in range(3):
         lam = tuple(Fraction(rng.randint(-9, 9)) for _ in range(sc.n))
         g = gram(sc, lam).gram
-        rows = [m.apply(lam) for m in mats.c_hat]
-        if from_rows(rows, sc.mode).entries != g.transpose().entries:
+        if tuple(m.apply(lam) for m in mats.c_hat) != g.transpose().entries:
             plain = False
-        rows_star = [m.apply(lam) for m in mats.c_hat_star]
-        if from_rows(rows_star, sc.mode).entries != g.entries:
+        if tuple(m.apply(lam) for m in mats.c_hat_star) != g.entries:
             star = False
     return {
         "multiplier_rows_match_gram_transpose": plain,

@@ -36,22 +36,14 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import algebra as _algebra
-from .errors import (
-    DimensionMismatch,
-    InvalidBasis,
-    ModeMismatch,
-    NotClosed,
-)
+from .errors import DimensionMismatch, InvalidBasis, NotClosed
 from .linalg import (
     EXACT,
-    DEFAULT_FLOAT_TOL,
     ExactVector,
     Matrix,
     RankResult,
-    Scalar,
     det,
     exact_vector,
-    from_rows,
     has_full_row_rank,
     rank,
     random_int_vector,
@@ -94,29 +86,17 @@ class AffinorBasis:
         if not first.is_square:
             raise InvalidBasis("affinors must be square")
         m = first.rows
-        mode = first.mode
         for mat in self.mats:
             if mat.rows != m or mat.cols != m:
                 raise InvalidBasis("affinors differ in shape")
-            if mat.mode != mode:
-                raise ModeMismatch("affinors differ in scalar mode")
-        ident = Matrix.identity(m, mode)
-        if first.entries != ident.entries:
+        if first.entries != Matrix.identity(m).entries:
             raise InvalidBasis("first basis element must be the identity")
         n = len(self.mats)
         if n > m or (n == m and not self.allow_equal_dim):
             raise InvalidBasis(
                 f"span rank {n} must be below module dimension {m}"
             )
-        if mode == EXACT:
-            independent = has_full_row_rank([mat.vectorize() for mat in self.mats])
-        else:
-            vec_rank = rank(
-                from_rows([mat.vectorize() for mat in self.mats], mode),
-                DEFAULT_FLOAT_TOL,
-            ).rank
-            independent = vec_rank == n
-        if not independent:
+        if not has_full_row_rank([mat.vectorize() for mat in self.mats]):
             raise InvalidBasis("basis elements are linearly dependent")
 
     @property
@@ -127,19 +107,11 @@ class AffinorBasis:
     def n(self) -> int:
         return len(self.mats)
 
-    @property
-    def mode(self) -> str:
-        return self.mats[0].mode
-
-    def require_exact(self):
-        if self.mode != EXACT:
-            raise ModeMismatch("certification requires an exact basis")
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
-            "mode": self.mode,
+            "mode": EXACT,
             "mats": [mat.to_json() for mat in self.mats],
         }
 
@@ -148,7 +120,7 @@ class AffinorBasis:
 class Hull:
     """Image of one vector under every basis affinor, with its dimension."""
 
-    base_vector: tuple[Scalar, ...]
+    base_vector: ExactVector
     matrix: Matrix
     rank_result: RankResult
 
@@ -157,28 +129,22 @@ class Hull:
         return self.rank_result.rank
 
 
-def hull(basis: AffinorBasis, x: Sequence[Scalar], tol: Optional[float] = None) -> Hull:
+def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:
     """Hull of ``x``: rows are the basis images, in basis order."""
     if len(x) != basis.m:
         raise DimensionMismatch(f"vector length {len(x)} vs module dimension {basis.m}")
     x = tuple(x)
-    rows = [mat.apply(x) for mat in basis.mats]
-    mat = from_rows(rows, basis.mode)
-    return Hull(x, mat, rank(mat, tol))
+    mat = Matrix.exact([a.apply(x) for a in basis.mats])
+    return Hull(x, mat, rank(mat))
 
 
-def pair_span_dim(
-    basis: AffinorBasis,
-    x: Sequence[Scalar],
-    y: Sequence[Scalar],
-    tol: Optional[float] = None,
-) -> int:
+def pair_span_dim(basis: AffinorBasis, x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Dimension of the sum of the hulls of two vectors."""
     if len(x) != basis.m or len(y) != basis.m:
         raise DimensionMismatch("pair vectors must match the module dimension")
     rows = [mat.apply(tuple(x)) for mat in basis.mats]
     rows += [mat.apply(tuple(y)) for mat in basis.mats]
-    return rank(from_rows(rows, basis.mode), tol).rank
+    return rank(Matrix.exact(rows)).rank
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +332,6 @@ def certificate_from_witness(
     basis: AffinorBasis, x: Sequence, kind: str = "weak", notes: tuple[str, ...] = ()
 ) -> RankCertificate:
     """Build a weak-rank certificate from a known witness vector."""
-    basis.require_exact()
     x = exact_vector(x)
     h = hull(basis, x)
     if h.dim != basis.n:
@@ -398,7 +363,6 @@ def weak_rank_witness(
     definitive "no witness exists" or a witness extracted from a nonzero
     minor.
     """
-    basis.require_exact()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
@@ -461,7 +425,6 @@ def certify_generic_rank(
     dimension 2n.  The pair witness is required; without it no generic
     certificate is produced.
     """
-    basis.require_exact()
     n, m = basis.n, basis.m
     if 2 * n > m:
         return Inapplicable(
@@ -483,6 +446,8 @@ def certify_generic_rank(
         ((unit[i], unit[j]) for i in range(m) for j in range(i + 1, m)),
         ((weak.witness, unit[i]) for i in range(m)),
     )
+    # Both random streams draw from this one rng in turn (x_k, then y_k),
+    # so the seed fixes every pair and the two bounds double in step.
     rng = random.Random(seed)
     random_pairs = zip(
         _random_candidates(rng, m, trials), _random_candidates(rng, m, trials)
@@ -521,7 +486,7 @@ def certify_generic_rank(
 # ---------------------------------------------------------------------------
 
 
-def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Scalar]], ...]:
+def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fraction]], ...]:
     """For each non-identity element, whether it is a scalar multiple of E."""
     out = []
     for mat in basis.mats[1:]:
@@ -550,7 +515,6 @@ def inversion_probe(
     Basis elements themselves and the all-ones combination are tried before
     random coefficients.
     """
-    basis.require_exact()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = basis.n

@@ -7,11 +7,12 @@ methods); this module only reads.
 
 Formats:
 
-* matrix: ``{"rows": r, "cols": c, "mode": "exact"|"float", "entries":
-  [[..], ..]}`` with exact entries written as integers or "p/q" strings;
-* affinor basis: ``{"m": m, "n": n, "mode": .., "mats": [matrix, ..]}``;
-  a basis with n == m (an operator span acting on its own coefficient
-  space) is accepted on load;
+* matrix: ``{"rows": r, "cols": c, "mode": "exact", "entries": [[..],
+  ..]}`` with entries written as integers or "p/q" strings; ``"mode"`` is
+  required and ``"exact"`` is its only accepted value;
+* affinor basis: ``{"m": m, "n": n, "mode": "exact", "mats": [matrix,
+  ..]}``; a basis with n == m (an operator span acting on its own
+  coefficient space) is accepted on load;
 * structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars;
 * connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or
   ``{"m": m, "gamma": {"poly": [[[ [[coeff, [powers..]], ..] ]]]}}``;
@@ -32,7 +33,7 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, FLOAT, Matrix
+from .linalg import EXACT, Matrix
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 
 
@@ -70,7 +71,7 @@ def exact_scalar_from_json(value, path, field) -> Fraction:
             raise InputFormatError(path, field, f"not a valid rational: {value!r}")
     if isinstance(value, float):
         raise InputFormatError(
-            path, field, "floats are not accepted in exact mode; write p/q or an integer"
+            path, field, "floats are not accepted as exact scalars; write p/q or an integer"
         )
     raise InputFormatError(path, field, f"not a scalar: {value!r}")
 
@@ -83,8 +84,10 @@ def float_scalar_from_json(value, path, field) -> float:
 
 def matrix_from_json(obj, path, where: str = "") -> Matrix:
     mode = _need(obj, "mode", path, where)
-    if mode not in (EXACT, FLOAT):
-        raise InputFormatError(path, f"{where}mode", f"unknown mode {mode!r}")
+    if mode != EXACT:
+        raise InputFormatError(
+            path, f"{where}mode", f"unsupported mode {mode!r}; matrices are exact"
+        )
     rows = _int(_need(obj, "rows", path, where), path, f"{where}rows")
     cols = _int(_need(obj, "cols", path, where), path, f"{where}cols")
     entries = _need(obj, "entries", path, where)
@@ -94,24 +97,13 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputFormatError(path, f"{where}entries[{i}]", f"expected {cols} entries")
-        if mode == EXACT:
-            parsed.append(
-                tuple(
-                    exact_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
-                    for j, v in enumerate(row)
-                )
+        parsed.append(
+            tuple(
+                exact_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
+                for j, v in enumerate(row)
             )
-        else:
-            parsed.append(
-                tuple(
-                    float_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
-                    for j, v in enumerate(row)
-                )
-            )
-    try:
-        return Matrix(rows, cols, mode, tuple(parsed))
-    except AffinorRankError as exc:
-        raise InputFormatError(path, f"{where}entries", str(exc))
+        )
+    return Matrix(rows, cols, tuple(parsed))
 
 
 def basis_from_json(obj, path) -> AffinorBasis:
@@ -150,7 +142,7 @@ def constants_from_json(obj, path) -> StructureConstants:
                 )
             )
         planes.append(tuple(rows))
-    return StructureConstants(n, EXACT, tuple(planes))
+    return StructureConstants(n, tuple(planes))
 
 
 def connection_from_json(obj, path) -> ConnectionSpec:

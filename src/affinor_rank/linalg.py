@@ -1,17 +1,15 @@
-"""Dual-mode matrix kernels: exact rationals for certification, floats for numerics.
+"""Exact matrix kernels over the rationals.
 
-Every matrix carries a mode tag, either ``"exact"`` (entries are
-``fractions.Fraction``) or ``"float"`` (finite doubles).  Exact and float
-values never mix inside one operation; mixing raises ``ModeMismatch``
-instead of coercing, because a silently coerced entry would poison any
-certificate computed downstream.
+Every matrix holds ``fractions.Fraction`` entries; floats are rejected on
+construction, because a rounded entry would poison any certificate computed
+downstream.  Float numerics (curve planarity) run on numpy arrays obtained
+through ``Matrix.to_ndarray`` and never flow back.
 
-The exact rank routine uses fraction-free (Bareiss) elimination after
-clearing denominators row by row, so intermediate values stay integers of
-bounded size and the reported pivots select a minor whose determinant is
-provably nonzero.  The float rank routine runs complete-pivoting
-elimination and counts pivot magnitudes above a tolerance scaled by the
-largest entry.
+Rank and determinant share one fraction-free (Bareiss) elimination run
+after clearing denominators row by row, so intermediate values stay
+integers of bounded size and the reported pivots select a minor whose
+determinant is provably nonzero.  Inverse and span membership share one
+Gauss-Jordan reduction over Fractions that records its row transform.
 """
 
 from __future__ import annotations
@@ -20,26 +18,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ModeMismatch,
-    NonFiniteEntry,
-    NotInvertible,
-    NotSquare,
-    ShapeMismatch,
-)
+from .errors import NotInvertible, NotSquare, ShapeMismatch
 
-Scalar = Union[Fraction, float]
 ExactVector = tuple[Fraction, ...]
 
+#: Scalar tag written into matrix JSON; the only one a reader accepts.
 EXACT = "exact"
-FLOAT = "float"
-
-#: Default relative tolerance for float-mode rank decisions.
-DEFAULT_FLOAT_TOL = 1e-8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,60 +54,39 @@ def exact_vector(values: Iterable) -> ExactVector:
     return tuple(as_fraction(v) for v in values)
 
 
-def scalar_to_json(value: Scalar):
-    """JSON form of a scalar: int, "p/q" string, or float by mode."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
+def scalar_to_json(value: Fraction):
+    """JSON form of an exact scalar: an int, or a "p/q" string."""
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable row-major matrix with a uniform scalar mode."""
+    """Immutable row-major matrix of Fractions."""
 
     rows: int
     cols: int
-    mode: str
-    entries: tuple[tuple[Scalar, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.entries) != self.rows:
             raise ShapeMismatch("entry rows do not match declared row count")
         for row in self.entries:
             if len(row) != self.cols:
                 raise ShapeMismatch("ragged matrix rows")
-        if self.mode == FLOAT:
-            for row in self.entries:
-                for v in row:
-                    if not math.isfinite(v):
-                        raise NonFiniteEntry("float matrix entry is not finite")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def exact(rows: Iterable[Iterable]) -> "Matrix":
         data = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-        return Matrix(len(data), len(data[0]) if data else 0, EXACT, data)
+        return Matrix(len(data), len(data[0]) if data else 0, data)
 
     @staticmethod
-    def of_floats(rows: Iterable[Iterable]) -> "Matrix":
-        data = tuple(tuple(float(v) for v in row) for row in rows)
-        return Matrix(len(data), len(data[0]) if data else 0, FLOAT, data)
-
-    @staticmethod
-    def identity(m: int, mode: str = EXACT) -> "Matrix":
-        if mode == EXACT:
-            return Matrix(
-                m, m, EXACT,
-                tuple(tuple(_ONE if i == j else _ZERO for j in range(m)) for i in range(m)),
-            )
+    def identity(m: int) -> "Matrix":
         return Matrix(
-            m, m, FLOAT,
-            tuple(tuple(1.0 if i == j else 0.0 for j in range(m)) for i in range(m)),
+            m, m, tuple(tuple(_ONE if i == j else _ZERO for j in range(m)) for i in range(m))
         )
 
     # -- basic structure ----------------------------------------------
@@ -128,19 +95,19 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
+    def row(self, i: int) -> ExactVector:
         return self.entries[i]
 
     def transpose(self) -> "Matrix":
         return Matrix(
-            self.cols, self.rows, self.mode,
+            self.cols, self.rows,
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
 
-    def vectorize(self) -> tuple[Scalar, ...]:
+    def vectorize(self) -> ExactVector:
         """Row-major flattening, used to treat matrices as span vectors."""
         return tuple(v for row in self.entries for v in row)
 
@@ -151,15 +118,13 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "mode": self.mode,
+            "mode": EXACT,
             "entries": [[scalar_to_json(v) for v in row] for row in self.entries],
         }
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_shape(self, other: "Matrix"):
-        if self.mode != other.mode:
-            raise ModeMismatch("cannot mix exact and float matrices")
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch(
                 f"shape ({self.rows}x{self.cols}) vs ({other.rows}x{other.cols})"
@@ -168,7 +133,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix(
-            self.rows, self.cols, self.mode,
+            self.rows, self.cols,
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -178,7 +143,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix(
-            self.rows, self.cols, self.mode,
+            self.rows, self.cols,
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -186,49 +151,40 @@ class Matrix:
         )
 
     def scale(self, c) -> "Matrix":
-        c = as_fraction(c) if self.mode == EXACT else float(c)
+        c = as_fraction(c)
         return Matrix(
-            self.rows, self.cols, self.mode,
-            tuple(tuple(c * v for v in row) for row in self.entries),
+            self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.entries)
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.mode != other.mode:
-            raise ModeMismatch("cannot mix exact and float matrices")
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"inner dimensions {self.cols} and {other.rows} differ"
             )
         cols = other.transpose().entries
         return Matrix(
-            self.rows, other.cols, self.mode,
+            self.rows, other.cols,
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
             ),
         )
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    def apply(self, vec: Sequence[Fraction]) -> ExactVector:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.cols} columns")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
 
-    def frobenius_norm_sq(self) -> Scalar:
+    def frobenius_norm_sq(self) -> Fraction:
         return sum(v * v for row in self.entries for v in row)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 
 
-def from_rows(rows: Sequence[Sequence[Scalar]], mode: str) -> Matrix:
-    if mode == EXACT:
-        return Matrix.exact(rows)
-    return Matrix.of_floats(rows)
-
-
 # ---------------------------------------------------------------------------
-# Rank
+# Fraction-free elimination: rank and determinant
 # ---------------------------------------------------------------------------
 
 
@@ -236,46 +192,50 @@ def from_rows(rows: Sequence[Sequence[Scalar]], mode: str) -> Matrix:
 class RankResult:
     """Rank together with a re-checkable pivot selection.
 
-    In exact mode the minor picked out by ``pivot_rows`` x ``pivot_cols``
-    has nonzero determinant; anyone can recompute it to audit the claim.
+    The minor picked out by ``pivot_rows`` x ``pivot_cols`` has nonzero
+    determinant; anyone can recompute it to audit the claim.
     """
 
     rank: int
     pivot_rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
-    mode: str
-    tol: Optional[float] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "rank": self.rank,
             "pivot_rows": list(self.pivot_rows),
             "pivot_cols": list(self.pivot_cols),
-            "mode": self.mode,
         }
-        if self.tol is not None:
-            out["tol"] = self.tol
-        return out
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators.
 
     Row scaling by a nonzero rational preserves rank and every minor's
     vanishing pattern, so pivots found on the scaled matrix certify the
-    original one.
+    original one.  Also returns the product of the row scales, by which a
+    determinant of the scaled matrix exceeds the original's.
     """
     out = []
+    scale = 1
     for row in m.entries:
         denom = math.lcm(*(v.denominator for v in row)) if row else 1
+        scale *= denom
         out.append([int(v * denom) for v in row])
-    return out
+    return out, scale
 
 
-def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int]]:
+def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, int]:
+    """Bareiss elimination of an integer matrix, in place.
+
+    Returns (rank, sorted pivot rows, pivot columns, row-swap sign, last
+    pivot).  For a square matrix of full rank, sign * last pivot is its
+    determinant (Sylvester's identity).
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     row_of = list(range(nrows))  # original index of the row now in each slot
+    sign = 1
     prev = 1
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
@@ -289,6 +249,7 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int]]:
         if p != r:
             a[r], a[p] = a[p], a[r]
             row_of[r], row_of[p] = row_of[p], row_of[r]
+            sign = -sign
         pivot = a[r][c]
         pivot_rows.append(row_of[r])
         pivot_cols.append(c)
@@ -306,159 +267,80 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int]]:
                 ai[c] = 0
         prev = pivot
         r += 1
-    return r, sorted(pivot_rows), pivot_cols
+    return r, sorted(pivot_rows), pivot_cols, sign, prev
 
 
-def _rank_exact(m: Matrix) -> RankResult:
-    rk, prows, pcols = _bareiss_rank(_integer_rows(m))
-    return RankResult(rk, tuple(prows), tuple(pcols), EXACT)
+def rank(m: Matrix) -> RankResult:
+    """Certified rank of a matrix, with the pivots of a nonzero maximal minor."""
+    rk, prows, pcols, _, _ = _bareiss_rank(_integer_rows(m)[0])
+    return RankResult(rk, tuple(prows), tuple(pcols))
 
 
-def _rank_float(m: Matrix, tol: float) -> RankResult:
-    a = m.to_ndarray()
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteEntry("float matrix entry is not finite")
-    maxabs = float(np.max(np.abs(a))) if a.size else 0.0
-    if maxabs == 0.0:
-        return RankResult(0, (), (), FLOAT, tol)
-    thresh = tol * maxabs
-    nrows, ncols = a.shape
-    free_rows = list(range(nrows))
-    free_cols = list(range(ncols))
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    while free_rows and free_cols:
-        sub = np.abs(a[np.ix_(free_rows, free_cols)])
-        k = int(np.argmax(sub))
-        ri, ci = divmod(k, sub.shape[1])
-        if sub[ri, ci] <= thresh:
-            break
-        pr, pc = free_rows[ri], free_cols[ci]
-        pivot_rows.append(pr)
-        pivot_cols.append(pc)
-        free_rows.remove(pr)
-        free_cols.remove(pc)
-        if free_rows:
-            factors = a[free_rows, pc] / a[pr, pc]
-            a[free_rows, :] -= np.outer(factors, a[pr, :])
-    return RankResult(
-        len(pivot_rows), tuple(sorted(pivot_rows)), tuple(sorted(pivot_cols)), FLOAT, tol
-    )
-
-
-def rank(m: Matrix, tol: Optional[float] = None) -> RankResult:
-    """Certified rank of a matrix.
-
-    Exact mode ignores ``tol`` and returns the true rank; float mode counts
-    complete-pivoting pivot magnitudes above ``tol`` scaled by the largest
-    absolute entry.
-    """
-    if m.mode == EXACT:
-        return _rank_exact(m)
-    if tol is None:
-        tol = DEFAULT_FLOAT_TOL
-    if not tol > 0:
-        raise ValueError("float-mode rank requires tol > 0")
-    return _rank_float(m, tol)
-
-
-def rank_of_rows(rows: Sequence[Sequence[Scalar]], mode: str, tol: Optional[float] = None) -> RankResult:
-    return rank(from_rows(rows, mode), tol)
-
-
-# ---------------------------------------------------------------------------
-# Determinant / inverse
-# ---------------------------------------------------------------------------
-
-
-def det(m: Matrix) -> Scalar:
-    """Determinant; exact in exact mode."""
+def det(m: Matrix) -> Fraction:
+    """Exact determinant."""
     if not m.is_square:
         raise NotSquare("determinant of a non-square matrix")
-    if m.mode == FLOAT:
-        return float(np.linalg.det(m.to_ndarray()))
-    if m.rows == 0:
-        return _ONE
-    a = m.entries
-    denom = _ONE
-    rows = []
-    for row in a:
-        l = math.lcm(*(v.denominator for v in row))
-        denom *= l
-        rows.append([int(v * l) for v in row])
-    sign = 1
-    prev = 1
-    n = m.rows
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return _ZERO
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - f * rows[c][j]) // prev
-            rows[i][c] = 0
-        prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], 1) / denom
+    rows, scale = _integer_rows(m)
+    rk, _, _, sign, last_pivot = _bareiss_rank(rows)
+    if rk < m.rows:
+        return _ZERO
+    return Fraction(sign * last_pivot, scale)
 
 
-def invertible(m: Matrix, tol: Optional[float] = None) -> bool:
-    """Whether a square matrix is invertible.
-
-    Exact mode decides by the determinant; float mode requires the smallest
-    singular value to exceed the scaled tolerance.
-    """
+def invertible(m: Matrix) -> bool:
+    """Whether a square matrix is invertible, decided by its determinant."""
     if not m.is_square:
         raise NotSquare("invertibility of a non-square matrix")
-    if m.mode == EXACT:
-        return det(m) != 0
-    if tol is None:
-        tol = DEFAULT_FLOAT_TOL
-    a = m.to_ndarray()
-    if a.size == 0:
-        return True
-    maxabs = float(np.max(np.abs(a)))
-    if maxabs == 0.0:
-        return False
-    smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-    return smin > tol * maxabs
+    return det(m) != 0
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan reduction with transform: inverse and span solving
+# ---------------------------------------------------------------------------
+
+
+def _rref_with_transform(rows: list[list[Fraction]]):
+    """Reduced row echelon form of ``rows`` (reduced in place).
+
+    Returns (nonzero echelon rows, transform rows, pivot columns), where
+    transform row i combines the input rows into echelon row i.  Pivots
+    are the first nonzero entry at or below the current row.
+    """
+    n = len(rows)
+    width = len(rows[0]) if n else 0
+    transform = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        transform[r], transform[p] = transform[p], transform[r]
+        inv = _ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        transform[r] = [v * inv for v in transform[r]]
+        for i in range(n):
+            if i == r or rows[i][c] == 0:
+                continue
+            f = rows[i][c]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
+            transform[i] = [u - f * v for u, v in zip(transform[i], transform[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], transform[:r], pivots
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over Fractions."""
     if not m.is_square:
         raise NotSquare("inverse of a non-square matrix")
-    if m.mode != EXACT:
-        raise ModeMismatch("exact inverse requires an exact matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    b = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            raise NotInvertible("matrix is singular")
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            b[c], b[p] = b[p], b[c]
-        inv = _ONE / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        b[c] = [v * inv for v in b[c]]
-        for i in range(n):
-            if i == c or a[i][c] == 0:
-                continue
-            f = a[i][c]
-            a[i] = [u - f * v for u, v in zip(a[i], a[c])]
-            b[i] = [u - f * v for u, v in zip(b[i], b[c])]
-    return Matrix.exact(b)
-
-
-# ---------------------------------------------------------------------------
-# Span solving
-# ---------------------------------------------------------------------------
+    _, transform, pivots = _rref_with_transform([list(row) for row in m.entries])
+    if len(pivots) < m.rows:
+        raise NotInvertible("matrix is singular")
+    return Matrix.exact(transform)
 
 
 class SpanSolver:
@@ -473,42 +355,14 @@ class SpanSolver:
         if not mats:
             raise ShapeMismatch("empty span basis")
         shape = (mats[0].rows, mats[0].cols)
-        self.mode = mats[0].mode
         for m in mats:
             if (m.rows, m.cols) != shape:
                 raise ShapeMismatch("span basis matrices differ in shape")
-            if m.mode != self.mode:
-                raise ModeMismatch("span basis matrices differ in mode")
-        if self.mode != EXACT:
-            raise ModeMismatch("SpanSolver is exact-only; use float_span_solve")
         self.n = len(mats)
         self.width = shape[0] * shape[1]
-        rows = [list(m.vectorize()) for m in mats]
-        transform = [
-            [_ONE if i == j else _ZERO for j in range(self.n)] for i in range(self.n)
-        ]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.width):
-            p = next((i for i in range(r, self.n) if rows[i][c] != 0), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            transform[r], transform[p] = transform[p], transform[r]
-            inv = _ONE / rows[r][c]
-            rows[r] = [v * inv for v in rows[r]]
-            transform[r] = [v * inv for v in transform[r]]
-            for i in range(self.n):
-                if i == r or rows[i][c] == 0:
-                    continue
-                f = rows[i][c]
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
-                transform[i] = [u - f * v for u, v in zip(transform[i], transform[r])]
-            pivots.append(c)
-            r += 1
-        self._rows = rows[:r]
-        self._transform = transform[:r]
-        self._pivots = pivots
+        self._rows, self._transform, self._pivots = _rref_with_transform(
+            [list(m.vectorize()) for m in mats]
+        )
 
     @property
     def span_dim(self) -> int:
@@ -546,43 +400,17 @@ class SpanSolver:
         return sum((u - v) ** 2 for u, v in zip(combo, target))
 
 
-def float_span_solve(
-    mats: Sequence[Matrix], target: Matrix, tol: float
-) -> tuple[Optional[tuple[float, ...]], float]:
-    """Least-squares span membership for float matrices.
-
-    Returns (coefficients or None, residual Frobenius norm).
-    """
-    stack = np.column_stack([m.to_ndarray().ravel() for m in mats])
-    t = target.to_ndarray().ravel()
-    coeffs, *_ = np.linalg.lstsq(stack, t, rcond=None)
-    resid = float(np.linalg.norm(stack @ coeffs - t))
-    if resid <= tol:
-        return tuple(float(c) for c in coeffs), resid
-    return None, resid
-
-
-def solve_in_span(
-    basis_mats: Sequence[Matrix], target: Matrix, tol: Optional[float] = None
-):
+def solve_in_span(basis_mats: Sequence[Matrix], target: Matrix) -> Optional[ExactVector]:
     """Express ``target`` as a linear combination of ``basis_mats``.
 
     Returns the coefficient vector, or None when the target lies outside
-    the span (exactly in exact mode, beyond ``tol`` residual in float mode).
+    the span.
     """
     if not basis_mats:
         raise ShapeMismatch("empty span basis")
-    mode = basis_mats[0].mode
-    if target.mode != mode:
-        raise ModeMismatch("target and basis modes differ")
     if (target.rows, target.cols) != (basis_mats[0].rows, basis_mats[0].cols):
         raise ShapeMismatch("target shape does not match basis shape")
-    if mode == EXACT:
-        return SpanSolver(basis_mats).coefficients(target.vectorize())
-    if tol is None:
-        tol = DEFAULT_FLOAT_TOL
-    coeffs, _ = float_span_solve(basis_mats, target, tol)
-    return coeffs
+    return SpanSolver(basis_mats).coefficients(target.vectorize())
 
 
 # ---------------------------------------------------------------------------
@@ -633,15 +461,16 @@ def _full_row_rank_modp(rows: list[list[Fraction]], p: int) -> Optional[bool]:
         if below.any():
             a[r + 1:] = (a[r + 1:] - np.outer(below, a[r])) % p
         r += 1
-    return None if r < n else True
+    return r == n
 
 
 def has_full_row_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
     """Exact full-row-rank decision with a modular fast path.
 
     A full-rank result modulo a large prime certifies full rank over the
-    rationals; only the (rare) inconclusive outcome falls back to exact
-    fraction-free elimination.
+    rationals; a rank drop modulo one prime falls back to exact
+    fraction-free elimination at once, and a vanishing denominator moves on
+    to the next prime.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -653,7 +482,7 @@ def has_full_row_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
         if res is None:
             continue
         break
-    rk, _, _ = _bareiss_rank(_integer_rows(Matrix.exact(rows)))
+    rk, _, _, _, _ = _bareiss_rank(_integer_rows(Matrix.exact(rows))[0])
     return rk == len(rows)
 
 
@@ -662,7 +491,7 @@ def has_full_row_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def scalar_multiple_of_identity(m: Matrix) -> Optional[Scalar]:
+def scalar_multiple_of_identity(m: Matrix) -> Optional[Fraction]:
     """The q with m == q*identity, or None."""
     if not m.is_square:
         return None

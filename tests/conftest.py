@@ -69,7 +69,7 @@ def block_double(mat: Matrix) -> Matrix:
     z = [Fraction(0)] * m
     rows = [tuple(mat.entries[i]) + tuple(z) for i in range(m)]
     rows += [tuple(z) + tuple(mat.entries[i]) for i in range(m)]
-    return Matrix(2 * m, 2 * m, mat.mode, tuple(rows))
+    return Matrix(2 * m, 2 * m, tuple(rows))
 
 
 # Hand multiplication tables, the oracles for everything built on them.
@@ -157,7 +157,7 @@ def matrix_algebra_2x2_constants() -> StructureConstants:
             assert coeffs is not None  # matrix products stay in the span
             plane.append(coeffs)
         planes.append(tuple(plane))
-    return StructureConstants(4, "exact", tuple(planes))
+    return StructureConstants(4, tuple(planes))
 
 
 @pytest.fixture

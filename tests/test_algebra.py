@@ -202,12 +202,3 @@ def test_from_affinors_output_is_associative(quaternions_r4, complex_r4):
         sc = from_affinors(basis)
         assert verify_associativity(sc).ok
         assert verify_unity(sc).ok
-
-
-def test_from_affinors_float_mode():
-    e = Matrix.of_floats([[1, 0], [0, 1]])
-    f = Matrix.of_floats([[0, -1], [1, 0]])
-    basis = AffinorBasis((e, f), allow_equal_dim=True)
-    sc = from_affinors(basis, tol=1e-9)
-    assert sc.mode == "float"
-    assert abs(sc.c[1][1][0] + 1) < 1e-9

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from affinor_rank import cli
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_POSITIVE,
     EXIT_USAGE,
@@ -219,6 +221,93 @@ def test_verify_report_bumped_rank(capsys, tmp_path):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     assert main(["verify-report", str(tampered)]) == EXIT_NEGATIVE
+
+
+def _pivot_row(value):
+    def tamper(cert):
+        cert["pivot_rows"] = [value, 0, 1, 2]
+    return tamper
+
+
+def _set_closure(value):
+    def tamper(cert):
+        cert["closure"]["C"] = value
+    return tamper
+
+
+def _drop_closure_entry(cert):
+    cert["closure"]["C"][1][2] = cert["closure"]["C"][1][2][:-1]
+
+
+def _last_pivot_col_8(cert):
+    cert["pivot_cols"] = cert["pivot_cols"][:-1] + [8]
+
+
+def _drop_basis_row(cert):
+    cert["basis"]["mats"][1]["entries"] = cert["basis"]["mats"][1]["entries"][:-1]
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_pivot_row(99), id="pivot_row_99"),
+    # Python would read -1 as the last row and accept the minor
+    pytest.param(_pivot_row(-1), id="pivot_row_negative"),
+    pytest.param(_pivot_row("3"), id="pivot_row_string"),
+    pytest.param(_last_pivot_col_8, id="pivot_col_8"),
+    pytest.param(_set_closure([]), id="closure_empty"),
+    pytest.param(_set_closure(None), id="closure_null"),
+    pytest.param(_drop_closure_entry, id="closure_ragged"),
+    pytest.param(_drop_basis_row, id="basis_matrix_short"),
+])
+def test_verify_report_rejects_malformed_certificate(capsys, tmp_path, tamper):
+    out = tmp_path / "report.json"
+    main(["rank", str(FIXTURES / "quaternion_r8_basis.json"), "--generic", "--out", str(out)])
+    report = json.loads(out.read_text())
+    tamper(report["result"]["certificate"])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    def boom(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(cli._HANDLERS, "rank", boom)
+    code = main(["rank", str(FIXTURES / "complex_r4_basis.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert "IndexError" in captured.err
+
+
+def _float_matrix(m):
+    return {"rows": m, "cols": m, "mode": "float",
+            "entries": [[float(i == j) for j in range(m)] for i in range(m)]}
+
+
+def test_float_mode_inputs_exit_with_data_error(capsys, tmp_path):
+    basis = json.loads((FIXTURES / "complex_r4_basis.json").read_text())
+    basis["mats"][1]["mode"] = "float"
+    basis_path = tmp_path / "float_basis.json"
+    basis_path.write_text(json.dumps(basis))
+    q_path = tmp_path / "float_q.json"
+    q_path.write_text(json.dumps(_float_matrix(4)))
+    invocations = [
+        ["rank", str(basis_path)],
+        ["planar", "--basis", str(basis_path),
+         "--connection", str(FIXTURES / "flat4_connection.json"),
+         "--curve", str(FIXTURES / "helix_curve.json")],
+        ["distributions", "--dims", "2,2", "--conjugate", str(q_path)],
+    ]
+    for argv in invocations:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, argv
+        assert "mode" in err, argv
 
 
 def test_verify_report_missing_certificate(tmp_path):

@@ -20,9 +20,9 @@ from affinor_rank import (
     scalar_multiple_check,
     weak_rank_witness,
 )
-from affinor_rank.errors import DimensionMismatch, InvalidBasis, ModeMismatch
+from affinor_rank.errors import DimensionMismatch, InvalidBasis
 from affinor_rank.cli import _verify_certificate_dict
-from affinor_rank.linalg import rank, from_rows
+from affinor_rank.linalg import rank
 
 from conftest import (
     local3_constants,
@@ -69,16 +69,6 @@ def test_basis_rejects_rank_above_dimension():
         )
 
 
-def test_certification_requires_exact_mode():
-    e = Matrix.of_floats([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    f = Matrix.of_floats([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    basis = AffinorBasis((e, f))
-    with pytest.raises(ModeMismatch):
-        weak_rank_witness(basis)
-    with pytest.raises(ModeMismatch):
-        certify_generic_rank(basis)
-
-
 # ---------------------------------------------------------------------------
 # Hulls
 # ---------------------------------------------------------------------------
@@ -114,7 +104,7 @@ def test_hull_contains_base_vector(complex_r4, rng):
         x = tuple(Fraction(rng.randint(-9, 9)) for _ in range(4))
         h = hull(complex_r4, x)
         stacked = list(h.matrix.entries) + [x]
-        assert rank(from_rows(stacked, "exact")).rank == h.dim
+        assert rank(Matrix.exact(stacked)).rank == h.dim
 
 
 def test_hull_scaling_invariance(complex_r4, rng):
@@ -139,7 +129,7 @@ def test_hull_monotone_under_closure(quaternions_r8, rng):
         )
         hz = hull(basis, z)
         stacked = list(hx.matrix.entries) + list(hz.matrix.entries)
-        assert rank(from_rows(stacked, "exact")).rank == hx.dim
+        assert rank(Matrix.exact(stacked)).rank == hx.dim
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +153,7 @@ def test_weak_rank_projector_style_basis():
     # oracle: the all-ones vector gives rows (1,1,1,1), (1,1,0,0), (0,0,1,0)
     ones = (Fraction(1),) * 4
     explicit = [m.apply(ones) for m in basis.mats]
-    assert rank(from_rows(explicit, "exact")).rank == 3
+    assert rank(Matrix.exact(explicit)).rank == 3
     cert = weak_rank_witness(basis)
     assert isinstance(cert, RankCertificate)
     assert cert.claimed_rank == 3

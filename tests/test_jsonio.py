@@ -24,10 +24,27 @@ def _write(tmp_path, name, payload):
 
 def test_matrix_round_trip():
     m = Matrix.exact([["1/3", 2], [0, -5]])
+    assert m.to_json()["mode"] == "exact"
     back = matrix_from_json(m.to_json(), "<mem>")
     assert back.entries == m.entries
-    f = Matrix.of_floats([[0.5, 1.25]])
-    assert matrix_from_json(f.to_json(), "<mem>").entries == f.entries
+
+
+def test_float_mode_matrix_is_rejected():
+    bad = {"rows": 1, "cols": 2, "mode": "float", "entries": [[0.5, 1.25]]}
+    with pytest.raises(InputFormatError) as err:
+        matrix_from_json(bad, "q.json")
+    assert err.value.field == "mode"
+
+
+def test_float_mode_basis_is_rejected(tmp_path):
+    payload = {
+        "m": 2, "n": 1, "mode": "float",
+        "mats": [{"rows": 2, "cols": 2, "mode": "float", "entries": [[1.0, 0.0], [0.0, 1.0]]}],
+    }
+    path = _write(tmp_path, "basis.json", payload)
+    with pytest.raises(InputFormatError) as err:
+        basis_from_json(load_json(path), path)
+    assert err.value.field == "mats[0].mode"
 
 
 def test_exact_entries_reject_floats():

@@ -1,18 +1,13 @@
-"""Exact and float matrix kernels."""
+"""Exact matrix kernels."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from affinor_rank import Matrix, det, inverse, invertible, rank, solve_in_span
-from affinor_rank.errors import (
-    ModeMismatch,
-    NonFiniteEntry,
-    NotInvertible,
-    NotSquare,
-    ShapeMismatch,
-)
+from affinor_rank import Matrix, det, inverse, invertible, linalg, rank, solve_in_span
+from affinor_rank.errors import NotInvertible, NotSquare, ShapeMismatch
 from affinor_rank.linalg import SpanSolver, has_full_row_rank
 from affinor_rank.multipoly import Poly, determinant
 
@@ -95,7 +90,7 @@ def test_exact_rank_equals_float_rank_on_integer_matrices():
             b = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
             m = Matrix.exact(a) @ Matrix.exact(b)
         exact = rank(m).rank
-        floats = rank(Matrix.of_floats(m.entries), tol=1e-8).rank
+        floats = int(np.linalg.matrix_rank(m.to_ndarray()))
         assert exact == floats, f"case {cases}: exact {exact} vs float {floats}"
         cases += 1
 
@@ -110,29 +105,6 @@ def test_pivot_minor_is_nonsingular(rng):
                 [m.entries[i][j] for j in res.pivot_cols] for i in res.pivot_rows
             ]
             assert cofactor_det(minor) != 0
-
-
-def test_float_rank_requires_positive_tol():
-    m = Matrix.of_floats([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        rank(m, tol=0.0)
-    assert rank(m).rank == 2  # default tolerance applies
-
-
-def test_float_matrix_rejects_nonfinite():
-    with pytest.raises(NonFiniteEntry):
-        Matrix.of_floats([[1.0, float("nan")]])
-    with pytest.raises(NonFiniteEntry):
-        Matrix.of_floats([[float("inf")]])
-
-
-def test_mode_mixing_rejected():
-    a = Matrix.identity(2)
-    b = Matrix.of_floats([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ModeMismatch):
-        a @ b
-    with pytest.raises(ModeMismatch):
-        a + b
 
 
 def test_exact_entries_reject_floats():
@@ -172,17 +144,6 @@ def test_solve_in_span_shape_checks():
     e2, e3 = Matrix.identity(2), Matrix.identity(3)
     with pytest.raises(ShapeMismatch):
         solve_in_span([e2], e3)
-
-
-def test_solve_in_span_float_mode():
-    e = Matrix.of_floats([[1, 0], [0, 1]])
-    f = Matrix.of_floats([[0, -1], [1, 0]])
-    target = Matrix.of_floats([[-1, 0], [0, -1]])
-    coeffs = solve_in_span([e, f], target, tol=1e-9)
-    assert coeffs is not None
-    assert abs(coeffs[0] + 1) < 1e-9 and abs(coeffs[1]) < 1e-9
-    outside = Matrix.of_floats([[1, 1], [1, 1]])
-    assert solve_in_span([e], outside, tol=1e-9) is None
 
 
 def test_span_solver_residual():
@@ -264,10 +225,28 @@ def test_inverse_round_trip(rng):
         inverse(Matrix.exact([[1, 1], [1, 1]]))
 
 
-def test_float_invertible_uses_singular_values():
-    m = Matrix.of_floats([[1.0, 0.0], [0.0, 1e-12]])
-    assert not invertible(m, tol=1e-8)
-    assert invertible(Matrix.of_floats([[2.0, 0.0], [0.0, 2.0]]), tol=1e-8)
+def test_det_sign_and_degenerate_shapes():
+    assert det(Matrix.exact([[0, 1], [1, 0]])) == -1
+    assert det(Matrix.exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert det(Matrix.exact([["1/2", "1/3"], ["1/4", "1/6"]])) == 0
+    assert det(Matrix.exact([[0, 1], [0, 2]])) == 0
+    assert det(Matrix.identity(0)) == 1
+
+
+def test_inverse_rows_are_span_coefficients(rng):
+    # row j of inverse(m) expresses the unit row e_j over the rows of m, so
+    # the span solver on the rows of m must reproduce the inverse
+    found = 0
+    while found < 20:
+        m = random_exact_matrix(rng, 4, 4, bound=3)
+        if det(m) == 0:
+            continue
+        found += 1
+        solver = SpanSolver([Matrix.exact([row]) for row in m.entries])
+        inv = inverse(m)
+        for j in range(4):
+            unit = tuple(Fraction(int(i == j)) for i in range(4))
+            assert solver.coefficients(unit) == inv.entries[j]
 
 
 def test_has_full_row_rank_agrees_with_rank(rng):
@@ -276,3 +255,21 @@ def test_has_full_row_rank_agrees_with_rank(rng):
         cols = rng.randint(rows, 7)
         m = random_exact_matrix(rng, rows, cols, bound=6)
         assert has_full_row_rank(m.entries) == (rank(m).rank == rows)
+
+
+def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
+    # a genuinely dependent set drops rank modulo every prime; the first
+    # drop must go straight to exact elimination
+    calls = []
+    modp = linalg._full_row_rank_modp
+
+    def counting(rows, p):
+        calls.append(p)
+        return modp(rows, p)
+
+    monkeypatch.setattr(linalg, "_full_row_rank_modp", counting)
+    e = Matrix.identity(3)
+    dependent = [e.vectorize(), e.scale(3).vectorize()]
+    assert has_full_row_rank(dependent) is False
+    assert len(calls) == 1
+    assert modp(dependent, linalg._PRIMES[0]) is False

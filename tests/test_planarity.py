@@ -14,6 +14,7 @@ from affinor_rank import (
     SampledCurve,
     covariant_accel,
     geodesic_integrate,
+    inverse,
     planarity_check,
 )
 from affinor_rank.errors import (
@@ -356,8 +357,9 @@ def test_covariance_under_linear_change_of_frame():
     # residual profile is preserved for the constant-coefficient case
     rng = random.Random(13)
     conn = _random_constant_connection(rng, 3, scale=0.3)
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    a_inv = np.linalg.inv(a)
+    a_exact = Matrix.exact([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    a_inv_exact = inverse(a_exact)
+    a, a_inv = a_exact.to_ndarray(), a_inv_exact.to_ndarray()
     g = np.array(conn.constant_gamma)
     g_new = np.einsum("ka,abc,bi,cj->kij", a, g, a_inv, a_inv)
     conn_new = ConnectionSpec.constant(g_new.tolist())
@@ -367,10 +369,9 @@ def test_covariance_under_linear_change_of_frame():
     vels_new = [tuple(a @ np.array(v)) for v in curve.velocities]
     curve_new = SampledCurve.of(curve.ts, pts_new, vels_new)
 
-    f = Matrix.of_floats([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0]])
-    basis = AffinorBasis((Matrix.of_floats(np.eye(3)), f))
-    f_new = Matrix.of_floats(a @ f.to_ndarray() @ a_inv)
-    basis_new = AffinorBasis((Matrix.of_floats(np.eye(3)), f_new))
+    f = Matrix.exact([[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]])
+    basis = AffinorBasis((Matrix.identity(3), f))
+    basis_new = AffinorBasis((Matrix.identity(3), a_exact @ f @ a_inv_exact))
 
     rep = planarity_check(basis, conn, curve, samples=10)
     rep_new = planarity_check(basis_new, conn_new, curve_new, samples=10)
