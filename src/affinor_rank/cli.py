@@ -101,8 +101,6 @@ def build_parser() -> _Parser:
     p_frob = sub.add_parser("frobenius", help="Frobenius form detection",
                             parents=[common])
     p_frob.add_argument("constants", type=str)
-    p_frob.add_argument("--symbolic-threshold", type=int,
-                        default=_frobenius.DEFAULT_SYMBOLIC_THRESHOLD)
 
     p_cliff = sub.add_parser("clifford", help="Clifford representation builder",
                              parents=[common])
@@ -142,6 +140,15 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (exit_code, result_payload)
 # ---------------------------------------------------------------------------
+
+
+def _write(path: str, flag: str, text: str):
+    """Write an output file; a path that cannot be opened is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}")
 
 
 def _cmd_algebra_verify(args) -> tuple[int, dict]:
@@ -201,9 +208,7 @@ def _cmd_rank(args) -> tuple[int, dict]:
 def _cmd_frobenius(args) -> tuple[int, dict]:
     sc = jsonio.constants_from_json(jsonio.load_json(args.constants), args.constants)
     seed = args.seed if args.seed is not None else _env_seed()
-    report = _frobenius.frobenius_iff_generic_rank(
-        sc, trials=args.trials, seed=seed, symbolic_threshold=args.symbolic_threshold
-    )
+    report = _frobenius.frobenius_iff_generic_rank(sc, trials=args.trials, seed=seed)
     result = report.to_json()
     if report.agree is False:
         return EXIT_INTERNAL, result
@@ -230,11 +235,10 @@ def _cmd_clifford(args) -> tuple[int, dict]:
         "index_note": "basis indices are 1-based with the unity first",
     }
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(cb.to_json(), fh, indent=2, sort_keys=True)
+        _write(args.emit, "--emit", json.dumps(cb.to_json(), indent=2, sort_keys=True))
         result["emitted"] = args.emit
     if args.check_rank:
-        cert = _clifford.clifford_rank_theorem_check(sig, args.trials, seed)
+        cert = _clifford.clifford_rank_theorem_check(cb, args.trials, seed)
         result["rank_certificate"] = cert.to_json()
         result["claimed_rank"] = cert.claimed_rank
     return (EXIT_POSITIVE if relations.ok else EXIT_NEGATIVE), result
@@ -263,8 +267,8 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         "rank": rank_report.to_json(),
     }
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(system.affinor_basis().to_json(), fh, indent=2, sort_keys=True)
+        _write(args.emit, "--emit",
+               json.dumps(system.affinor_basis().to_json(), indent=2, sort_keys=True))
         result["emitted"] = args.emit
     if not verification.ok:
         return EXIT_NEGATIVE, result
@@ -542,8 +546,6 @@ def _validate_knobs(args):
         raise _UsageError("--tol must be positive")
     if getattr(args, "samples", 5) < 5:
         raise _UsageError("--samples must be at least 5")
-    if getattr(args, "symbolic_threshold", 0) < 0:
-        raise _UsageError("--symbolic-threshold must be nonnegative")
 
 
 def dispatch(args) -> tuple[int, dict]:
@@ -584,6 +586,14 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return EXIT_USAGE
     try:
         code, report = dispatch(args)
+        if args.fmt == "json":
+            rendered = json.dumps(report, indent=2, sort_keys=True)
+        else:
+            rendered = "\n".join(_summary_lines(args.command, code, report["result"]))
+        if args.out:
+            _write(args.out, "--out", rendered + "\n")
+        else:
+            print(rendered)
     except _UsageError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -596,15 +606,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except AffinorRankError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if args.fmt == "json":
-        rendered = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        rendered = "\n".join(_summary_lines(args.command, code, report["result"]))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
-        print(rendered)
     return code
 
 

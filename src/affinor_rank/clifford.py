@@ -229,7 +229,7 @@ def verify_clifford_relations(cb: CliffordBasis) -> VerifyResult:
 
 
 def clifford_rank_theorem_check(
-    sig: CliffordSignature,
+    cb: CliffordBasis,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> RankCertificate:
@@ -239,11 +239,11 @@ def clifford_rank_theorem_check(
     acts freely on it, so its hull is everything.  The generic witness
     search is a fallback only.
     """
+    sig = cb.signature
     if sig.generators > _MAX_RANK_CHECK:
         raise SignatureTooLarge(
             f"rank check capped at {_MAX_RANK_CHECK} generators for exact tractability"
         )
-    cb = build_clifford(sig)
     unit = tuple(
         _ONE if i == 0 else _ZERO for i in range(sig.dim)
     )

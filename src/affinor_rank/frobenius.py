@@ -2,23 +2,24 @@
 
 A linear functional on an algebra is determined by its coefficient vector
 lambda; it is a Frobenius form exactly when the induced bilinear form
-``g_ij = sum_s c[i][j][s] * lambda_s`` is nondegenerate.  One regular
-evaluation certifies existence (exact arithmetic, no probabilistic
-caveat); nonexistence requires the symbolic determinant of the pencil to
-vanish identically, which is only attempted below a size threshold.
+``g_ij = sum_s c[i][j][s] * lambda_s`` is nondegenerate.
 
-The same pencil drives the module-rank side: stacking the images of
-lambda under the multiplication-operator matrices reproduces the bilinear
-form's transpose, so "some lambda is regular" and "some vector has a
-full-dimensional hull under the operator span" are the same condition.
-``frobenius_iff_generic_rank`` runs both sides independently and reports
-whether they agree, along with which operator orientation realizes the
-identification.
+Stacking the images of lambda under the multiplication-operator matrices
+``c_hat`` reproduces the bilinear form's transpose row for row, so "some
+lambda is regular" and "some vector has a full-dimensional hull under the
+operator span" are one condition on one linear pencil, and there is one
+search: the module-rank witness search on ``c_hat``.  A hull witness is a
+regular functional (exact arithmetic, no probabilistic caveat); an
+identically vanishing symbolic hull minor is the zero determinant of the
+pencil, a proof of nonexistence, which is only attempted up to the hull
+search's symbolic size limit.  ``frobenius_iff_generic_rank`` reads both
+verdicts off that one outcome and checks it by means independent of the
+search: the identification, proved exactly on the unit vectors, and the
+witness's Gram determinant, recomputed from the structure constants.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -32,6 +33,7 @@ from .algebra import (
 )
 from .errors import DimensionMismatch, InvalidAlgebra
 from .hullrank import (
+    _SYMBOLIC_MAX_ROWS,
     AffinorBasis,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -40,11 +42,6 @@ from .hullrank import (
     weak_rank_witness,
 )
 from .linalg import ExactVector, Matrix, det, exact_vector, scalar_to_json
-from .multipoly import Poly, determinant, find_nonzero_point
-
-DEFAULT_SYMBOLIC_THRESHOLD = 6
-
-_RANDOM_ROUND = 8
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,8 @@ class FrobeniusVerdict:
 
     ``not_frobenius`` always carries the symbolic identically-zero proof;
     ``undetermined`` exists because the symbolic expansion is skipped for
-    large algebras.
+    large algebras.  ``search`` is the module-rank outcome the verdict was
+    read from; it is not part of the JSON.
     """
 
     status: str  # "frobenius" | "not_frobenius" | "undetermined"
@@ -80,6 +78,7 @@ class FrobeniusVerdict:
     proof: Optional[dict] = None
     trials: int = 0
     note: str = ""
+    search: Union[RankCertificate, NoWitnessFound, None] = None
 
     def to_json(self) -> dict:
         out = {"status": self.status, "trials": self.trials, "note": self.note}
@@ -117,38 +116,6 @@ def _require_valid(sc: StructureConstants):
         raise InvalidAlgebra("associativity identities fail", a.violations)
 
 
-def _lambda_candidates(n: int, rng: random.Random, trials: int):
-    for i in range(n):
-        yield tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-    yield tuple(Fraction(1) for _ in range(n))
-    bound = 10 * n * n
-    for k in range(trials):
-        if k and k % _RANDOM_ROUND == 0:
-            bound *= 2
-        while True:
-            vec = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-            if any(v != 0 for v in vec):
-                break
-        yield vec
-
-
-def _symbolic_gram_det(sc: StructureConstants) -> Poly:
-    n = sc.n
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for s in range(n):
-                v = sc.c[i][j][s]
-                if v != 0:
-                    mono = tuple(1 if t == s else 0 for t in range(n))
-                    terms[mono] = Fraction(v)
-            row.append(Poly(n, terms))
-        entries.append(row)
-    return determinant(entries)
-
-
 def _form_string(lam: ExactVector) -> str:
     coeffs = ", ".join(str(v) for v in lam)
     return f"eps(sum a_i F_i) = sum a_i * lambda_i with lambda = ({coeffs})"
@@ -158,60 +125,49 @@ def find_frobenius_form(
     sc: StructureConstants,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    symbolic_threshold: int = DEFAULT_SYMBOLIC_THRESHOLD,
 ) -> FrobeniusVerdict:
     """Search for a functional whose bilinear form is regular.
 
-    Unit vectors and the all-ones vector are tried first, then seeded
-    random integer vectors with a doubling bound.  On exhaustion, small
-    algebras get the symbolic treatment: the determinant of the pencil is
-    expanded as a polynomial, an identically zero result is a proof of
-    nonexistence, and a nonzero one yields a constructive witness.
+    This is the weak-rank witness search on the multiplication operators
+    ``c_hat``, with its candidate order, bounds and symbolic size limit:
+    a hull witness is a regular functional, and a definitive absence of
+    witnesses means the determinant of the pencil is the zero polynomial.
     """
     _require_valid(sc)
-    rng = random.Random(seed)
-    tried = 0
-    for lam in _lambda_candidates(sc.n, rng, trials):
-        tried += 1
-        cand = gram(sc, lam)
-        if cand.regular:
-            return FrobeniusVerdict(
-                status="frobenius",
-                witness=cand,
-                form=_form_string(cand.lam),
-                trials=tried,
-            )
-    if sc.n <= symbolic_threshold:
-        poly = _symbolic_gram_det(sc)
-        if poly.is_zero:
-            return FrobeniusVerdict(
-                status="not_frobenius",
-                proof={
-                    "kind": "symbolic_zero_determinant",
-                    "nvars": sc.n,
-                    "statement": (
-                        "the determinant of the bilinear-form pencil is the "
-                        "zero polynomial, so no functional is regular"
-                    ),
-                },
-                trials=tried,
-            )
-        point = find_nonzero_point(poly)
-        cand = gram(sc, point)
+    basis = AffinorBasis(chat(sc).c_hat, allow_equal_dim=True)
+    outcome = weak_rank_witness(basis, trials=trials, seed=seed)
+    if isinstance(outcome, RankCertificate):
+        cand = gram(sc, outcome.witness)
         return FrobeniusVerdict(
             status="frobenius",
             witness=cand,
             form=_form_string(cand.lam),
-            trials=tried,
-            note="witness extracted from the symbolic determinant expansion",
+            trials=outcome.trials,
+            note="; ".join(outcome.notes),
+            search=outcome,
+        )
+    if outcome.definitive:
+        return FrobeniusVerdict(
+            status="not_frobenius",
+            proof={
+                "kind": "symbolic_zero_determinant",
+                "nvars": sc.n,
+                "statement": (
+                    "the determinant of the bilinear-form pencil is the "
+                    "zero polynomial, so no functional is regular"
+                ),
+            },
+            trials=outcome.trials,
+            search=outcome,
         )
     return FrobeniusVerdict(
         status="undetermined",
-        trials=tried,
+        trials=outcome.trials,
         note=(
-            f"no regular functional found in {tried} candidates and the "
-            f"dimension {sc.n} exceeds the symbolic threshold {symbolic_threshold}"
+            f"no regular functional found in {outcome.trials} candidates and the "
+            f"dimension {sc.n} exceeds the symbolic limit {_SYMBOLIC_MAX_ROWS}"
         ),
+        search=outcome,
     )
 
 
@@ -222,14 +178,16 @@ def find_frobenius_form(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Agreement record between the Frobenius search and the module rank.
+    """Agreement record between the Frobenius verdict and the module rank.
 
-    ``identification`` states, for each operator orientation, whether the
-    stacked images of a functional literally reproduce its bilinear form
-    (up to transpose); this is checked on random exact vectors, not
-    assumed.  Disagreement between the two verdicts is a hard failure for
-    callers: with exact arithmetic it can only mean a bug or an unlucky
-    undetermined search, and the report distinguishes the two.
+    Both verdicts are read off one hull search.  ``identification`` states,
+    for each operator orientation, whether the stacked images of a
+    functional reproduce its bilinear form (up to transpose); it is proved
+    on the unit vectors, not assumed.  ``agree`` is false when the search
+    outcome is not confirmed by the identification or by the witness's
+    Gram determinant, which with exact arithmetic can only mean a bug, and
+    callers treat it as a hard failure; it is None when the search is
+    undetermined.
     """
 
     frobenius: FrobeniusVerdict
@@ -254,17 +212,18 @@ class EquivalenceReport:
         }
 
 
-def _identification(sc: StructureConstants, mats: ChatMatrices, seed: int) -> dict:
-    """Check which operator orientation realizes the bilinear form."""
-    rng = random.Random(seed)
+def _identification(sc: StructureConstants, mats: ChatMatrices) -> dict:
+    """Check which operator orientation realizes the bilinear form.
+
+    Both sides are linear in the functional, so agreement on the n unit
+    vectors proves the identity for every functional.
+    """
     plain, star = True, True
-    for _ in range(3):
-        lam = tuple(Fraction(rng.randint(-9, 9)) for _ in range(sc.n))
+    for s in range(sc.n):
+        lam = tuple(Fraction(1 if t == s else 0) for t in range(sc.n))
         g = gram(sc, lam).gram
-        if tuple(m.apply(lam) for m in mats.c_hat) != g.transpose().entries:
-            plain = False
-        if tuple(m.apply(lam) for m in mats.c_hat_star) != g.entries:
-            star = False
+        plain = plain and tuple(m.apply(lam) for m in mats.c_hat) == g.transpose().entries
+        star = star and tuple(m.apply(lam) for m in mats.c_hat_star) == g.entries
     return {
         "multiplier_rows_match_gram_transpose": plain,
         "star_rows_match_gram": star,
@@ -275,9 +234,8 @@ def frobenius_iff_generic_rank(
     sc: StructureConstants,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    symbolic_threshold: int = DEFAULT_SYMBOLIC_THRESHOLD,
 ) -> EquivalenceReport:
-    """Run the Frobenius search and the operator-module rank side by side.
+    """Read the Frobenius verdict and the operator-module rank off one search.
 
     The operator module acts on a space of the algebra's own dimension,
     which is the one place the "span rank below module dimension"
@@ -285,44 +243,28 @@ def frobenius_iff_generic_rank(
     read as witness existence: the doubled-dimension pair condition cannot
     even be posed when the span fills the matrix space's dimension.
     """
-    _require_valid(sc)
-    mats = chat(sc)
-    basis = AffinorBasis(mats.c_hat, allow_equal_dim=True)
-    module_rank = weak_rank_witness(basis, trials=trials, seed=seed)
-    verdict = find_frobenius_form(sc, trials, seed, symbolic_threshold)
-
-    if verdict.status == "frobenius":
-        frob_pos: Optional[bool] = True
-    elif verdict.status == "not_frobenius":
-        frob_pos = False
-    else:
-        frob_pos = None
-
-    cross = None
-    if isinstance(module_rank, RankCertificate):
-        rank_pos: Optional[bool] = True
-        cross = gram(sc, module_rank.witness).regular
-    elif module_rank.definitive:
-        rank_pos = False
-    else:
-        rank_pos = None
-
-    agree = None if frob_pos is None or rank_pos is None else frob_pos == rank_pos
+    verdict = find_frobenius_form(sc, trials, seed)
+    identification = _identification(sc, chat(sc))
+    positive = {"frobenius": True, "not_frobenius": False}.get(verdict.status)
+    cross = None if verdict.witness is None else verdict.witness.regular
     notes = []
-    if agree is None:
-        notes.append("one side is undetermined; rerun with more trials")
-    elif not agree:
-        notes.append(
-            "verdicts disagree: exact/symbolic paths cannot both be right, "
-            "treat as an internal failure"
-        )
+    if positive is None:
+        agree = None
+        notes.append("the search is undetermined; rerun with more trials")
+    else:
+        agree = identification["multiplier_rows_match_gram_transpose"] and cross is not False
+        if not agree:
+            notes.append(
+                "the search verdict is not confirmed by the identification or "
+                "the witness's Gram determinant; treat as an internal failure"
+            )
     return EquivalenceReport(
         frobenius=verdict,
-        module_rank=module_rank,
-        frobenius_positive=frob_pos,
-        rank_positive=rank_pos,
+        module_rank=verdict.search,
+        frobenius_positive=positive,
+        rank_positive=positive,
         agree=agree,
-        identification=_identification(sc, mats, seed),
+        identification=identification,
         cross_check_witness_regular=cross,
         notes=tuple(notes),
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -172,6 +172,9 @@ class RankCertificate:
     pair: Optional[tuple[ExactVector, ExactVector, int]] = None
     inequality: Optional[tuple[int, int]] = None  # (2n, m)
     notes: tuple[str, ...] = ()
+    # candidates weak_rank_witness tried (0 for certificates built any
+    # other way); evidence, not part of the JSON
+    trials: int = 0
 
     def to_json(self) -> dict:
         out = {
@@ -385,13 +388,15 @@ def weak_rank_witness(
                 pivot_rows=h.rank_result.pivot_rows,
                 pivot_cols=h.rank_result.pivot_cols,
                 basis=basis,
+                trials=tried,
             )
         max_seen = max(max_seen, h.dim)
     outcome, point = _symbolic_minor_scan(basis)
     if outcome == "witness" and point is not None:
-        return certificate_from_witness(
+        cert = certificate_from_witness(
             basis, point, notes=("witness extracted from a nonzero symbolic minor",)
         )
+        return replace(cert, trials=tried)
     if outcome == "vanish":
         return NoWitnessFound(
             target_rank=n,

@@ -112,7 +112,11 @@ def complex_constants() -> StructureConstants:
 
 def local3_constants() -> StructureConstants:
     """Basis (1, x, y) with every product of x and y vanishing."""
-    n = 3
+    return local_constants(3)
+
+
+def local_constants(n: int) -> StructureConstants:
+    """Unity plus n - 1 elements all of whose products vanish."""
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         c[0][i][i] = 1

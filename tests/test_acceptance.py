@@ -134,7 +134,7 @@ def run_criterion_4(seed: int) -> dict:
             sig = CliffordSignature(s, t)
             cb = build_clifford(sig)
             relations = verify_clifford_relations(cb)
-            cert = clifford_rank_theorem_check(sig, seed=seed)
+            cert = clifford_rank_theorem_check(cb, seed=seed)
             entry = {
                 "dim": sig.dim,
                 "relations_ok": relations.ok,

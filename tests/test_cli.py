@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affinor_rank import cli
+from affinor_rank import cli, clifford
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -133,6 +133,21 @@ def test_clifford_emit_and_check(capsys, tmp_path):
     code2, report2 = _run(capsys, "rank", str(emitted))
     assert code2 == EXIT_POSITIVE
     assert report2["result"]["claimed_rank"] == 4
+
+
+def test_clifford_check_rank_builds_once(capsys, monkeypatch):
+    built = []
+    real = clifford.build_clifford
+
+    def counting(sig):
+        built.append(sig)
+        return real(sig)
+
+    monkeypatch.setattr(clifford, "build_clifford", counting)
+    code, report = _run(capsys, "clifford", "--s", "1", "--t", "1", "--check-rank")
+    assert code == EXIT_POSITIVE
+    assert report["result"]["claimed_rank"] == 4
+    assert len(built) == 1
 
 
 def test_distributions_generic(capsys):
@@ -325,6 +340,20 @@ def test_malformed_input_exits_with_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", str(FIXTURES / "complex_r4_basis.json"), "--out"],
+    ["clifford", "--s", "1", "--t", "1", "--emit"],
+    ["distributions", "--dims", "2,2", "--emit"],
+], ids=["out", "clifford-emit", "distributions-emit"])
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(argv + [str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1
+    assert argv[-1] in err and str(target) in err
 
 
 def test_unknown_command_is_usage_error():

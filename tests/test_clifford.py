@@ -1,5 +1,7 @@
 """Clifford representation construction and rank claims."""
 
+from dataclasses import replace
+
 import pytest
 
 from affinor_rank import (
@@ -133,7 +135,7 @@ def test_tampered_dense_matrix_falls_back():
 
 def test_rank_theorem_check_small():
     for s, t, expected in [(0, 1, 2), (0, 2, 4), (1, 1, 4), (1, 2, 8)]:
-        cert = clifford_rank_theorem_check(CliffordSignature(s, t))
+        cert = clifford_rank_theorem_check(build_clifford(CliffordSignature(s, t)))
         assert isinstance(cert, RankCertificate)
         assert cert.claimed_rank == expected
         # the canonical witness is the unit coefficient vector
@@ -141,8 +143,11 @@ def test_rank_theorem_check_small():
 
 
 def test_rank_theorem_check_gate():
-    with pytest.raises(SignatureTooLarge):
-        clifford_rank_theorem_check(CliffordSignature(6, 6))
+    # the gate reads the signature before any rank work, so a small basis
+    # relabelled Cl(6,6) stands in for one far too large to build
+    cb = replace(build_clifford(CliffordSignature(1, 0)), signature=CliffordSignature(6, 6))
+    with pytest.raises(SignatureTooLarge, match="rank check capped at 10 generators"):
+        clifford_rank_theorem_check(cb)
 
 
 def test_doubled_module_generic_rank():

@@ -1,10 +1,15 @@
 """Frobenius form search and the module-rank equivalence."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from affinor_rank import frobenius
+from affinor_rank.algebra import ChatMatrices
+from affinor_rank.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, main
+from affinor_rank.hullrank import _SYMBOLIC_MAX_ROWS
 from affinor_rank import (
     AffinorBasis,
     Matrix,
@@ -23,6 +28,7 @@ from conftest import (
     cofactor_det,
     dual_number_constants,
     local3_constants,
+    local_constants,
     matrix_algebra_2x2_constants,
     quaternion_constants,
 )
@@ -107,11 +113,20 @@ def test_find_frobenius_form_seed_stable():
     assert a == b
 
 
-def test_undetermined_when_symbolic_is_disabled():
-    # force the undetermined branch by disallowing the symbolic expansion
-    # and making random search useless
-    verdict = find_frobenius_form(local3_constants(), trials=4, symbolic_threshold=0)
+def test_undetermined_when_symbolic_is_disabled(tmp_path, capsys):
+    # unity plus six square-zero elements: every Gram matrix has rank at
+    # most 2, and the dimension is past the symbolic limit, so neither the
+    # candidates nor the expansion can decide
+    sc = local_constants(7)
+    assert sc.n > _SYMBOLIC_MAX_ROWS
+    verdict = find_frobenius_form(sc, trials=4)
     assert verdict.status == "undetermined"
+    assert verdict.trials == 7 + 1 + 4
+    assert frobenius_iff_generic_rank(sc, trials=4).agree is None
+    path = tmp_path / "local7.json"
+    path.write_text(json.dumps(sc.to_json()))
+    assert main(["frobenius", str(path), "--trials", "4"]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["result"]["agree"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +184,44 @@ def test_module_witness_transfers_to_functional():
         cert = weak_rank_witness(basis)
         assert isinstance(cert, RankCertificate)
         assert gram(sc, cert.witness).regular
+
+
+def test_equivalence_runs_one_search_and_one_validation(monkeypatch):
+    calls = {"verify_associativity": 0, "weak_rank_witness": 0}
+
+    def counted(name):
+        real = getattr(frobenius, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frobenius, name, wrapper)
+
+    counted("verify_associativity")
+    counted("weak_rank_witness")
+    report = frobenius_iff_generic_rank(matrix_algebra_2x2_constants())
+    assert calls == {"verify_associativity": 1, "weak_rank_witness": 1}
+    assert report.agree is True
+    assert report.frobenius.witness.lam == report.module_rank.witness
+
+
+def test_failed_identification_is_a_disagreement(monkeypatch, tmp_path, capsys):
+    # hand the search the starred operators: on the quaternions their rows
+    # are the Gram matrix, not its transpose, so the search still finds a
+    # regular functional but the exact identification must fail
+    def swapped(sc):
+        mats = chat(sc)
+        return ChatMatrices(mats.c_hat_star, mats.c_hat)
+
+    monkeypatch.setattr(frobenius, "chat", swapped)
+    sc = quaternion_constants()
+    report = frobenius_iff_generic_rank(sc)
+    assert report.frobenius.status == "frobenius"
+    assert report.cross_check_witness_regular is True
+    assert report.identification["multiplier_rows_match_gram_transpose"] is False
+    assert report.agree is False
+    path = tmp_path / "quaternions.json"
+    path.write_text(json.dumps(sc.to_json()))
+    assert main(["frobenius", str(path)]) == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().out)["result"]["agree"] is False
