@@ -223,7 +223,7 @@ def _cmd_frobenius(args) -> tuple[int, dict]:
 def _cmd_clifford(args) -> tuple[int, dict]:
     sig = _clifford.CliffordSignature(args.s, args.t)
     cb = _clifford.build_clifford(sig)
-    relations = _clifford.verify_clifford_relations(cb)
+    relations = cb.relations
     seed = args.seed if args.seed is not None else _env_seed()
     result: dict = {
         "signature": {"s": sig.s, "t": sig.t},
@@ -256,7 +256,7 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         )
     sp = _distributions.Splitting(sum(dims), dims, conjugate)
     system = _distributions.projectors_from_splitting(sp)
-    verification = _distributions.verify_complete_system(system)
+    verification = system.verification
     seed = args.seed if args.seed is not None else _env_seed()
     rank_report = _distributions.distribution_rank_check(system, args.trials, seed)
     result = {

@@ -14,7 +14,7 @@ blades grade by grade in index-lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -111,6 +111,8 @@ class CliffordBasis:
     basis: AffinorBasis
     blades: tuple[int, ...]
     labels: tuple[str, ...]
+    # the relation check build_clifford ran; None for a basis assembled by hand
+    relations: Optional[VerifyResult] = None
 
     def to_json(self) -> dict:
         out = self.basis.to_json()
@@ -127,7 +129,8 @@ def _blade_order(n_gen: int) -> tuple[int, ...]:
 def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     """Left regular representation matrices for every basis blade.
 
-    Generator relations are verified before the basis is returned.
+    Generator relations are verified before the basis is returned, and the
+    result is kept on it as ``relations``.
     """
     n_gen = sig.generators
     dim = sig.dim
@@ -149,7 +152,7 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     check = verify_clifford_relations(cb)
     if not check.ok:
         raise AssertionError(f"construction violates generator relations: {check.violations}")
-    return cb
+    return replace(cb, relations=check)
 
 
 # ---------------------------------------------------------------------------

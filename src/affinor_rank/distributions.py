@@ -15,7 +15,7 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -79,6 +79,8 @@ class ProjectorSystem:
 
     projectors: tuple[Matrix, ...]
     splitting: Optional[Splitting] = None
+    # the identity check projectors_from_splitting ran; None otherwise
+    verification: Optional[VerifyResult] = None
 
     def __post_init__(self):
         object.__setattr__(self, "projectors", tuple(self.projectors))
@@ -114,7 +116,8 @@ def _block_projector(m: int, start: int, size: int) -> Matrix:
 
 def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
     """Conjugated block projectors; the complete-system identities are
-    verified exactly before the system is returned."""
+    verified exactly before the system is returned, and the result is kept
+    on it as ``verification``."""
     blocks = [
         _block_projector(sp.m, start, size)
         for start, size in zip(sp.block_starts(), sp.block_dims)
@@ -127,7 +130,7 @@ def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
     check = verify_complete_system(system)
     if not check.ok:  # pragma: no cover - construction guarantees the identities
         raise AssertionError(f"constructed projectors violate identities: {check.violations}")
-    return system
+    return replace(system, verification=check)
 
 
 def verify_complete_system(

@@ -5,10 +5,20 @@ construction, because a rounded entry would poison any certificate computed
 downstream.  Float numerics (curve planarity) run on numpy arrays obtained
 through ``Matrix.to_ndarray`` and never flow back.
 
-Rank and determinant share one fraction-free (Bareiss) elimination run
-after clearing denominators row by row, so intermediate values stay
-integers of bounded size and the reported pivots select a minor whose
-determinant is provably nonzero.  Inverse and span membership share one
+Each matrix lazily builds one scaled-integer view of itself: its entries
+as integer numerators over their least common denominator d, held in a
+numpy array.  Products and matrix-vector products multiply the numerator
+arrays and divide by the product of the denominators.  They use int64
+when an a-priori bound proves that no partial sum overflows
+(max|A| * max|B| * inner dimension < 2**63) and object arrays of Python
+ints otherwise, so the result is exact either way; it is rebuilt as
+Fractions, and a product keeps its own view for the next product.
+
+Rank and determinant share one fraction-free (Bareiss) elimination run on
+the view's numerators, so intermediate values stay integers of bounded
+size and the reported pivots select a minor whose determinant is provably
+nonzero.  The modular full-row-rank test reduces the same numerators mod p
+and multiplies by d^-1 mod p.  Inverse and span membership share one
 Gauss-Jordan reduction over Fractions that records its row transform.
 """
 
@@ -18,7 +28,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,17 +100,16 @@ class Matrix:
             m, m, tuple(tuple(_ONE if i == j else _ZERO for j in range(m)) for i in range(m))
         )
 
+    @cached_property
+    def _scaled(self) -> "_Scaled":
+        """Integer numerators over the lcm of the entry denominators."""
+        return _scale([v for row in self.entries for v in row], (self.rows, self.cols))
+
     # -- basic structure ----------------------------------------------
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> ExactVector:
-        return self.entries[i]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -161,26 +171,87 @@ class Matrix:
             raise ShapeMismatch(
                 f"inner dimensions {self.cols} and {other.rows} differ"
             )
-        cols = other.transpose().entries
-        return Matrix(
-            self.rows, other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            ),
+        a, b = self._scaled, other._scaled
+        view = _lowest_terms(
+            _int_product(a, b, self.cols).ravel().tolist(), a.den * b.den,
+            (self.rows, other.cols),
         )
+        out = Matrix(self.rows, other.cols, tuple(
+            tuple(_fractions(row, view.den)) for row in view.nums.tolist()
+        ))
+        out.__dict__["_scaled"] = view  # the slot cached_property fills
+        return out
 
     def apply(self, vec: Sequence[Fraction]) -> ExactVector:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.cols} columns")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
-    def frobenius_norm_sq(self) -> Fraction:
-        return sum(v * v for row in self.entries for v in row)
+        a, x = self._scaled, _scale(vec, (self.cols,))
+        return tuple(_fractions(_int_product(a, x, self.cols).tolist(), a.den * x.den))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
+
+
+# ---------------------------------------------------------------------------
+# Scaled-integer view: numerators over one common denominator
+# ---------------------------------------------------------------------------
+
+# int64 arithmetic is exact while every partial sum stays below this.
+_INT64_LIMIT = 1 << 63
+
+
+class _Scaled(NamedTuple):
+    """Exact values ``nums / den`` with ``den`` the lcm of their denominators.
+
+    ``nums`` is an int64 array when every numerator fits, and an object
+    array of Python ints otherwise; ``bound`` is the largest absolute
+    numerator, from which products decide whether int64 is safe.
+    """
+
+    nums: np.ndarray
+    den: int
+    bound: int
+
+
+def _lowest_terms(nums: list[int], den: int, shape: tuple[int, ...]) -> _Scaled:
+    """Scaled view of ``nums / den``, reduced so ``den`` is the least common denominator."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    bound = max(map(abs, nums), default=0)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return _Scaled(np.array(nums, dtype=dtype).reshape(shape), den, bound)
+
+
+def _scale(values: Sequence[Fraction], shape: tuple[int, ...]) -> _Scaled:
+    """Scaled view of exact values laid out in ``shape`` (row-major)."""
+    den = math.lcm(*{v.denominator for v in values})
+    if den == 1:
+        nums = [v.numerator for v in values]
+    else:
+        nums = [v.numerator * (den // v.denominator) for v in values]
+    return _lowest_terms(nums, den, shape)
+
+
+def _int_product(a: _Scaled, b: _Scaled, inner: int) -> np.ndarray:
+    """Exact product of the numerator arrays.
+
+    int64 when both arrays are int64 and max|a| * max|b| * inner < 2**63
+    bounds every partial sum, Python ints in an object array otherwise.
+    """
+    if a.nums.dtype == b.nums.dtype == np.int64 and a.bound * b.bound * inner < _INT64_LIMIT:
+        return a.nums @ b.nums
+    return a.nums.astype(object) @ b.nums.astype(object)
+
+
+def _fractions(nums: list[int], den: int) -> list[Fraction]:
+    """The Fractions ``v / den`` for ``v`` in ``nums``, each in lowest terms."""
+    if den == 1:
+        return [Fraction(v) for v in nums]
+    return [Fraction(v, den) for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +280,15 @@ class RankResult:
 
 
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators.
+    """The matrix's scaled-integer numerators as Python int rows.
 
-    Row scaling by a nonzero rational preserves rank and every minor's
+    Scaling by the common denominator d preserves rank and every minor's
     vanishing pattern, so pivots found on the scaled matrix certify the
-    original one.  Also returns the product of the row scales, by which a
-    determinant of the scaled matrix exceeds the original's.
+    original one.  Also returns d**rows, by which a determinant of the
+    scaled matrix exceeds the original's.
     """
-    out = []
-    scale = 1
-    for row in m.entries:
-        denom = math.lcm(*(v.denominator for v in row)) if row else 1
-        scale *= denom
-        out.append([int(v * denom) for v in row])
-    return out, scale
+    view = m._scaled
+    return view.nums.tolist(), view.den ** m.rows
 
 
 def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, int]:
@@ -420,7 +486,7 @@ def solve_in_span(basis_mats: Sequence[Matrix], target: Matrix) -> Optional[Exac
 _PRIMES = (2147483629, 2147483587, 2147483563)
 
 
-def _full_row_rank_modp(rows: list[list[Fraction]], p: int) -> Optional[bool]:
+def _full_row_rank_modp(rows: Sequence[Sequence[Fraction]], p: int) -> Optional[bool]:
     """One-sided full-row-rank test over GF(p).
 
     Full rank mod p implies full rank over the rationals.  Returns True on
@@ -433,18 +499,13 @@ def _full_row_rank_modp(rows: list[list[Fraction]], p: int) -> Optional[bool]:
     width = len(rows[0])
     if n > width:
         return False
-    a = np.zeros((n, width), dtype=np.int64)
-    inv_cache: dict[int, int] = {1: 1}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            den = v.denominator % p
-            if den == 0:
-                return None
-            inv = inv_cache.get(den)
-            if inv is None:
-                inv = pow(den, p - 2, p)
-                inv_cache[den] = inv
-            a[i, j] = (v.numerator % p) * inv % p
+    view = _scale([v for row in rows for v in row], (n, width))
+    den = view.den % p
+    if den == 0:  # p divides the lcm, so it divides some entry's denominator
+        return None
+    a = (view.nums % p).astype(np.int64, copy=False)
+    a *= pow(den, -1, p)  # in place: the array is as large as the whole input
+    a %= p
     r = 0
     for c in range(width):
         if r >= n:

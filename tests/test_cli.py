@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affinor_rank import cli, clifford
+from affinor_rank import cli, clifford, distributions
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -148,6 +148,39 @@ def test_clifford_check_rank_builds_once(capsys, monkeypatch):
     assert code == EXIT_POSITIVE
     assert report["result"]["claimed_rank"] == 4
     assert len(built) == 1
+
+
+def test_clifford_checks_relations_once(capsys, monkeypatch):
+    checked = []
+    real = clifford.verify_clifford_relations
+
+    def counting(cb):
+        checked.append(cb.signature)
+        return real(cb)
+
+    monkeypatch.setattr(clifford, "verify_clifford_relations", counting)
+    code, report = _run(capsys, "clifford", "--s", "2", "--t", "1", "--check-rank")
+    assert code == EXIT_POSITIVE
+    assert report["result"]["relations"]["ok"] is True
+    assert len(checked) == 1
+
+
+def test_distributions_verifies_system_once(capsys, monkeypatch):
+    checked = []
+    real = distributions.verify_complete_system
+
+    def counting(ps):
+        checked.append(ps)
+        return real(ps)
+
+    monkeypatch.setattr(distributions, "verify_complete_system", counting)
+    code, report = _run(
+        capsys, "distributions", "--dims", "2,2",
+        "--conjugate", str(FIXTURES / "conjugation_q4.json"),
+    )
+    assert code == EXIT_POSITIVE
+    assert report["result"]["verification"]["ok"] is True
+    assert len(checked) == 1
 
 
 def test_distributions_generic(capsys):

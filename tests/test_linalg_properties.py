@@ -1,0 +1,138 @@
+"""Property tests of the scaled-integer kernels against naive Fraction loops.
+
+Entries mix small values with magnitudes near 2**31 and 2**62, so products
+take the int64 path when the overflow bound allows it and the Python-int
+path when it does not; denominators are pairwise coprime (one of them the
+first modular-rank prime) and shapes include empty rows and columns.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from affinor_rank import Matrix, det, linalg, rank
+from affinor_rank.linalg import has_full_row_rank
+
+from conftest import cofactor_det
+
+settings.register_profile("kernels", max_examples=150, deadline=None, derandomize=True)
+settings.load_profile("kernels")
+
+_NUMERATORS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**31 - 4, 2**31 + 4),
+    st.integers(2**62 - 4, 2**62 + 4),
+    st.integers(-(2**62) - 4, -(2**62) + 4),
+)
+_DENOMINATORS = st.sampled_from((1, 1, 1, 2, 3, 5, 7, linalg._PRIMES[0]))
+_SCALARS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+
+
+def _matrix(rows: int, cols: int):
+    cells = st.lists(_SCALARS, min_size=rows * cols, max_size=rows * cols)
+    return cells.map(lambda flat: Matrix(rows, cols, tuple(
+        tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)
+    )))
+
+
+_DIMS = st.integers(0, 4)
+
+
+@st.composite
+def _chain(draw, length: int):
+    """``length`` matrices whose shapes multiply left to right."""
+    dims = [draw(_DIMS) for _ in range(length + 1)]
+    return [draw(_matrix(dims[i], dims[i + 1])) for i in range(length)]
+
+
+def _naive_matmul(a: Matrix, b: Matrix):
+    return tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+              for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def _naive_rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _assert_exact(values):
+    for v in values:
+        assert type(v) is Fraction
+        assert type(v.numerator) is int and type(v.denominator) is int
+
+
+@given(_chain(2))
+def test_matmul_matches_fraction_loop(mats):
+    a, b = mats
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == _naive_matmul(a, b)
+    _assert_exact(v for row in prod.entries for v in row)
+    json.dumps(prod.to_json())
+
+
+@given(_chain(3))
+def test_product_of_a_product_matches_fraction_loop(mats):
+    # the inner product hands its scaled view on to the outer one
+    a, b, c = mats
+    ab = a @ b
+    expected = _naive_matmul(Matrix(ab.rows, ab.cols, _naive_matmul(a, b)), c)
+    assert (ab @ c).entries == expected
+    assert (a @ (b @ c)).entries == expected
+
+
+@given(_DIMS.flatmap(lambda cols: st.tuples(
+    _DIMS.flatmap(lambda rows: _matrix(rows, cols)),
+    st.lists(_SCALARS, min_size=cols, max_size=cols),
+)))
+def test_apply_matches_fraction_loop(case):
+    m, vec = case
+    out = m.apply(vec)
+    assert type(out) is tuple
+    assert out == tuple(
+        sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in m.entries
+    )
+    _assert_exact(out)
+
+
+@given(st.tuples(_DIMS, _DIMS).flatmap(lambda shape: _matrix(*shape)))
+def test_rank_and_full_row_rank_match_fraction_elimination(m):
+    expected = _naive_rank(m.entries)
+    got = rank(m)
+    assert got.rank == expected
+    if expected:
+        minor = [[m.entries[i][j] for j in got.pivot_cols] for i in got.pivot_rows]
+        assert cofactor_det(minor) != 0
+    assert has_full_row_rank(m.entries) == (expected == m.rows)
+
+
+@given(_DIMS.flatmap(lambda n: _matrix(n, n)))
+def test_det_matches_cofactor_expansion(m):
+    got = det(m)
+    assert got == (cofactor_det(m.entries) if m.rows else 1)
+    _assert_exact([got])
+
+
+def test_product_that_wraps_in_int64_stays_exact():
+    big = 2**62
+    a = Matrix.exact([[big, big]])
+    b = Matrix.exact([[1], [1]])
+    wrapped = np.array([[big, big]], dtype=np.int64) @ np.array([[1], [1]], dtype=np.int64)
+    assert int(wrapped[0, 0]) == -(2**63)  # what unchecked int64 would report
+    assert (a @ b).entries == ((Fraction(2**63),),)
+    assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
