@@ -142,11 +142,16 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _encode(obj) -> str:
+    """Compact JSON with sorted keys, the form of every report and --emit file."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _write(path: str, flag: str, text: str):
-    """Write an output file; a path that cannot be opened is a usage error."""
+    """Write ``text`` and a newline; a path that cannot be opened is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     except OSError as exc:
         raise _UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}")
 
@@ -235,7 +240,7 @@ def _cmd_clifford(args) -> tuple[int, dict]:
         "index_note": "basis indices are 1-based with the unity first",
     }
     if args.emit:
-        _write(args.emit, "--emit", json.dumps(cb.to_json(), indent=2, sort_keys=True))
+        _write(args.emit, "--emit", _encode(cb.to_json()))
         result["emitted"] = args.emit
     if args.check_rank:
         cert = _clifford.clifford_rank_theorem_check(cb, args.trials, seed)
@@ -267,8 +272,7 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         "rank": rank_report.to_json(),
     }
     if args.emit:
-        _write(args.emit, "--emit",
-               json.dumps(system.affinor_basis().to_json(), indent=2, sort_keys=True))
+        _write(args.emit, "--emit", _encode(system.affinor_basis().to_json()))
         result["emitted"] = args.emit
     if not verification.ok:
         return EXIT_NEGATIVE, result
@@ -587,11 +591,11 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         code, report = dispatch(args)
         if args.fmt == "json":
-            rendered = json.dumps(report, indent=2, sort_keys=True)
+            rendered = _encode(report)
         else:
             rendered = "\n".join(_summary_lines(args.command, code, report["result"]))
         if args.out:
-            _write(args.out, "--out", rendered + "\n")
+            _write(args.out, "--out", rendered)
         else:
             print(rendered)
     except _UsageError as exc:

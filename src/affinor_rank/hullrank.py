@@ -96,7 +96,7 @@ class AffinorBasis:
             raise InvalidBasis(
                 f"span rank {n} must be below module dimension {m}"
             )
-        if not has_full_row_rank([mat.vectorize() for mat in self.mats]):
+        if not has_full_row_rank(self.mats):
             raise InvalidBasis("basis elements are linearly dependent")
 
     @property

@@ -17,9 +17,10 @@ Fractions, and a product keeps its own view for the next product.
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
 size and the reported pivots select a minor whose determinant is provably
-nonzero.  The modular full-row-rank test reduces the same numerators mod p
-and multiplies by d^-1 mod p.  Inverse and span membership share one
-Gauss-Jordan reduction over Fractions that records its row transform.
+nonzero.  The modular linear-independence test stacks the numerators of
+several matrices' views, one matrix per row, and reduces them mod p.
+Inverse and span membership share one Gauss-Jordan reduction over
+Fractions that records its row transform.
 """
 
 from __future__ import annotations
@@ -125,12 +126,12 @@ class Matrix:
         return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "mode": EXACT,
-            "entries": [[scalar_to_json(v) for v in row] for row in self.entries],
-        }
+        view = self._scaled
+        if view.den == 1:
+            entries = view.nums.tolist()
+        else:
+            entries = [[scalar_to_json(v) for v in row] for row in self.entries]
+        return {"rows": self.rows, "cols": self.cols, "mode": EXACT, "entries": entries}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -480,32 +481,22 @@ def solve_in_span(basis_mats: Sequence[Matrix], target: Matrix) -> Optional[Exac
 
 
 # ---------------------------------------------------------------------------
-# Fast full-row-rank test (validation only)
+# Fast linear-independence test (validation only)
 # ---------------------------------------------------------------------------
 
-_PRIMES = (2147483629, 2147483587, 2147483563)
+_PRIMES = (2147483629,)
 
 
-def _full_row_rank_modp(rows: Sequence[Sequence[Fraction]], p: int) -> Optional[bool]:
-    """One-sided full-row-rank test over GF(p).
+def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
+    """One-sided full-row-rank test of an integer array over GF(p).
 
-    Full rank mod p implies full rank over the rationals.  Returns True on
-    that certificate, False when rank dropped mod p (inconclusive for the
-    rationals), or None when a denominator vanishes mod p.
+    Full rank mod p implies full rank over the rationals; False means the
+    rank dropped mod p, which is inconclusive for the rationals.
     """
-    n = len(rows)
-    if n == 0:
-        return True
-    width = len(rows[0])
+    n, width = rows.shape
     if n > width:
         return False
-    view = _scale([v for row in rows for v in row], (n, width))
-    den = view.den % p
-    if den == 0:  # p divides the lcm, so it divides some entry's denominator
-        return None
-    a = (view.nums % p).astype(np.int64, copy=False)
-    a *= pow(den, -1, p)  # in place: the array is as large as the whole input
-    a %= p
+    a = (rows % p).astype(np.int64, copy=False)
     r = 0
     for c in range(width):
         if r >= n:
@@ -525,26 +516,20 @@ def _full_row_rank_modp(rows: Sequence[Sequence[Fraction]], p: int) -> Optional[
     return r == n
 
 
-def has_full_row_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact full-row-rank decision with a modular fast path.
+def has_full_row_rank(mats: Sequence[Matrix]) -> bool:
+    """Whether equally shaped matrices are linearly independent.
 
-    A full-rank result modulo a large prime certifies full rank over the
-    rationals; a rank drop modulo one prime falls back to exact
-    fraction-free elimination at once, and a vanishing denominator moves on
-    to the next prime.
+    Row i of the test is matrix i's scaled-integer numerators, flattened:
+    its entries times its own nonzero denominator, which leaves the rank
+    unchanged.  Full rank modulo a large prime certifies independence; a
+    rank drop falls back to exact fraction-free elimination.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
+    if not mats:
         return True
-    for p in _PRIMES:
-        res = _full_row_rank_modp(rows, p)
-        if res:
-            return True
-        if res is None:
-            continue
-        break
-    rk, _, _, _, _ = _bareiss_rank(_integer_rows(Matrix.exact(rows))[0])
-    return rk == len(rows)
+    rows = np.stack([m._scaled.nums.reshape(-1) for m in mats])
+    if _full_row_rank_modp(rows, _PRIMES[0]):
+        return True
+    return _bareiss_rank(rows.tolist())[0] == len(mats)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,36 @@ def test_reports_are_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+def _assert_compact(text: str):
+    """One line plus a newline, sorted keys, no padding."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_reports_and_emitted_bases_are_compact_json(capsys, tmp_path):
+    out, emitted = tmp_path / "report.json", tmp_path / "basis.json"
+    argv = ["clifford", "--s", "1", "--t", "1", "--check-rank", "--emit", str(emitted)]
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_POSITIVE
+    _assert_compact(out.read_text())
+    _assert_compact(emitted.read_text())
+    # same content as the indented encoding of the same report
+    _, report = cli.dispatch(cli.build_parser().parse_args(argv + ["--out", str(out)]))
+    indented_report = json.loads(json.dumps(report, indent=2, sort_keys=True))
+    assert _strip_time(json.loads(out.read_text())) == _strip_time(indented_report)
+    basis = clifford.build_clifford(clifford.CliffordSignature(1, 1)).to_json()
+    indented_basis = json.loads(json.dumps(basis, indent=2, sort_keys=True))
+    assert json.loads(emitted.read_text()) == indented_basis
+    # the reader takes the compact report and an indented copy of it alike
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True))
+    for path in (out, indented):
+        code, verdict = _run(capsys, "verify-report", str(path))
+        assert code == EXIT_POSITIVE
+        assert verdict["result"]["verified"] is True
+
+
 def test_text_format(capsys):
     code = main([
         "rank", str(FIXTURES / "complex_r4_basis.json"), "--format", "text"

@@ -20,6 +20,7 @@ from affinor_rank import (
     scalar_multiple_check,
     weak_rank_witness,
 )
+from affinor_rank import clifford, linalg
 from affinor_rank.errors import DimensionMismatch, InvalidBasis
 from affinor_rank.cli import _verify_certificate_dict
 from affinor_rank.linalg import rank
@@ -67,6 +68,44 @@ def test_basis_rejects_rank_above_dimension():
             (e, rotation_block(2), Matrix.exact([[1, 0], [0, 0]])),
             allow_equal_dim=True,
         )
+
+
+def test_basis_validation_scales_each_matrix_once(monkeypatch):
+    # validation stacks the per-matrix views that hull and to_json reuse,
+    # instead of scaling one n x m^2 stack of every entry
+    built = clifford.build_clifford(clifford.CliffordSignature(2, 2)).basis.mats
+    fresh = [Matrix(m.rows, m.cols, m.entries) for m in built]  # no cached views
+    shapes = []
+    scale = linalg._scale
+
+    def recording(values, shape):
+        shapes.append(shape)
+        return scale(values, shape)
+
+    monkeypatch.setattr(linalg, "_scale", recording)
+    AffinorBasis(tuple(fresh), allow_equal_dim=True)
+    assert shapes == [(16, 16)] * 16
+
+
+def test_basis_zero_mod_p_row_is_accepted_by_exact_fallback(monkeypatch):
+    p = linalg._PRIMES[0]
+    results = []
+    modp = linalg._full_row_rank_modp
+
+    def recording(rows, prime):
+        results.append(modp(rows, prime))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_full_row_rank_modp", recording)
+    e12 = Matrix.exact([[0, p, 0], [0, 0, 0], [0, 0, 0]])
+    assert AffinorBasis((Matrix.identity(3), e12)).n == 2
+    assert results == [False]  # the second row is 0 mod p
+
+
+def test_basis_rejects_dependent_fractional_elements():
+    e12 = Matrix.exact([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidBasis):
+        AffinorBasis((Matrix.identity(3), e12.scale(Fraction(1, 2)), e12.scale(Fraction(2, 3))))
 
 
 # ---------------------------------------------------------------------------

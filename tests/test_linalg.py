@@ -254,7 +254,8 @@ def test_has_full_row_rank_agrees_with_rank(rng):
         rows = rng.randint(1, 5)
         cols = rng.randint(rows, 7)
         m = random_exact_matrix(rng, rows, cols, bound=6)
-        assert has_full_row_rank(m.entries) == (rank(m).rank == rows)
+        rows_as_matrices = [Matrix.exact([row]) for row in m.entries]
+        assert has_full_row_rank(rows_as_matrices) == (rank(m).rank == rows)
 
 
 def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
@@ -269,7 +270,7 @@ def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
 
     monkeypatch.setattr(linalg, "_full_row_rank_modp", counting)
     e = Matrix.identity(3)
-    dependent = [e.vectorize(), e.scale(3).vectorize()]
-    assert has_full_row_rank(dependent) is False
-    assert len(calls) == 1
+    assert has_full_row_rank([e, e.scale(3)]) is False
+    assert calls == [linalg._PRIMES[0]]
+    dependent = np.array([[int(v) for v in mat.vectorize()] for mat in (e, e.scale(3))])
     assert modp(dependent, linalg._PRIMES[0]) is False

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from affinor_rank import Matrix, det, linalg, rank
-from affinor_rank.linalg import has_full_row_rank
+from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
 from conftest import cofactor_det
 
@@ -30,8 +30,8 @@ _DENOMINATORS = st.sampled_from((1, 1, 1, 2, 3, 5, 7, linalg._PRIMES[0]))
 _SCALARS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
 
 
-def _matrix(rows: int, cols: int):
-    cells = st.lists(_SCALARS, min_size=rows * cols, max_size=rows * cols)
+def _matrix(rows: int, cols: int, scalars=_SCALARS):
+    cells = st.lists(scalars, min_size=rows * cols, max_size=rows * cols)
     return cells.map(lambda flat: Matrix(rows, cols, tuple(
         tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)
     )))
@@ -118,7 +118,9 @@ def test_rank_and_full_row_rank_match_fraction_elimination(m):
     if expected:
         minor = [[m.entries[i][j] for j in got.pivot_cols] for i in got.pivot_rows]
         assert cofactor_det(minor) != 0
-    assert has_full_row_rank(m.entries) == (expected == m.rows)
+    assert has_full_row_rank([Matrix(1, m.cols, (row,)) for row in m.entries]) == (
+        expected == m.rows
+    )
 
 
 @given(_DIMS.flatmap(lambda n: _matrix(n, n)))
@@ -126,6 +128,39 @@ def test_det_matches_cofactor_expansion(m):
     got = det(m)
     assert got == (cofactor_det(m.entries) if m.rows else 1)
     _assert_exact([got])
+
+
+_BEYOND_INT64 = st.builds(
+    Fraction,
+    st.one_of(_NUMERATORS, st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63))),
+    _DENOMINATORS,
+)
+
+
+def _json_cases():
+    """Matrices whose views take every path: integer, fractional, beyond int64,
+    and products whose views ``_lowest_terms`` reduces to denominator 1."""
+    shapes = st.tuples(_DIMS, _DIMS)
+    plain = shapes.flatmap(lambda shape: _matrix(*shape))
+    big = shapes.flatmap(lambda shape: _matrix(*shape, _BEYOND_INT64))
+    # scaling by the view's denominator leaves an integer product whose
+    # view is reduced from denominator d to 1
+    cleared = plain.map(lambda m: m @ Matrix.identity(m.cols).scale(m._scaled.den))
+    products = _chain(3).map(lambda mats: (mats[0] @ mats[1]) @ mats[2])
+    return st.one_of(plain, big, cleared, products)
+
+
+@given(_json_cases())
+def test_to_json_matches_per_entry_form(m):
+    got = m.to_json()
+    assert got == {
+        "rows": m.rows, "cols": m.cols, "mode": "exact",
+        "entries": [[scalar_to_json(v) for v in row] for row in m.entries],
+    }
+    for row in got["entries"]:
+        for v in row:
+            assert type(v) is int or (type(v) is str and "/" in v)
+    assert json.loads(json.dumps(got)) == got
 
 
 def test_product_that_wraps_in_int64_stays_exact():
