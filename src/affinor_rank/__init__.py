@@ -87,7 +87,6 @@ from .linalg import (
     invertible,
     inverse,
     rank,
-    solve_in_span,
 )
 from .planarity import (
     ClosedFormCurve,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence, TYPE_CHECKING
 
 from .errors import DimensionMismatch, InvalidAlgebra, NotClosed, ShapeMismatch
-from .linalg import EXACT, Matrix, SpanSolver, as_fraction, scalar_to_json
+from .linalg import EXACT, Matrix, SpanSolver, as_fraction, pairwise_products, scalar_to_json
 
 if TYPE_CHECKING:
     from .hullrank import AffinorBasis
@@ -229,23 +229,21 @@ def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> Al
 def from_affinors(basis: "AffinorBasis") -> StructureConstants:
     """Structure constants of a matrix span, when it is closed under products.
 
-    Every pairwise product is expressed over the span; the first product
-    that falls outside raises NotClosed with the offending pair and the
-    residual.  Closure failing is a meaningful result for callers that only
-    need weak-rank arguments, so they catch NotClosed rather than treating
-    it as a bug.
+    All n**2 products come from one stacked integer product of the basis
+    numerators.  A span element is fixed by its values on the pivot columns
+    of the stacked basis, so ``SpanSolver`` solves every product at once
+    against the inverse n x n pivot block and proves the result exactly,
+    coordinates x stack == D x products over the integers.  The first
+    product, in row-major (i, j) order, that fails the proof raises
+    NotClosed with that pair and its residual.  Closure failing is a
+    meaningful result for callers that only need weak-rank arguments, so
+    they catch NotClosed rather than treating it as a bug.
     """
-    mats = basis.mats
-    n = len(mats)
-    solver = SpanSolver(mats)
-    planes = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            prod = mats[i] @ mats[j]
-            coeffs = solver.coefficients(prod.vectorize())
-            if coeffs is None:
-                raise NotClosed((i, j), solver.residual_sq(prod.vectorize()))
-            plane.append(coeffs)
-        planes.append(tuple(plane))
-    return StructureConstants(n, tuple(planes))
+    n = basis.n
+    solver = SpanSolver(basis.mats)
+    products = pairwise_products(solver.generators, basis.m)
+    coords = solver.coefficients(products)
+    for t, c in enumerate(coords):
+        if c is None:
+            raise NotClosed(divmod(t, n), solver.residual_sq(products, t))
+    return StructureConstants(n, tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n)))

@@ -32,8 +32,9 @@ class NotClosed(AffinorRankError):
 
     Attributes:
         pair: index pair (i, j) of the first product that leaves the span.
-        residual: squared distance of that product from the span, an
-            exact Fraction.
+        residual: exact squared norm of that product minus the span
+            element agreeing with it on the pivot columns; it bounds the
+            squared distance from the span (diag(1, 0) over {E}: 1, not 1/2).
     """
 
     def __init__(self, pair, residual):

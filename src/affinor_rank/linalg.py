@@ -19,8 +19,9 @@ the view's numerators, so intermediate values stay integers of bounded
 size and the reported pivots select a minor whose determinant is provably
 nonzero.  The modular linear-independence test stacks the numerators of
 several matrices' views, one matrix per row, and reduces them mod p.
-Inverse and span membership share one Gauss-Jordan reduction over
-Fractions that records its row transform.
+The same elimination, followed by fraction-free back substitution, gives
+the inverse; span coordinates of a whole batch of targets follow from the
+inverse pivot block of the stacked generators, proved by an integer product.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotInvertible, NotSquare, ShapeMismatch
+from .errors import InvalidBasis, NotInvertible, NotSquare, ShapeMismatch
 
 ExactVector = tuple[Fraction, ...]
 
@@ -117,10 +118,6 @@ class Matrix:
             self.cols, self.rows,
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
-
-    def vectorize(self) -> ExactVector:
-        """Row-major flattening, used to treat matrices as span vectors."""
-        return tuple(v for row in self.entries for v in row)
 
     def to_ndarray(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
@@ -362,122 +359,120 @@ def invertible(m: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan reduction with transform: inverse and span solving
+# Fraction-free solve: inverse and span coordinates
 # ---------------------------------------------------------------------------
 
 
-def _rref_with_transform(rows: list[list[Fraction]]):
-    """Reduced row echelon form of ``rows`` (reduced in place).
-
-    Returns (nonzero echelon rows, transform rows, pivot columns), where
-    transform row i combines the input rows into echelon row i.  Pivots
-    are the first nonzero entry at or below the current row.
-    """
-    n = len(rows)
-    width = len(rows[0]) if n else 0
-    transform = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        if r == n:
-            break
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        transform[r], transform[p] = transform[p], transform[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        transform[r] = [v * inv for v in transform[r]]
-        for i in range(n):
-            if i == r or rows[i][c] == 0:
-                continue
-            f = rows[i][c]
-            rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
-            transform[i] = [u - f * v for u, v in zip(transform[i], transform[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], transform[:r], pivots
-
-
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over Fractions."""
+    """Exact inverse by fraction-free elimination.
+
+    Bareiss elimination of [A | I], where A is the integer view den * m,
+    then fraction-free back substitution (Nakos, Turner and Williams 1997)
+    of A @ x == D * I, with D = +-det(A) the last pivot.  Every division is
+    exact, because D * A^-1 is integral; m^-1 = den * x / D.
+    """
     if not m.is_square:
         raise NotSquare("inverse of a non-square matrix")
-    _, transform, pivots = _rref_with_transform([list(row) for row in m.entries])
-    if len(pivots) < m.rows:
+    n, view = m.rows, m._scaled
+    aug = [row + unit for row, unit in zip(view.nums.tolist(), np.eye(n, dtype=int).tolist())]
+    _, _, pivot_cols, _, d = _bareiss_rank(aug)
+    if pivot_cols != list(range(n)):
         raise NotInvertible("matrix is singular")
-    return Matrix.exact(transform)
+    x = [[0] * n for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        row = aug[k]
+        for c in range(n):
+            x[k][c] = (d * row[n + c] - sum(row[j] * x[j][c] for j in range(k + 1, n))) // row[k]
+    return Matrix(n, n, tuple(tuple(_fractions([view.den * v for v in row], d)) for row in x))
+
+
+def _view(nums: np.ndarray, den: int) -> _Scaled:
+    """Scaled view of an exact integer array, as int64 when its bound fits."""
+    bound = int(np.abs(nums).max()) if nums.size else 0
+    if nums.dtype == object and bound < _INT64_LIMIT:
+        nums = nums.astype(np.int64)
+    return _Scaled(nums, den, bound)
+
+
+def stack(mats: Sequence[Matrix]) -> _Scaled:
+    """Equally shaped matrices, flattened, as the rows of one scaled view."""
+    views = [m._scaled for m in mats]
+    den = math.lcm(*(v.den for v in views))
+    return _view(np.stack([
+        v.nums.reshape(-1) if v.den == den else v.nums.reshape(-1).astype(object) * (den // v.den)
+        for v in views
+    ]), den)
+
+
+def pairwise_products(s: _Scaled, m: int) -> _Scaled:
+    """Row i*n + j: the product of the m x m matrices in rows i and j of ``s``.
+
+    All n**2 products are one integer product [A_0; ..; A_(n-1)] @
+    [A_0 .. A_(n-1)] of the numerators, under ``_int_product``'s int64 rule.
+    """
+    n = s.nums.shape[0]
+    blocks = s.nums.reshape(n, m, m)
+    tall = _Scaled(blocks.reshape(n * m, m), s.den, s.bound)
+    wide = _Scaled(blocks.transpose(1, 0, 2).reshape(m, n * m), s.den, s.bound)
+    grid = _int_product(tall, wide, m).reshape(n, m, n, m)
+    return _view(grid.transpose(0, 2, 1, 3).reshape(n * n, m * m), s.den * s.den)
 
 
 class SpanSolver:
-    """Repeated exact membership tests against the span of fixed matrices.
+    """Exact coordinates over the span of independent, equally shaped matrices.
 
-    The vectorized span generators are reduced once to a normalized row
-    echelon form together with the transform that produced it; each
-    membership query is then a single read-off plus an equality check.
+    A span element is fixed by its values on the pivot columns of the
+    stacked generators, the columns their reduced row echelon form picks.
+    ``__init__`` finds them and inverts the pivot block B once; the view of
+    B^-1 is an integer matrix over a denominator D.  A batch of targets
+    (see ``stack``) is solved by one integer product and proved by a
+    second one, coordinates x stack == D x targets, compared exactly.
     """
 
     def __init__(self, mats: Sequence[Matrix]):
-        if not mats:
-            raise ShapeMismatch("empty span basis")
-        shape = (mats[0].rows, mats[0].cols)
-        for m in mats:
-            if (m.rows, m.cols) != shape:
-                raise ShapeMismatch("span basis matrices differ in shape")
+        if not mats or any((m.rows, m.cols) != (mats[0].rows, mats[0].cols) for m in mats):
+            raise ShapeMismatch("span basis must be nonempty and equally shaped")
         self.n = len(mats)
-        self.width = shape[0] * shape[1]
-        self._rows, self._transform, self._pivots = _rref_with_transform(
-            [list(m.vectorize()) for m in mats]
-        )
+        self.generators = stack(mats)
+        rk, _, self._pivots, _, _ = _bareiss_rank(self.generators.nums.tolist())
+        if rk < self.n:
+            raise InvalidBasis("span basis matrices are linearly dependent")
+        # column k of the block is generator k on the pivot columns
+        inv = inverse(Matrix.exact(self.generators.nums[:, self._pivots].T.tolist()))._scaled
+        self._det, self._adj_t = inv.den, _Scaled(inv.nums.T, 1, inv.bound)
 
-    @property
-    def span_dim(self) -> int:
-        return len(self._pivots)
+    def _scaled_coordinates(self, targets: _Scaled) -> _Scaled:
+        """D times the coordinates of the span elements that agree with
+        each target row on the pivot columns."""
+        if targets.nums.shape[1] != self.generators.nums.shape[1]:
+            raise ShapeMismatch("targets do not match the span basis shape")
+        picked = _Scaled(targets.nums[:, self._pivots], 1, targets.bound)
+        return _view(_int_product(picked, self._adj_t, self.n), 1)
 
-    def _candidate(self, target: Sequence[Fraction]):
-        gammas = [target[c] for c in self._pivots]
-        combo = [_ZERO] * self.width
-        for g, row in zip(gammas, self._rows):
-            if g == 0:
-                continue
-            for j in range(self.width):
-                if row[j] != 0:
-                    combo[j] += g * row[j]
-        return gammas, combo
+    def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
+        """Coordinates over the generators of each target row, or None for
+        a row outside the span."""
+        ys = self._scaled_coordinates(targets)
+        d, t = self._det, targets.nums
+        fits = t.dtype == np.int64 and d * targets.bound < _INT64_LIMIT
+        proved = _int_product(ys, self.generators, self.n) == (t if fits else t.astype(object)) * d
+        # target = sum_k (y_k / D) * stack row k / den_t, and stack row k
+        # is den_g times generator k
+        num, den = self.generators.den, d * targets.den
+        return [
+            tuple(_fractions([num * v for v in y], den)) if ok else None
+            for ok, y in zip(proved.all(axis=1).tolist(), ys.nums.tolist())
+        ]
 
-    def coefficients(self, target: Sequence[Fraction]) -> Optional[ExactVector]:
-        """Coefficients expressing ``target`` over the span basis, or None."""
-        if len(target) != self.width:
-            raise ShapeMismatch("target length does not match span width")
-        gammas, combo = self._candidate(target)
-        if any(u != v for u, v in zip(combo, target)):
-            return None
-        coeffs = [_ZERO] * self.n
-        for g, trow in zip(gammas, self._transform):
-            if g == 0:
-                continue
-            for j in range(self.n):
-                coeffs[j] += g * trow[j]
-        return tuple(coeffs)
-
-    def residual_sq(self, target: Sequence[Fraction]) -> Fraction:
-        """Squared distance between ``target`` and its echelon candidate."""
-        _, combo = self._candidate(target)
-        return sum((u - v) ** 2 for u, v in zip(combo, target))
-
-
-def solve_in_span(basis_mats: Sequence[Matrix], target: Matrix) -> Optional[ExactVector]:
-    """Express ``target`` as a linear combination of ``basis_mats``.
-
-    Returns the coefficient vector, or None when the target lies outside
-    the span.
-    """
-    if not basis_mats:
-        raise ShapeMismatch("empty span basis")
-    if (target.rows, target.cols) != (basis_mats[0].rows, basis_mats[0].cols):
-        raise ShapeMismatch("target shape does not match basis shape")
-    return SpanSolver(basis_mats).coefficients(target.vectorize())
+    def residual_sq(self, targets: _Scaled, t: int) -> Fraction:
+        """Squared norm of target row ``t`` minus the span element that
+        agrees with it on the pivot columns: zero exactly on the span, and
+        an upper bound on the squared distance to it."""
+        one = _Scaled(targets.nums[t:t + 1], targets.den, targets.bound)
+        combo = _int_product(self._scaled_coordinates(one), self.generators, self.n)
+        d = self._det
+        gap = sum((c - d * v) ** 2 for c, v in zip(combo[0].tolist(), one.nums[0].tolist()))
+        return Fraction(gap, (d * targets.den) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -143,25 +143,18 @@ def matrix_algebra_2x2_constants() -> StructureConstants:
 
     Four independent endomorphisms of a 2-space cannot form an affinor
     basis (the span rank exceeds the module dimension), so the constants
-    are extracted from the raw products directly.
+    are solved from the raw products directly.
     """
-    from affinor_rank.linalg import SpanSolver
+    from affinor_rank.linalg import SpanSolver, stack
 
     e = Matrix.identity(2)
     e11 = Matrix.exact([[1, 0], [0, 0]])
     e12 = Matrix.exact([[0, 1], [0, 0]])
     e21 = Matrix.exact([[0, 0], [1, 0]])
     mats = [e, e11, e12, e21]
-    solver = SpanSolver(mats)
-    planes = []
-    for a in mats:
-        plane = []
-        for b in mats:
-            coeffs = solver.coefficients((a @ b).vectorize())
-            assert coeffs is not None  # matrix products stay in the span
-            plane.append(coeffs)
-        planes.append(tuple(plane))
-    return StructureConstants(4, tuple(planes))
+    coords = SpanSolver(mats).coefficients(stack([a @ b for a in mats for b in mats]))
+    assert None not in coords  # matrix products stay in the span
+    return StructureConstants(4, tuple(tuple(coords[4 * i:4 * i + 4]) for i in range(4)))
 
 
 @pytest.fixture

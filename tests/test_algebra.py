@@ -16,7 +16,7 @@ from affinor_rank import (
     verify_unity,
 )
 from affinor_rank.errors import InvalidAlgebra, NotClosed
-from affinor_rank.linalg import solve_in_span
+from affinor_rank.linalg import SpanSolver, stack
 
 from conftest import (
     complex_constants,
@@ -193,7 +193,7 @@ def test_from_affinors_round_trip_property(quaternions_r4, rng):
             mat_a = mat_a + m.scale(c)
         for c, m in zip(b[1:], mats[1:]):
             mat_b = mat_b + m.scale(c)
-        coeffs = solve_in_span(list(mats), mat_a @ mat_b)
+        (coeffs,) = SpanSolver(mats).coefficients(stack([mat_a @ mat_b]))
         assert coeffs == via_table.coeffs
 
 

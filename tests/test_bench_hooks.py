@@ -21,19 +21,34 @@ pkg = prepare.import_package(os.path.join(os.getcwd(), "src"))
 rec = tracing.Recorder()
 tracing.install(rec, pkg)
 rec.op_id = 0
-code = pkg["cli"].main(["clifford", "--s", "1", "--t", "1", "--check-rank", "--out", sys.argv[1]])
+code = pkg["cli"].main(json.loads(sys.argv[1]))
 _, calls, _ = rec.self_times()
 print(json.dumps({"code": code, "calls": calls}))
 """
 
 
-def test_bench_tracing_installs_and_records(tmp_path):
+def _traced_calls(tmp_path, argv):
+    """Exit code and traced calls per span name of one CLI command."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path / "report.json")],
+        [sys.executable, "-c", _PROBE, json.dumps(argv + ["--out", str(tmp_path / "report.json")])],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["code"] == 0
-    assert got["calls"].get("linalg.full_row_rank", 0) > 0
-    assert got["calls"].get("cli.encode", 0) > 0
+    return got["code"], got["calls"]
+
+
+def test_bench_tracing_installs_and_records(tmp_path):
+    code, calls = _traced_calls(tmp_path, ["clifford", "--s", "1", "--t", "1", "--check-rank"])
+    assert code == 0
+    assert calls.get("linalg.full_row_rank", 0) > 0
+    assert calls.get("cli.encode", 0) > 0
+
+
+def test_bench_tracing_records_the_closure_solve(tmp_path):
+    # the traced span_solve layer wraps SpanSolver's methods by name
+    code, calls = _traced_calls(
+        tmp_path, ["rank", "docs/fixtures/complex_r4_basis.json", "--generic"])
+    assert code == 0
+    assert calls.get("linalg.span_solve", 0) > 0
+    assert calls.get("algebra.closure", 0) > 0

@@ -18,7 +18,7 @@ from affinor_rank import (
     verify_complete_system,
 )
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
-from affinor_rank.linalg import det, solve_in_span
+from affinor_rank.linalg import SpanSolver, det, stack
 
 from conftest import random_exact_matrix
 
@@ -147,10 +147,8 @@ def test_rewritten_basis_spans_the_projectors(rng):
         basis = ps.affinor_basis()
         # every projector lies in the span of the rewritten basis and
         # every rewritten element lies in the projector span
-        for p in ps.projectors:
-            assert solve_in_span(list(basis.mats), p) is not None
-        for mat in basis.mats:
-            assert solve_in_span(list(ps.projectors), mat) is not None
+        assert None not in SpanSolver(basis.mats).coefficients(stack(ps.projectors))
+        assert None not in SpanSolver(ps.projectors).coefficients(stack(basis.mats))
 
 
 def test_witness_optimality(rng):

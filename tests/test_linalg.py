@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinor_rank import Matrix, det, inverse, invertible, linalg, rank, solve_in_span
-from affinor_rank.errors import NotInvertible, NotSquare, ShapeMismatch
-from affinor_rank.linalg import SpanSolver, has_full_row_rank
+from affinor_rank import Matrix, det, inverse, invertible, linalg, rank
+from affinor_rank.errors import InvalidBasis, NotInvertible, NotSquare, ShapeMismatch
+from affinor_rank.linalg import SpanSolver, has_full_row_rank, stack
 from affinor_rank.multipoly import Poly, determinant
 
 from conftest import (
@@ -113,14 +113,13 @@ def test_exact_entries_reject_floats():
 
 
 # ---------------------------------------------------------------------------
-# solve_in_span
+# SpanSolver
 # ---------------------------------------------------------------------------
 
 
 def test_solve_in_span_identity_target():
     e = Matrix.identity(2)
-    coeffs = solve_in_span([e], e.scale(5))
-    assert coeffs == (Fraction(5),)
+    assert SpanSolver([e]).coefficients(stack([e.scale(5)])) == [(Fraction(5),)]
 
 
 def test_solve_in_span_rotation_square():
@@ -129,29 +128,48 @@ def test_solve_in_span_rotation_square():
     f = Matrix.exact([[0, -1], [1, 0]])
     ff = f @ f
     assert ff.entries == e.scale(-1).entries
-    coeffs = solve_in_span([e, f], ff)
-    assert coeffs == (Fraction(-1), Fraction(0))
+    coeffs = SpanSolver([e, f]).coefficients(stack([ff]))
+    assert coeffs == [(Fraction(-1), Fraction(0))]
 
 
 def test_solve_in_span_infeasible():
     e = Matrix.identity(3)
     p = Matrix.exact([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     target = Matrix.exact([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    assert solve_in_span([e, p], target) is None
+    # a batch answers each target on its own
+    assert SpanSolver([e, p]).coefficients(stack([target, e, p.scale("1/2")])) == [
+        None, (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)),
+    ]
 
 
 def test_solve_in_span_shape_checks():
     e2, e3 = Matrix.identity(2), Matrix.identity(3)
     with pytest.raises(ShapeMismatch):
-        solve_in_span([e2], e3)
+        SpanSolver([e2]).coefficients(stack([e3]))
+    with pytest.raises(ShapeMismatch):
+        SpanSolver([e2, e3])
+    with pytest.raises(ShapeMismatch):
+        SpanSolver([])
+    with pytest.raises(InvalidBasis):
+        SpanSolver([e2, e2.scale(3)])
 
 
 def test_span_solver_residual():
     e = Matrix.identity(2)
     solver = SpanSolver([e])
-    target = Matrix.exact([[1, 1], [0, 1]]).vectorize()
-    assert solver.coefficients(target) is None
-    assert solver.residual_sq(target) == 1
+    targets = stack([Matrix.exact([[1, 1], [0, 1]])])
+    assert solver.coefficients(targets) == [None]
+    assert solver.residual_sq(targets, 0) == 1
+
+
+def test_span_solver_residual_is_not_the_distance():
+    # diag(1, 0) agrees with E on the pivot column (entry 0, 0), so the
+    # residual is |diag(1, 0) - E|^2 = 1; the orthogonal projection onto
+    # the span is E/2, at squared distance 1/2
+    solver = SpanSolver([Matrix.identity(2)])
+    targets = stack([Matrix.exact([[1, 0], [0, 0]])])
+    assert solver.coefficients(targets) == [None]
+    assert solver.residual_sq(targets, 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +261,8 @@ def test_inverse_rows_are_span_coefficients(rng):
             continue
         found += 1
         solver = SpanSolver([Matrix.exact([row]) for row in m.entries])
-        inv = inverse(m)
-        for j in range(4):
-            unit = tuple(Fraction(int(i == j)) for i in range(4))
-            assert solver.coefficients(unit) == inv.entries[j]
+        units = stack([Matrix.exact([row]) for row in Matrix.identity(4).entries])
+        assert solver.coefficients(units) == list(inverse(m).entries)
 
 
 def test_has_full_row_rank_agrees_with_rank(rng):
@@ -272,5 +288,5 @@ def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
     e = Matrix.identity(3)
     assert has_full_row_rank([e, e.scale(3)]) is False
     assert calls == [linalg._PRIMES[0]]
-    dependent = np.array([[int(v) for v in mat.vectorize()] for mat in (e, e.scale(3))])
+    dependent = stack([e, e.scale(3)]).nums
     assert modp(dependent, linalg._PRIMES[0]) is False

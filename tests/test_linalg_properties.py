@@ -3,19 +3,23 @@
 Entries mix small values with magnitudes near 2**31 and 2**62, so products
 take the int64 path when the overflow bound allows it and the Python-int
 path when it does not; denominators are pairwise coprime (one of them the
-first modular-rank prime) and shapes include empty rows and columns.
+first modular-rank prime) and shapes include empty rows and columns.  The
+fraction-free solves (closure and inverse) are checked against a
+Gauss-Jordan reduction over Fractions written here.
 """
 
 import json
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from affinor_rank import Matrix, det, linalg, rank
+from affinor_rank import AffinorBasis, Matrix, det, from_affinors, inverse, linalg, rank
+from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
-from conftest import cofactor_det
+from conftest import cofactor_det, quaternion_matrices
 
 settings.register_profile("kernels", max_examples=150, deadline=None, derandomize=True)
 settings.load_profile("kernels")
@@ -55,10 +59,12 @@ def _naive_matmul(a: Matrix, b: Matrix):
     )
 
 
-def _naive_rank(rows) -> int:
+def _naive_pivots(rows) -> list[int]:
+    """Pivot columns of the row echelon form of Fraction rows."""
     rows = [list(r) for r in rows]
-    r = 0
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
@@ -66,8 +72,8 @@ def _naive_rank(rows) -> int:
         for i in range(r + 1, len(rows)):
             f = rows[i][c] / rows[r][c]
             rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def _assert_exact(values):
@@ -112,7 +118,7 @@ def test_apply_matches_fraction_loop(case):
 
 @given(st.tuples(_DIMS, _DIMS).flatmap(lambda shape: _matrix(*shape)))
 def test_rank_and_full_row_rank_match_fraction_elimination(m):
-    expected = _naive_rank(m.entries)
+    expected = len(_naive_pivots(m.entries))
     got = rank(m)
     assert got.rank == expected
     if expected:
@@ -171,3 +177,134 @@ def test_product_that_wraps_in_int64_stays_exact():
     assert int(wrapped[0, 0]) == -(2**63)  # what unchecked int64 would report
     assert (a @ b).entries == ((Fraction(2**63),),)
     assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free solves: closure tables and inverse
+# ---------------------------------------------------------------------------
+
+
+def _naive_solve(a, b):
+    """x with a @ x == b for a square Fraction matrix a, None when a is singular."""
+    n = len(a)
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [u - f * v for u, v in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _reference_closure(mats):
+    """Structure constants of the span of ``mats``, or the (pair, residual)
+    of the first product in row-major order that leaves it.
+
+    Each product is solved on the pivot columns of the stacked matrices;
+    the span element with those coordinates must equal the product, and
+    the residual is their squared difference when it does not."""
+    n = len(mats)
+    vecs = [[v for row in m.entries for v in row] for m in mats]
+    pivots = _naive_pivots(vecs)
+    assert len(pivots) == n
+    block = [[vecs[k][c] for k in range(n)] for c in pivots]
+    planes = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            prod = [v for row in _naive_matmul(mats[i], mats[j]) for v in row]
+            x = [row[0] for row in _naive_solve(block, [[prod[c]] for c in pivots])]
+            combo = [sum((x[k] * vecs[k][c] for k in range(n)), Fraction(0))
+                     for c in range(len(prod))]
+            if combo != prod:
+                return (i, j), sum((u - v) ** 2 for u, v in zip(prod, combo))
+            plane.append(tuple(x))
+        planes.append(tuple(plane))
+    return tuple(planes)
+
+
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 1, 2, 3)))
+_NEAR_2_31 = st.builds(Fraction, st.integers(2**31 - 4, 2**31 + 4), st.sampled_from((1, 2, 3)))
+
+
+def _small_or_large(m: int, large):
+    """m x m matrices of small entries, whose products stay on the int64
+    path, or with some ``large`` entries, which leave it."""
+    return st.one_of(_matrix(m, m, _SMALL), _matrix(m, m, st.one_of(_SMALL, large)))
+
+
+@st.composite
+def _frame(draw, m: int):
+    """A random invertible m x m frame and its inverse."""
+    q = draw(_small_or_large(m, _NEAR_2_31))
+    q_inv = _naive_solve(q.entries, Matrix.identity(m).entries)
+    assume(q_inv is not None)
+    return q, Matrix(m, m, tuple(tuple(row) for row in q_inv))
+
+
+@given(_frame(4))
+def test_from_affinors_matches_reference_on_conjugated_quaternions(frame):
+    # the regular representation of the quaternions, in a random frame
+    q, q_inv = frame
+    mats = [Matrix(4, 4, _naive_matmul(Matrix(4, 4, _naive_matmul(q, a)), q_inv))
+            for a in quaternion_matrices()]
+    expected = _reference_closure(mats)
+    assert isinstance(expected[0][0], tuple)  # the reference finds it closed
+    got = from_affinors(AffinorBasis(mats, allow_equal_dim=True))
+    assert got.c == expected
+    _assert_exact(v for plane in got.c for row in plane for v in row)
+
+
+@st.composite
+def _open_span(draw):
+    """The identity and random matrices, led in half the draws by a corner
+    matrix N with N @ N == 0, which moves the first failure past (1, 1)."""
+    m = draw(st.integers(3, 4))
+    mats = [Matrix.identity(m)] + draw(st.lists(_small_or_large(m, _SCALARS), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        c = draw(_SCALARS.filter(bool))
+        corner = tuple(tuple(c if (i, j) == (0, m - 1) else Fraction(0) for j in range(m))
+                       for i in range(m))
+        mats.insert(1, Matrix(m, m, corner))
+    return mats
+
+
+@given(_open_span())
+def test_not_closed_matches_reference_pair_and_residual(mats):
+    try:
+        basis = AffinorBasis(mats, allow_equal_dim=True)
+    except InvalidBasis:
+        assume(False)
+    expected = _reference_closure(basis.mats)
+    if isinstance(expected[0][0], tuple):
+        assert from_affinors(basis).c == expected
+        return
+    with pytest.raises(NotClosed) as err:
+        from_affinors(basis)
+    assert (err.value.pair, err.value.residual) == expected
+    _assert_exact([err.value.residual])
+
+
+@given(st.integers(0, 4).flatmap(lambda n: _matrix(n, n)))
+def test_inverse_is_exact_on_fractional_matrices(m):
+    assume(det(m) != 0)
+    inv = inverse(m)
+    assert (m @ inv).entries == Matrix.identity(m.rows).entries
+    _assert_exact(v for row in inv.entries for v in row)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _matrix(n, n), st.integers(0, n - 1), st.lists(_SCALARS, min_size=n, max_size=n))))
+def test_inverse_rejects_singular_matrices(case):
+    # row ``dup`` is replaced by a combination of the other rows
+    m, dup, weights = case
+    rows = [list(r) for r in m.entries]
+    rows[dup] = [sum((w * rows[i][c] for i, w in enumerate(weights) if i != dup), Fraction(0))
+                 for c in range(m.cols)]
+    with pytest.raises(NotInvertible):
+        inverse(Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows)))
