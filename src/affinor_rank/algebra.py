@@ -22,7 +22,17 @@ from fractions import Fraction
 from typing import Sequence, TYPE_CHECKING
 
 from .errors import DimensionMismatch, InvalidAlgebra, NotClosed, ShapeMismatch
-from .linalg import EXACT, Matrix, SpanSolver, as_fraction, pairwise_products, scalar_to_json
+from .linalg import (
+    EXACT,
+    Matrix,
+    SpanSolver,
+    _rows_equal,
+    as_fraction,
+    combine,
+    pairwise_products,
+    scalar_to_json,
+    stack,
+)
 
 if TYPE_CHECKING:
     from .hullrank import AffinorBasis
@@ -163,47 +173,30 @@ def chat(sc: StructureConstants) -> ChatMatrices:
     return mats
 
 
-def _combination(mats: Sequence[Matrix], coeffs: Sequence[Fraction]) -> Matrix:
-    n = mats[0].rows
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
-        if c == 0:
-            continue
-        for i, row in enumerate(m.entries):
-            arow = acc[i]
-            for j, v in enumerate(row):
-                if v != 0:
-                    arow[j] += c * v
-    return Matrix(n, n, tuple(tuple(row) for row in acc))
+def _violations(family: Sequence[Matrix], sc: StructureConstants) -> list[tuple[int, int]]:
+    """The (j, k), row-major, with family[j] @ family[k] != sum_s c[j][k][s] family[s].
+
+    Both sides are integer views: the n**2 products as one stacked product,
+    and the structure-constant table, n**2 x n, times the same stack.
+    """
+    n = sc.n
+    mats = stack(family)
+    same = _rows_equal(
+        pairwise_products(mats, n), combine([row for plane in sc.c for row in plane], mats)
+    )
+    return [divmod(t, n) for t, ok in enumerate(same) if not ok]
 
 
 def verify_associativity(sc: StructureConstants) -> AssociativityResult:
     """Check the operator-matrix form of associativity for every index pair.
 
-    Both the plain and starred identity families are evaluated; they must
-    produce the same verdict.
+    Both the plain and starred identity families are evaluated, each as
+    one comparison of integer views; they must produce the same verdict.
     """
     mats = _chat_raw(sc)
-    violations = []
-    star_violations = []
-    for j in range(sc.n):
-        for k in range(sc.n):
-            coeffs = sc.c[j][k]
-            lhs = mats.c_hat[j] @ mats.c_hat[k]
-            rhs = _combination(mats.c_hat, coeffs)
-            if lhs.entries != rhs.entries:
-                violations.append((j, k))
-            lhs_s = mats.c_hat_star[j] @ mats.c_hat_star[k]
-            rhs_s = _combination(mats.c_hat_star, coeffs)
-            if lhs_s.entries != rhs_s.entries:
-                star_violations.append((j, k))
-    ok = not violations
-    ok_star = not star_violations
+    plain, star = _violations(mats.c_hat, sc), _violations(mats.c_hat_star, sc)
     return AssociativityResult(
-        ok and ok_star,
-        tuple(violations),
-        tuple(star_violations),
-        families_agree=(ok == ok_star),
+        not plain and not star, tuple(plain), tuple(star), families_agree=bool(plain) == bool(star)
     )
 
 

@@ -31,7 +31,7 @@ from .hullrank import (
     certify_generic_rank,
     weak_rank_witness,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _rows_equal, pairwise_products, stack
 
 _MAX_BUILD = 16
 _MAX_RANK_CHECK = 10
@@ -160,34 +160,23 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
 # ---------------------------------------------------------------------------
 
 
-def _signed_perm(mat: Matrix) -> Optional[tuple[list[int], list[int]]]:
-    """Extract (row index, sign) per column when the matrix is a signed permutation."""
-    rows_hit = [0] * mat.rows
-    perm: list[int] = []
-    signs: list[int] = []
-    cols = mat.transpose().entries
-    for col in cols:
+def _signed_perm(mat: Matrix) -> Optional[list[int]]:
+    """Per column, +-(row + 1) of its one nonzero entry when the matrix is
+    a signed permutation (entries +-1), else None."""
+    perm = []
+    for col in zip(*mat.entries):
         nz = [(i, v) for i, v in enumerate(col) if v != 0]
         if len(nz) != 1 or nz[0][1] not in (1, -1):
             return None
-        i, v = nz[0]
-        rows_hit[i] += 1
-        perm.append(i)
-        signs.append(1 if v == 1 else -1)
-    if any(h != 1 for h in rows_hit):
+        perm.append((nz[0][0] + 1) * int(nz[0][1]))
+    if sorted(map(abs, perm)) != list(range(1, len(perm) + 1)):
         return None
-    return perm, signs
+    return perm
 
 
-def _compose(f, g):
-    fp, fs = f
-    gp, gs = g
-    return [fp[gp[j]] for j in range(len(gp))], [fs[gp[j]] * gs[j] for j in range(len(gp))]
-
-
-def _is_scaled_identity(sp, sign: int) -> bool:
-    perm, signs = sp
-    return all(p == j for j, p in enumerate(perm)) and all(s == sign for s in signs)
+def _compose(f: list[int], g: list[int]) -> list[int]:
+    """f @ g for signed permutations in ``_signed_perm`` form."""
+    return [f[v - 1] if v > 0 else -f[-v - 1] for v in g]
 
 
 def verify_clifford_relations(cb: CliffordBasis) -> VerifyResult:
@@ -195,34 +184,40 @@ def verify_clifford_relations(cb: CliffordBasis) -> VerifyResult:
 
     Generator matrices from the builder are signed permutations and are
     checked structurally in linear time; anything else (tampered inputs)
-    falls back to dense exact products.
+    falls back to one stacked integer product of all generator pairs.
     """
-    sig = cb.signature
+    sig, m = cb.signature, cb.basis.m
     gens = cb.basis.mats[1:1 + sig.generators]
-    dim = cb.basis.m
+    k = len(gens)
+    wants = [1 if i < sig.s else -1 for i in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     structural = [_signed_perm(g) for g in gens]
-    violations = []
-    ident = Matrix.identity(dim)
-    for i, g in enumerate(gens):
-        want = 1 if i < sig.s else -1
-        sp = structural[i]
-        if sp is not None:
-            ok = _is_scaled_identity(_compose(sp, sp), want)
-        else:
-            ok = (g @ g).entries == ident.scale(want).entries
-        if not ok:
-            violations.append(("square", i + 1, want))
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            si, sj = structural[i], structural[j]
-            if si is not None and sj is not None:
-                pij, sij = _compose(si, sj)
-                pji, sji = _compose(sj, si)
-                ok = pij == pji and all(a == -b for a, b in zip(sij, sji))
-            else:
-                ok = (gens[i] @ gens[j] + gens[j] @ gens[i]).is_zero()
-            if not ok:
-                violations.append(("anticommute", i + 1, j + 1))
+    if None not in structural:
+        squares = [
+            _compose(sp, sp) == [w * (r + 1) for r in range(m)]
+            for sp, w in zip(structural, wants)
+        ]
+        anticommute = [
+            _compose(structural[i], structural[j])
+            == [-v for v in _compose(structural[j], structural[i])]
+            for i, j in pairs
+        ]
+    else:
+        products = pairwise_products(stack(gens), m)
+        nums = products.nums
+        squares = _rows_equal(
+            products._replace(nums=nums[::k + 1]),
+            stack([Matrix.identity(m).scale(w) for w in wants]),
+        )
+        # row (i, j) against minus row (j, i)
+        anticommute = _rows_equal(
+            products._replace(nums=nums[[i * k + j for i, j in pairs]]),
+            products._replace(nums=-nums[[j * k + i for i, j in pairs]]),
+        )
+    violations = [("square", i + 1, w) for i, w in enumerate(wants) if not squares[i]]
+    violations += [
+        ("anticommute", i + 1, j + 1) for (i, j), ok in zip(pairs, anticommute) if not ok
+    ]
     return VerifyResult(not violations, tuple(violations))
 
 

@@ -30,8 +30,9 @@ from .hullrank import (
     RankCertificate,
     certificate_from_witness,
     certify_generic_rank,
+    weak_rank_witness,
 )
-from .linalg import Matrix, det, inverse
+from .linalg import Matrix, _rows_equal, combine, det, inverse, pairwise_products, stack
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -136,21 +137,23 @@ def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
 def verify_complete_system(
     ps: Union[ProjectorSystem, Sequence[Matrix]],
 ) -> VerifyResult:
-    """Exact check of idempotence, mutual annihilation and sum-to-identity."""
+    """Exact check of idempotence, mutual annihilation and sum-to-identity.
+
+    One stacked integer product gives every P_i @ P_j: row (i, i) must
+    equal P_i and every other row must vanish.  The column sum of the
+    stack, one more integer product, must equal the identity.
+    """
     projectors = ps.projectors if isinstance(ps, ProjectorSystem) else tuple(ps)
-    m = projectors[0].rows
-    violations = []
-    for i, p in enumerate(projectors):
-        if (p @ p).entries != p.entries:
-            violations.append(("idempotent", i))
-    for i in range(len(projectors)):
-        for j in range(len(projectors)):
-            if i != j and not (projectors[i] @ projectors[j]).is_zero():
-                violations.append(("annihilate", i, j))
-    total = projectors[0]
-    for p in projectors[1:]:
-        total = total + p
-    if total.entries != Matrix.identity(m).entries:
+    n, m = len(projectors), projectors[0].rows
+    mats = stack(projectors)
+    products = pairwise_products(mats, m)
+    idempotent = _rows_equal(products._replace(nums=products.nums[::n + 1]), mats)
+    nonzero = products.nums.any(axis=1).tolist()
+    violations: list[tuple] = [("idempotent", i) for i in range(n) if not idempotent[i]]
+    violations += [
+        ("annihilate", i, j) for i in range(n) for j in range(n) if i != j and nonzero[i * n + j]
+    ]
+    if not _rows_equal(combine([[1] * n], mats), stack([Matrix.identity(m)]))[0]:
         violations.append(("sum_to_identity",))
     return VerifyResult(not violations, tuple(violations))
 
@@ -188,44 +191,35 @@ def distribution_rank_check(
 ) -> DistributionRankReport:
     """Certify the projector span's hull rank.
 
-    The weak witness is constructed, not searched: one nonzero coordinate
-    per block (pushed through the change of basis when present) makes the
-    hull matrix block-diagonal of full span rank.  The generic pipeline
+    When the system has a splitting, the weak witness is constructed, not
+    searched: one nonzero coordinate per block (pushed through the change
+    of basis when present) makes the hull matrix block-diagonal of full
+    span rank.  A system without one is searched.  The generic pipeline
     runs whenever 2n <= m; a second per-block indicator seeds its pair
     search when every block has one.
     """
     basis = ps.affinor_basis()
     n, m = ps.n, ps.m
     sp = ps.splitting
-    extra_candidates: list[tuple[Fraction, ...]] = []
-    extra_pairs: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    note = "witness found by search"
-    if sp is not None:
+    extra_candidates: tuple[tuple[Fraction, ...], ...] = ()
+    extra_pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] = ()
+    if sp is None:
+        weak = weak_rank_witness(basis, trials, seed)
+        if not isinstance(weak, RankCertificate):
+            raise AssertionError("projector system lost its hull witness")
+        note = "witness found by search"
+    else:
         x0 = _block_indicator(sp, 0)
+        y0 = _block_indicator(sp, 1)
         if sp.change_of_basis is not None:
             x0 = sp.change_of_basis.apply(x0)
-        extra_candidates.append(x0)
-        note = "witness constructed with one nonzero coordinate per block"
-        y0 = _block_indicator(sp, 1)
-        if y0 is not None:
-            if sp.change_of_basis is not None:
+            if y0 is not None:
                 y0 = sp.change_of_basis.apply(y0)
-            extra_pairs.append((x0, y0))
-    weak = None
-    for cand in extra_candidates:
-        try:
-            weak = certificate_from_witness(basis, cand, notes=(note,))
-            break
-        except ValueError:  # pragma: no cover - indicators always witness
-            continue
-    if weak is None:
-        from .hullrank import weak_rank_witness
-
-        got = weak_rank_witness(basis, trials, seed)
-        if not isinstance(got, RankCertificate):
-            raise AssertionError("projector system lost its hull witness")
-        weak = got
-        note = "witness found by search"
+        note = "witness constructed with one nonzero coordinate per block"
+        weak = certificate_from_witness(basis, x0, notes=(note,))
+        extra_candidates = (x0,)
+        if y0 is not None:
+            extra_pairs = ((x0, y0),)
     if 2 * n > m:
         generic: Union[RankCertificate, Inapplicable, NoWitnessFound] = Inapplicable(
             "DimensionTooSmall", f"2*{n} = {2 * n} exceeds module dimension {m}"
@@ -235,7 +229,7 @@ def distribution_rank_check(
             basis,
             trials=trials,
             seed=seed,
-            extra_candidates=tuple(extra_candidates),
-            extra_pairs=tuple(extra_pairs),
+            extra_candidates=extra_candidates,
+            extra_pairs=extra_pairs,
         )
     return DistributionRankReport(weak=weak, generic=generic, witness_note=note)

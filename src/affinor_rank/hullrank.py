@@ -42,13 +42,15 @@ from .linalg import (
     ExactVector,
     Matrix,
     RankResult,
-    det,
+    _bareiss_rank,
+    combine,
     exact_vector,
     has_full_row_rank,
     rank,
     random_int_vector,
     scalar_multiple_of_identity,
     scalar_to_json,
+    stack,
 )
 from .multipoly import Poly, determinant, find_nonzero_point
 
@@ -500,14 +502,6 @@ def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fra
     return tuple(out)
 
 
-def _linear_combination(mats: Sequence[Matrix], coeffs: Sequence[Fraction]) -> Matrix:
-    acc = mats[0].scale(coeffs[0])
-    for c, mat in zip(coeffs[1:], mats[1:]):
-        if c != 0:
-            acc = acc + mat.scale(c)
-    return acc
-
-
 def inversion_probe(
     basis: AffinorBasis,
     trials: int = DEFAULT_TRIALS,
@@ -518,11 +512,14 @@ def inversion_probe(
     A singular sample refutes "every nonzero element is invertible"
     definitively; an all-pass is probabilistic evidence only and says so.
     Basis elements themselves and the all-ones combination are tried before
-    random coefficients.
+    random coefficients.  Each sample is one integer product of its
+    coefficients with the stacked basis, and is singular exactly when
+    fraction-free elimination of its numerators drops rank.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = basis.n
+    n, m = basis.n, basis.m
+    mats = stack(basis.mats)
     rng = random.Random(seed)
     tried = 0
     candidates = itertools.chain(
@@ -530,8 +527,7 @@ def inversion_probe(
     )
     for coeffs in candidates:
         tried += 1
-        element = _linear_combination(basis.mats, coeffs)
-        d = det(element)
-        if d == 0:
-            return CounterexampleFound(coeffs=coeffs, det=d)
+        element = combine([coeffs], mats).nums.reshape(m, m).tolist()
+        if _bareiss_rank(element)[0] < m:
+            return CounterexampleFound(coeffs=coeffs, det=Fraction(0))
     return AllSampledInvertible(samples=tried, implied_weak_rank=n)

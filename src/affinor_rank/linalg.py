@@ -14,6 +14,13 @@ when an a-priori bound proves that no partial sum overflows
 ints otherwise, so the result is exact either way; it is rebuilt as
 Fractions, and a product keeps its own view for the next product.
 
+Equally shaped matrices stack into one view, one flattened matrix per
+row.  Every exact product identity in the package reads such stacks: all
+pairwise products of a stack are one integer product, a row of linear
+combinations of a stack is another, and two views are compared row by row
+by cross-multiplying their denominators.  There is no entrywise Fraction
+arithmetic on matrices besides ``scale``.
+
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
 size and the reported pivots select a minor whose determinant is provably
@@ -132,32 +139,6 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(
-                f"shape ({self.rows}x{self.cols}) vs ({other.rows}x{other.cols})"
-            )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            self.rows, self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            self.rows, self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
         return Matrix(
@@ -186,9 +167,6 @@ class Matrix:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.cols} columns")
         a, x = self._scaled, _scale(vec, (self.cols,))
         return tuple(_fractions(_int_product(a, x, self.cols).tolist(), a.den * x.den))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +221,20 @@ def _int_product(a: _Scaled, b: _Scaled, inner: int) -> np.ndarray:
     if a.nums.dtype == b.nums.dtype == np.int64 and a.bound * b.bound * inner < _INT64_LIMIT:
         return a.nums @ b.nums
     return a.nums.astype(object) @ b.nums.astype(object)
+
+
+def _rows_equal(a: _Scaled, b: _Scaled) -> list[bool]:
+    """Whether row r of ``a`` holds the same values as row r of ``b``, for each r.
+
+    ``a.nums / a.den == b.nums / b.den`` exactly when ``a.nums * b.den ==
+    b.nums * a.den``; the cross products run in int64 when the bounds prove
+    them exact and in Python ints otherwise.
+    """
+    x, y = a.nums, b.nums
+    if not (x.dtype == y.dtype == np.int64
+            and max(a.bound * b.den, b.bound * a.den, a.den, b.den) < _INT64_LIMIT):
+        x, y = x.astype(object), y.astype(object)
+    return (x * b.den == y * a.den).all(axis=1).tolist()
 
 
 def _fractions(nums: list[int], den: int) -> list[Fraction]:
@@ -418,6 +410,13 @@ def pairwise_products(s: _Scaled, m: int) -> _Scaled:
     return _view(grid.transpose(0, 2, 1, 3).reshape(n * n, m * m), s.den * s.den)
 
 
+def combine(coeffs: Sequence[Sequence[Fraction]], s: _Scaled) -> _Scaled:
+    """Row r: the combination of the rows of ``s`` with coefficients
+    ``coeffs[r]``, as one integer product of the numerators."""
+    c = _scale([v for row in coeffs for v in row], (len(coeffs), s.nums.shape[0]))
+    return _view(_int_product(c, s, s.nums.shape[0]), c.den * s.den)
+
+
 class SpanSolver:
     """Exact coordinates over the span of independent, equally shaped matrices.
 
@@ -453,15 +452,16 @@ class SpanSolver:
         """Coordinates over the generators of each target row, or None for
         a row outside the span."""
         ys = self._scaled_coordinates(targets)
-        d, t = self._det, targets.nums
-        fits = t.dtype == np.int64 and d * targets.bound < _INT64_LIMIT
-        proved = _int_product(ys, self.generators, self.n) == (t if fits else t.astype(object)) * d
+        d = self._det
+        # ys x stack == D x targets, numerator by numerator
+        combos = _view(_int_product(ys, self.generators, self.n), d)
+        proved = _rows_equal(combos, targets._replace(den=1))
         # target = sum_k (y_k / D) * stack row k / den_t, and stack row k
         # is den_g times generator k
         num, den = self.generators.den, d * targets.den
         return [
             tuple(_fractions([num * v for v in y], den)) if ok else None
-            for ok, y in zip(proved.all(axis=1).tolist(), ys.nums.tolist())
+            for ok, y in zip(proved, ys.nums.tolist())
         ]
 
     def residual_sq(self, targets: _Scaled, t: int) -> Fraction:

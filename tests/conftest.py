@@ -44,6 +44,19 @@ def random_exact_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9
     )
 
 
+def linear_combination(mats, coeffs) -> Matrix:
+    """sum_k coeffs[k] * mats[k], entry by entry in Fractions; the plain oracle."""
+    return Matrix.exact([
+        [sum((Fraction(c) * m.entries[i][j] for c, m in zip(coeffs, mats)), Fraction(0))
+         for j in range(mats[0].cols)]
+        for i in range(mats[0].rows)
+    ])
+
+
+def is_zero_matrix(m: Matrix) -> bool:
+    return all(v == 0 for row in m.entries for v in row)
+
+
 def rotation_block(m: int) -> Matrix:
     """Block-diagonal quarter-turn rotations: squares to -E. Requires even m."""
     assert m % 2 == 0

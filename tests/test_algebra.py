@@ -22,6 +22,8 @@ from conftest import (
     complex_constants,
     cross_product_with_unity_constants,
     dual_number_constants,
+    is_zero_matrix,
+    linear_combination,
     local3_constants,
     quaternion_constants,
     rotation_block,
@@ -101,10 +103,7 @@ def test_chat_satisfies_operator_identities_for_quaternions():
     for j in range(n):
         for k in range(n):
             lhs = mats.c_hat[j] @ mats.c_hat[k]
-            rhs = None
-            for s in range(n):
-                term = mats.c_hat[s].scale(sc.c[j][k][s])
-                rhs = term if rhs is None else rhs + term
+            rhs = linear_combination(mats.c_hat, sc.c[j][k])
             assert lhs.entries == rhs.entries
 
 
@@ -167,7 +166,7 @@ def test_from_affinors_not_closed_for_nilpotent_order3():
     )
     basis = AffinorBasis((Matrix.identity(4), n))
     # oracle: N @ N has a nonzero corner entry that neither E nor N has
-    assert not (n @ n).is_zero()
+    assert not is_zero_matrix(n @ n)
     with pytest.raises(NotClosed) as excinfo:
         from_affinors(basis)
     assert excinfo.value.pair == (1, 1)
@@ -187,12 +186,8 @@ def test_from_affinors_round_trip_property(quaternions_r4, rng):
         b = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         via_table = multiply(sc, AlgebraElement(tuple(a)), AlgebraElement(tuple(b)))
         # direct route: multiply the matrices, then solve back into the span
-        mat_a = mats[0].scale(a[0])
-        mat_b = mats[0].scale(b[0])
-        for c, m in zip(a[1:], mats[1:]):
-            mat_a = mat_a + m.scale(c)
-        for c, m in zip(b[1:], mats[1:]):
-            mat_b = mat_b + m.scale(c)
+        mat_a = linear_combination(mats, a)
+        mat_b = linear_combination(mats, b)
         (coeffs,) = SpanSolver(mats).coefficients(stack([mat_a @ mat_b]))
         assert coeffs == via_table.coeffs
 

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 
 _PROBE = """
@@ -52,3 +54,17 @@ def test_bench_tracing_records_the_closure_solve(tmp_path):
     assert code == 0
     assert calls.get("linalg.span_solve", 0) > 0
     assert calls.get("algebra.closure", 0) > 0
+
+
+@pytest.mark.parametrize("argv, want, span", [
+    # local3 is not Frobenius: a definitive negative, exit 1
+    (["frobenius", "docs/fixtures/local3_constants.json"], 1, "algebra.associativity"),
+    (["distributions", "--dims", "2,2"], 0, "distributions.verify"),
+    (["rank", "docs/fixtures/quaternion_r4_basis.json", "--probe-inversion"], 0,
+     "hullrank.inversion_probe"),
+])
+def test_bench_tracing_records_the_identity_checks(tmp_path, argv, want, span):
+    # the traced layers of the product-identity checks wrap them by name
+    code, calls = _traced_calls(tmp_path, argv)
+    assert code == want
+    assert calls.get(span, 0) > 0

@@ -3,6 +3,7 @@
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -412,6 +413,15 @@ def test_reports_are_deterministic(capsys):
         )
         runs.append(json.dumps(_strip_time(report), sort_keys=True))
     assert runs[0] == runs[1]
+
+
+def test_wall_time_is_rounded_to_microseconds(capsys, monkeypatch):
+    # the repr of an unrounded elapsed time grows and shrinks with the
+    # machine's speed, and the report's length with it
+    ticks = iter([2.0, 2.0 + 1 / 3])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    _, report = _run(capsys, "rank", str(FIXTURES / "complex_r4_basis.json"))
+    assert report["wall_time_s"] == round(report["wall_time_s"], 6) == 0.333333
 
 
 def _assert_compact(text: str):

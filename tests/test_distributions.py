@@ -20,7 +20,7 @@ from affinor_rank import (
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
 from affinor_rank.linalg import SpanSolver, det, stack
 
-from conftest import random_exact_matrix
+from conftest import is_zero_matrix, random_exact_matrix
 
 
 def _random_invertible(rng, m, bound=2):
@@ -59,7 +59,7 @@ def test_conjugated_splitting_keeps_identities(rng):
     assert verify_complete_system(ps).ok
     # oracle: direct products for one pair
     p1, p2 = ps.projectors
-    assert (p1 @ p2).is_zero()
+    assert is_zero_matrix(p1 @ p2)
     assert (p1 @ p1).entries == p1.entries
 
 
@@ -104,6 +104,19 @@ def test_rank_check_two_blocks_generic():
     ps = projectors_from_splitting(Splitting(4, (2, 2)))
     report = distribution_rank_check(ps)
     assert report.weak.claimed_rank == 2
+    assert isinstance(report.generic, RankCertificate)
+    assert report.generic.claimed_rank == 2
+
+
+def test_rank_check_searches_without_a_splitting(rng):
+    # a hand-built system has no blocks to read a witness from
+    q = _random_invertible(rng, 4)
+    ps = ProjectorSystem(projectors_from_splitting(Splitting(4, (2, 2), q)).projectors)
+    report = distribution_rank_check(ps)
+    assert report.witness_note == "witness found by search"
+    assert report.weak.claimed_rank == 2
+    assert report.weak.trials >= 1
+    assert hull(ps.affinor_basis(), report.weak.witness).dim == 2
     assert isinstance(report.generic, RankCertificate)
     assert report.generic.claimed_rank == 2
 

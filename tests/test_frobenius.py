@@ -27,6 +27,7 @@ from affinor_rank.errors import DimensionMismatch, InvalidAlgebra
 from conftest import (
     cofactor_det,
     dual_number_constants,
+    is_zero_matrix,
     local3_constants,
     local_constants,
     matrix_algebra_2x2_constants,
@@ -52,7 +53,7 @@ def test_gram_dual_numbers_singular_direction():
 
 def test_gram_zero_functional():
     cand = gram(quaternion_constants(), (0, 0, 0, 0))
-    assert cand.gram.is_zero()
+    assert is_zero_matrix(cand.gram)
     assert not cand.regular
 
 

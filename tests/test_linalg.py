@@ -14,6 +14,7 @@ from affinor_rank.multipoly import Poly, determinant
 from conftest import (
     brute_force_rank,
     cofactor_det,
+    linear_combination,
     quaternion_matrices,
     random_exact_matrix,
 )
@@ -212,9 +213,7 @@ def test_generic_quaternion_element_is_invertible():
         coeffs = [rng.randint(-9, 9) for _ in range(4)]
         if all(c == 0 for c in coeffs):
             coeffs[0] = 1
-        element = e.scale(coeffs[0])
-        for c, mat in zip(coeffs[1:], mats[1:]):
-            element = element + mat.scale(c)
+        element = linear_combination(mats, coeffs)
         assert invertible(element)
 
 

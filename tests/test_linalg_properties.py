@@ -5,21 +5,55 @@ take the int64 path when the overflow bound allows it and the Python-int
 path when it does not; denominators are pairwise coprime (one of them the
 first modular-rank prime) and shapes include empty rows and columns.  The
 fraction-free solves (closure and inverse) are checked against a
-Gauss-Jordan reduction over Fractions written here.
+Gauss-Jordan reduction over Fractions written here, and the product
+identities (associativity, projector systems, Clifford relations, the
+inversion probe) against the same identities written out over Fractions.
 """
 
+import itertools
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from affinor_rank import AffinorBasis, Matrix, det, from_affinors, inverse, linalg, rank
+from affinor_rank import (
+    AffinorBasis,
+    AllSampledInvertible,
+    CliffordSignature,
+    CounterexampleFound,
+    Matrix,
+    Splitting,
+    StructureConstants,
+    build_clifford,
+    det,
+    from_affinors,
+    hullrank,
+    inverse,
+    inversion_probe,
+    linalg,
+    projectors_from_splitting,
+    rank,
+    verify_associativity,
+    verify_clifford_relations,
+    verify_complete_system,
+)
 from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
-from conftest import cofactor_det, quaternion_matrices
+from conftest import (
+    cofactor_det,
+    dual_number_constants,
+    is_zero_matrix,
+    linear_combination,
+    local3_constants,
+    matrix_algebra_2x2_constants,
+    quaternion_constants,
+    quaternion_matrices,
+)
 
 settings.register_profile("kernels", max_examples=150, deadline=None, derandomize=True)
 settings.load_profile("kernels")
@@ -308,3 +342,177 @@ def test_inverse_rejects_singular_matrices(case):
                  for c in range(m.cols)]
     with pytest.raises(NotInvertible):
         inverse(Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows)))
+
+
+# ---------------------------------------------------------------------------
+# Product identities: associativity, projectors, Clifford relations and the
+# inversion probe, against the same identities written out over Fractions
+# ---------------------------------------------------------------------------
+
+
+# the amount a tamper moves one entry by; zero leaves the input intact
+_NUDGE = st.one_of(st.just(Fraction(0)), _SCALARS)
+
+
+def _failing_operator_pairs(family, c):
+    """(j, k) in row-major order with family[j] @ family[k] !=
+    sum_s c[j][k][s] * family[s]."""
+    n = len(c)
+    return tuple((j, k) for j in range(n) for k in range(n)
+                 if _naive_matmul(family[j], family[k])
+                 != linear_combination(family, c[j][k]).entries)
+
+
+def _reference_associativity(c):
+    n = len(c)
+    c_hat = [Matrix(n, n, tuple(tuple(c[j][i][k] for k in range(n)) for j in range(n)))
+             for i in range(n)]
+    c_hat_star = [Matrix(n, n, tuple(tuple(c[i][k][j] for k in range(n)) for j in range(n)))
+                  for i in range(n)]
+    return _failing_operator_pairs(c_hat, c), _failing_operator_pairs(c_hat_star, c)
+
+
+@st.composite
+def _tampered_algebra(draw):
+    """A known associative algebra in a random basis that keeps the unity
+    first (row 0 of the frame is e_0), with one entry of its table moved
+    by a drawn amount."""
+    c = draw(st.sampled_from((dual_number_constants, local3_constants,
+                              matrix_algebra_2x2_constants, quaternion_constants)))().c
+    n = len(c)
+    rest = draw(st.one_of(_matrix(n - 1, n, _SMALL), _matrix(n - 1, n, st.one_of(_SMALL, _NEAR_2_31))))
+    q = (tuple(Fraction(int(j == 0)) for j in range(n)),) + rest.entries
+    q_inv = _naive_solve(q, Matrix.identity(n).entries)
+    assume(q_inv is not None)
+    # f_i = sum_a q[i][a] e_a, so f_i f_j = sum q[i][a] q[j][b] c[a][b][s] q_inv[s][k] f_k
+    terms = [(a, b, s, c[a][b][s]) for a in range(n) for b in range(n) for s in range(n)
+             if c[a][b][s]]
+    table = [[[sum((q[i][a] * q[j][b] * v * q_inv[s][k] for a, b, s, v in terms), Fraction(0))
+               for k in range(n)] for j in range(n)] for i in range(n)]
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    table[i][j][k] += draw(_NUDGE)
+    return StructureConstants(n, tuple(tuple(tuple(row) for row in plane) for plane in table))
+
+
+@given(_tampered_algebra())
+def test_associativity_matches_fraction_identities(sc):
+    plain, star = _reference_associativity(sc.c)
+    got = verify_associativity(sc)
+    assert (got.violations, got.star_violations) == (plain, star)
+    assert got.ok == (not plain and not star)
+    assert got.families_agree == (bool(plain) == bool(star))
+
+
+_SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)), _SCALARS)
+
+
+@st.composite
+def _projector_candidates(draw):
+    """Sparse or fractional matrices, or a complete system in a random
+    frame with one entry moved by a drawn amount."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        return [draw(_matrix(m, m, _SPARSE)) for _ in range(n)]
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    m = sum(dims)
+    q, _ = draw(_frame(m))
+    mats = list(projectors_from_splitting(Splitting(m, tuple(dims), q)).projectors)
+    t, i, j = draw(st.integers(0, len(mats) - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    rows = [list(row) for row in mats[t].entries]
+    rows[i][j] += draw(_NUDGE)
+    mats[t] = Matrix(m, m, tuple(tuple(row) for row in rows))
+    return mats
+
+
+@given(_projector_candidates())
+def test_projector_identities_match_fraction_products(ps):
+    n, m = len(ps), ps[0].rows
+    expected = [("idempotent", i) for i, p in enumerate(ps) if _naive_matmul(p, p) != p.entries]
+    expected += [("annihilate", i, j) for i in range(n) for j in range(n)
+                 if i != j and not is_zero_matrix(Matrix(m, m, _naive_matmul(ps[i], ps[j])))]
+    if linear_combination(ps, [1] * n).entries != Matrix.identity(m).entries:
+        expected.append(("sum_to_identity",))
+    got = verify_complete_system(ps)
+    assert got.violations == tuple(expected)
+    assert got.ok == (not expected)
+
+
+@st.composite
+def _dense_clifford(draw):
+    """A regular Clifford representation in a random frame, so that its
+    generators are dense, with one generator entry moved by a drawn amount."""
+    s, t = draw(st.sampled_from(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 3))))
+    cb = build_clifford(CliffordSignature(s, t))
+    m = cb.basis.m
+    q, q_inv = draw(_frame(m))
+    mats = [Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv))
+            for a in cb.basis.mats]
+    g, i, j = draw(st.integers(1, s + t)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    rows = [list(row) for row in mats[g].entries]
+    rows[i][j] += draw(_NUDGE)
+    mats[g] = Matrix(m, m, tuple(tuple(row) for row in rows))
+    try:
+        basis = AffinorBasis(mats, allow_equal_dim=True)
+    except InvalidBasis:
+        assume(False)
+    return replace(cb, basis=basis, relations=None)
+
+
+@given(_dense_clifford())
+def test_clifford_fallback_matches_fraction_products(cb):
+    sig, m = cb.signature, cb.basis.m
+    gens = cb.basis.mats[1:1 + sig.generators]
+    expected = []
+    for i, g in enumerate(gens):
+        want = 1 if i < sig.s else -1
+        if _naive_matmul(g, g) != Matrix.identity(m).scale(want).entries:
+            expected.append(("square", i + 1, want))
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            anti = linear_combination([Matrix(m, m, _naive_matmul(gens[i], gens[j])),
+                                       Matrix(m, m, _naive_matmul(gens[j], gens[i]))], [1, 1])
+            if not is_zero_matrix(anti):
+                expected.append(("anticommute", i + 1, j + 1))
+    got = verify_clifford_relations(cb)
+    assert got.violations == tuple(expected)
+    assert got.ok == (not expected)
+
+
+@st.composite
+def _conjugated_span(draw):
+    """The identity and sparse matrices, conjugated by a frame whose corner
+    is near 2**31, so that span elements take the Python-int path."""
+    m = draw(st.integers(2, 4))
+    others = draw(st.lists(_matrix(m, m, _SPARSE), min_size=1, max_size=m - 1))
+    q, _ = draw(_frame(m))
+    rows = [list(row) for row in q.entries]
+    rows[0][0] = draw(_NEAR_2_31)
+    q_inv = _naive_solve(rows, Matrix.identity(m).entries)
+    assume(q_inv is not None)
+    q, q_inv = Matrix(m, m, tuple(map(tuple, rows))), Matrix(m, m, tuple(map(tuple, q_inv)))
+    mats = [Matrix.identity(m)] + [
+        Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)) for a in others]
+    try:
+        return AffinorBasis(mats, allow_equal_dim=True)
+    except InvalidBasis:
+        assume(False)
+
+
+@given(_conjugated_span(), st.integers(0, 3))
+def test_inversion_probe_finds_the_first_singular_candidate(basis, seed):
+    trials = 4
+    candidates = itertools.chain(
+        hullrank._deterministic_candidates(basis.n),
+        hullrank._random_candidates(random.Random(seed), basis.n, trials),
+    )
+    expected, tried = None, 0
+    for coeffs in candidates:
+        tried += 1
+        if cofactor_det(linear_combination(basis.mats, coeffs).entries) == 0:
+            expected = coeffs
+            break
+    got = inversion_probe(basis, trials, seed)
+    if expected is None:
+        assert got == AllSampledInvertible(samples=tried, implied_weak_rank=basis.n)
+    else:
+        assert got == CounterexampleFound(coeffs=expected, det=Fraction(0))
