@@ -11,8 +11,11 @@ traceback).
 
 Reports embed full witnesses and bases, so ``verify-report`` can audit a
 certificate with no access to the original inputs, through a re-derivation
-that shares no code with the search that produced it (plain fraction
-Gaussian elimination instead of fraction-free elimination).
+that shares no code with the search that produced it: it imports neither
+``linalg`` nor ``multipoly`` and uses no numpy.  It reads each matrix as
+integer numerators over its own denominator, multiplies sparse rows in
+plain Python ints, and ranks by plain integer Gaussian elimination with gcd
+reduction instead of the producers' fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import __version__
@@ -305,56 +309,94 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_rank(rows: list[list[Fraction]]) -> int:
-    """Plain fraction Gaussian elimination, separate from the search path."""
+def _fresh_rank(rows: list[list[int]]) -> int:
+    """Rank of integer rows by plain Gaussian elimination, separate from the search path.
+
+    Each elimination step cross-multiplies a row with the pivot row and
+    divides the result by the gcd of its entries.  This is deliberately not
+    the producers' fraction-free (Bareiss) kernel.
+    """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     rank = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
-        rows[rank] = [v * inv for v in rows[rank]]
+        top = rows[rank]
+        p = top[c]
         for i in range(rank + 1, nrows):
             f = rows[i][c]
-            if f != 0:
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+            if f:
+                row = [p * u - f * v for u, v in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [u // g for u in row] if g > 1 else row
         rank += 1
         if rank == nrows:
             break
     return rank
 
 
-def _fresh_det_nonzero(rows: list[list[Fraction]]) -> bool:
-    return _fresh_rank(rows) == len(rows)
+def _integer_rows(rows, where: str, field: str) -> tuple[list[list[int]], int]:
+    """Rows of JSON scalars as integer numerators over the lcm of their denominators.
+
+    JSON ints are taken as they are; anything else goes through
+    ``jsonio.exact_scalar_from_json``, so a malformed scalar fails there.
+    """
+    out, dens = [], []
+    for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
+        parsed = [v if type(v) is int else jsonio.exact_scalar_from_json(v, where, field)
+                  for v in row]
+        dens += [v.denominator for v in parsed if type(v) is not int]
+        out.append(parsed)
+    if not dens:
+        return out, 1
+    den = lcm(*dens)
+    return [[v.numerator * (den // v.denominator) for v in row] for row in out], den
 
 
-def _mats_from_basis_json(basis_json: dict, where: str) -> list[list[list[Fraction]]]:
-    mats = []
-    for mj in basis_json["mats"]:
-        mats.append(
-            [
-                [jsonio.exact_scalar_from_json(v, where, "entries") for v in row]
-                for row in mj["entries"]
-            ]
-        )
-    return mats
+def _mats_from_basis_json(basis_json: dict, where: str) -> list[tuple[list[list[int]], int]]:
+    """Each embedded matrix as (integer numerators, lcm of its denominators)."""
+    return [_integer_rows(mj["entries"], where, "entries") for mj in basis_json["mats"]]
 
 
-def _apply(mat: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    return [sum(a * x for a, x in zip(row, vec)) for row in mat]
+def _sparse(rows: list[list[int]], scale: int) -> list[list[tuple[int, int]]]:
+    """``scale`` times each row, as (column, value) pairs over its nonzero entries."""
+    return [[(s, scale * v) for s, v in compress(enumerate(row), row)] for row in rows]
 
 
-def _matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _apply(mat, vec: list[int]) -> list[int]:
+    return [sum([v * vec[s] for s, v in row]) for row in mat]
+
+
+def _matmul(a, b) -> list[list[int]]:
+    """a @ b for m x m matrices given as sparse rows; dense integer rows out."""
+    m = len(b)
+    out = []
+    for row in a:
+        acc = [0] * m
+        for t, u in row:
+            for s, v in b[t]:
+                acc[s] += u * v
+        out.append(acc)
+    return out
+
+
+def _combine(coeffs: list[int], mats) -> list[list[int]]:
+    """sum_k coeffs[k] * mats[k] for sparse-row m x m matrices, skipping zero coefficients."""
+    m = len(mats[0])
+    out = [[0] * m for _ in range(m)]
+    for p, mat in zip(coeffs, mats):
+        if p:
+            for acc, row in zip(out, mat):
+                for s, v in row:
+                    acc[s] += p * v
+    return out
 
 
 def _indices_below(idx, size: int) -> bool:
@@ -376,34 +418,53 @@ def _is_cube(c, n: int) -> bool:
     )
 
 
+def _mistyped(fields: dict) -> Optional[str]:
+    """Why the first of ``fields`` that is not an int (bools excluded) is rejected."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            return f"{name} must be an integer, got {value!r}"
+    return None
+
+
 def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool, str]:
     """Audit one embedded certificate from scratch.
 
     Recomputes the hull of the stored witness with fresh matrix-vector
-    loops, ranks it by plain Gaussian elimination, rechecks the pivot
-    minor, and for generic certificates also rechecks the closure
-    equations, the dimension inequality and the pair witness.
+    loops, ranks it by plain integer Gaussian elimination, rechecks the
+    pivot minor, and for generic certificates also rechecks the closure
+    equations, the dimension inequality and the pair witness.  Everything
+    runs on integer numerators: the basis over one common denominator D,
+    and the witness and pair vectors scaled by their own, which changes no
+    rank and no minor's singularity.
     """
     try:
         kind = cert["kind"]
         claimed = cert["claimed_rank"]
         basis_json = cert["basis"]
         mats = _mats_from_basis_json(basis_json, where)
-        witness = [jsonio.exact_scalar_from_json(v, where, "witness") for v in cert["witness"]]
+        [witness], _ = _integer_rows([cert["witness"]], where, "witness")
         m = basis_json["m"]
         n = basis_json["n"]
     except (KeyError, TypeError) as exc:
         return False, f"malformed certificate: {exc!r}"
+    mistyped = _mistyped({"basis.m": m, "basis.n": n, "claimed_rank": claimed})
+    if mistyped:
+        return False, mistyped
+    if n < 1:
+        return False, f"affinor basis has n = {n}, expected at least 1"
     if (
         len(mats) != n
         or len(witness) != m
-        or any(len(mat) != m or any(len(row) != m for row in mat) for mat in mats)
+        or any(len(mat) != m or any(len(row) != m for row in mat) for mat, _ in mats)
     ):
         return False, "certificate dimensions are inconsistent"
     if kind not in ("weak", "generic"):
         return False, f"unknown certificate kind {kind!r}"
     if claimed != n:
         return False, f"claimed rank {claimed} differs from span rank {n}"
+    # basis matrix k is mats[k] / den
+    den = lcm(*(d for _, d in mats))
+    mats = [_sparse(mat, den // d) for mat, d in mats]
     hull_rows = [_apply(mat, witness) for mat in mats]
     recomputed = _fresh_rank(hull_rows)
     if recomputed != claimed:
@@ -415,36 +476,37 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     if len(pivot_rows) != claimed or len(pivot_cols) != claimed:
         return False, "pivot sets do not match the claimed rank"
     minor = [[hull_rows[i][j] for j in pivot_cols] for i in pivot_rows]
-    if claimed and not _fresh_det_nonzero(minor):
+    if _fresh_rank(minor) < claimed:
         return False, "certified pivot minor is singular"
     if kind == "generic":
         try:
             c = cert["closure"]["C"]
             pair = cert["pair"]
-            x = [jsonio.exact_scalar_from_json(v, where, "pair.x") for v in pair["x"]]
-            y = [jsonio.exact_scalar_from_json(v, where, "pair.y") for v in pair["y"]]
+            [x], _ = _integer_rows([pair["x"]], where, "pair.x")
+            [y], _ = _integer_rows([pair["y"]], where, "pair.y")
             pair_dim = pair["dim"]
             two_ell, ineq_m = cert["inequality"]["two_ell"], cert["inequality"]["m"]
         except (KeyError, TypeError) as exc:
             return False, f"generic certificate lacks closure, pair or inequality: {exc!r}"
+        mistyped = _mistyped(
+            {"inequality.two_ell": two_ell, "inequality.m": ineq_m, "pair.dim": pair_dim})
+        if mistyped:
+            return False, mistyped
         if two_ell != 2 * n or two_ell > ineq_m:
             return False, "dimension inequality record is wrong"
         if ineq_m != m:
             return False, "dimension inequality module size is wrong"
         if not _is_cube(c, n):
             return False, f"closure.C is not {n} x {n} x {n}"
+        # A_i A_j == sum_k c_ijk A_k with A_k = M_k / den and c_ij = p / q
+        # reads q * (M_i M_j) == den * sum_k p_k M_k
         for i in range(n):
             for j in range(n):
                 prod = _matmul(mats[i], mats[j])
-                combo = [[Fraction(0)] * m for _ in range(m)]
-                for k in range(n):
-                    coeff = jsonio.exact_scalar_from_json(c[i][j][k], where, "closure")
-                    if coeff == 0:
-                        continue
-                    for r in range(m):
-                        for s in range(m):
-                            combo[r][s] += coeff * mats[k][r][s]
-                if prod != combo:
+                [p], q = _integer_rows([c[i][j]], where, "closure")
+                if q != 1:
+                    prod = [[q * v for v in row] for row in prod]
+                if prod != _combine([den * pk for pk in p], mats):
                     return False, f"closure equation fails at pair ({i}, {j})"
         if len(x) != m or len(y) != m:
             return False, "pair vectors do not match the module dimension"

@@ -45,6 +45,10 @@ def load_json(path: Union[str, Path]) -> dict:
         raise InputFormatError(path, "<file>", "file not found")
     except json.JSONDecodeError as exc:
         raise InputFormatError(path, "<root>", f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(path, "<root>", f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except RecursionError:
+        raise InputFormatError(path, "<root>", "JSON nested too deeply")
 
 
 def _need(obj: dict, key: str, path, where: str):

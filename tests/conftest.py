@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from affinor_rank import AffinorBasis, Matrix, StructureConstants
+from affinor_rank import AffinorBasis, Matrix, StructureConstants, jsonio
+from affinor_rank.cli import _indices_below, _is_cube
 
 
 def cofactor_det(rows):
@@ -55,6 +56,106 @@ def linear_combination(mats, coeffs) -> Matrix:
 
 def is_zero_matrix(m: Matrix) -> bool:
     return all(v == 0 for row in m.entries for v in row)
+
+
+# The certificate verifier as it was written over Fractions, the reference
+# for the integer verifier in ``cli``: same checks, same order, same messages.
+
+
+def _fraction_rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = Fraction(1) / rows[rank][c]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _fraction_apply(mat, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in mat]
+
+
+def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[bool, str]:
+    """(ok, message) of the Fraction verifier on one certificate."""
+    def scalars(values, field):
+        return [jsonio.exact_scalar_from_json(v, where, field) for v in values]
+
+    try:
+        kind = cert["kind"]
+        claimed = cert["claimed_rank"]
+        basis_json = cert["basis"]
+        mats = [[scalars(row, "entries") for row in mj["entries"]] for mj in basis_json["mats"]]
+        witness = scalars(cert["witness"], "witness")
+        m = basis_json["m"]
+        n = basis_json["n"]
+    except (KeyError, TypeError) as exc:
+        return False, f"malformed certificate: {exc!r}"
+    if (
+        len(mats) != n
+        or len(witness) != m
+        or any(len(mat) != m or any(len(row) != m for row in mat) for mat in mats)
+    ):
+        return False, "certificate dimensions are inconsistent"
+    if kind not in ("weak", "generic"):
+        return False, f"unknown certificate kind {kind!r}"
+    if claimed != n:
+        return False, f"claimed rank {claimed} differs from span rank {n}"
+    hull_rows = [_fraction_apply(mat, witness) for mat in mats]
+    recomputed = _fraction_rank(hull_rows)
+    if recomputed != claimed:
+        return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
+    pivot_rows = cert.get("pivot_rows", [])
+    pivot_cols = cert.get("pivot_cols", [])
+    if not _indices_below(pivot_rows, n) or not _indices_below(pivot_cols, m):
+        return False, "pivot indices are not integers within the hull matrix"
+    if len(pivot_rows) != claimed or len(pivot_cols) != claimed:
+        return False, "pivot sets do not match the claimed rank"
+    minor = [[hull_rows[i][j] for j in pivot_cols] for i in pivot_rows]
+    if claimed and _fraction_rank(minor) != claimed:
+        return False, "certified pivot minor is singular"
+    if kind == "generic":
+        try:
+            c = cert["closure"]["C"]
+            pair = cert["pair"]
+            x = scalars(pair["x"], "pair.x")
+            y = scalars(pair["y"], "pair.y")
+            pair_dim = pair["dim"]
+            two_ell, ineq_m = cert["inequality"]["two_ell"], cert["inequality"]["m"]
+        except (KeyError, TypeError) as exc:
+            return False, f"generic certificate lacks closure, pair or inequality: {exc!r}"
+        if two_ell != 2 * n or two_ell > ineq_m:
+            return False, "dimension inequality record is wrong"
+        if ineq_m != m:
+            return False, "dimension inequality module size is wrong"
+        if not _is_cube(c, n):
+            return False, f"closure.C is not {n} x {n} x {n}"
+        for i in range(n):
+            for j in range(n):
+                prod = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mats[j])]
+                        for row in mats[i]]
+                coeffs = scalars(c[i][j], "closure")
+                combo = [[sum(coeff * mat[r][s] for coeff, mat in zip(coeffs, mats))
+                          for s in range(m)] for r in range(m)]
+                if prod != combo:
+                    return False, f"closure equation fails at pair ({i}, {j})"
+        if len(x) != m or len(y) != m:
+            return False, "pair vectors do not match the module dimension"
+        stacked = [_fraction_apply(mat, x) for mat in mats] + [_fraction_apply(mat, y) for mat in mats]
+        pair_rank = _fraction_rank(stacked)
+        if pair_rank != 2 * n or pair_dim != 2 * n:
+            return False, f"pair span rank is {pair_rank}, expected {2 * n}"
+    return True, "ok"
 
 
 def rotation_block(m: int) -> Matrix:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from affinor_rank.cli import main
+
 ROOT = Path(__file__).parent.parent
 
 _PROBE = """
@@ -68,3 +70,15 @@ def test_bench_tracing_records_the_identity_checks(tmp_path, argv, want, span):
     code, calls = _traced_calls(tmp_path, argv)
     assert code == want
     assert calls.get(span, 0) > 0
+
+
+def test_bench_tracing_records_the_verifier(tmp_path):
+    # the verifier's traced layers wrap _fresh_rank, _matmul and
+    # _mats_from_basis_json by name
+    report = tmp_path / "generic.json"
+    assert main(["rank", str(ROOT / "docs/fixtures/quaternion_r8_basis.json"), "--generic",
+                 "--out", str(report)]) == 0
+    code, calls = _traced_calls(tmp_path, ["verify-report", str(report)])
+    assert code == 0
+    for span in ("cli.verify.fresh_rank", "cli.verify.closure_recheck", "jsonio.build"):
+        assert calls.get(span, 0) > 0, span

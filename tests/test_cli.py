@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, reports, re-verification."""
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -319,6 +320,74 @@ def test_verify_report_rejects_malformed_certificate(capsys, tmp_path, tamper):
     assert verdict["result"]["verified"] is False
 
 
+def _generic_report(tmp_path) -> dict:
+    out = tmp_path / "report.json"
+    main(["rank", str(FIXTURES / "quaternion_r8_basis.json"), "--generic", "--out", str(out)])
+    return json.loads(out.read_text())
+
+
+# Each value equals the field's true value under ==, so only its type is wrong;
+# before the type check a float m or a string inequality.m exited 70, and a
+# float claimed_rank, two_ell or pair.dim verified.
+@pytest.mark.parametrize("path, value", [
+    (("basis", "m"), 8),
+    (("basis", "n"), 4),
+    (("claimed_rank",), 4),
+    (("inequality", "two_ell"), 8),
+    (("inequality", "m"), 8),
+    (("pair", "dim"), 8),
+], ids=["basis.m", "basis.n", "claimed_rank", "inequality.two_ell", "inequality.m", "pair.dim"])
+def test_verify_report_rejects_mistyped_fields(capsys, tmp_path, path, value):
+    report = _generic_report(tmp_path)
+    *parents, key = path
+    for wrong in (float(value), str(value), True):
+        cert = json.loads(json.dumps(report["result"]["certificate"]))
+        target = cert
+        for parent in parents:
+            target = target[parent]
+        assert target[key] == value
+        target[key] = wrong
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps({"result": {"certificate": cert}}))
+        code, verdict = _run(capsys, "verify-report", str(tampered))
+        assert code == EXIT_NEGATIVE, wrong
+        assert verdict["result"]["verified"] is False
+        message = verdict["result"]["details"][0]["message"]
+        assert message == f"{'.'.join(path)} must be an integer, got {wrong!r}"
+
+
+def test_verify_report_rejects_an_empty_basis(capsys, tmp_path):
+    # every check of an n = 0 certificate is vacuous; AffinorBasis refuses it too
+    cert = {
+        "kind": "generic", "claimed_rank": 0, "witness": [1, 0],
+        "pivot_rows": [], "pivot_cols": [],
+        "basis": {"m": 2, "n": 0, "mode": "exact", "mats": []},
+        "closure": {"C": []},
+        "pair": {"x": [1, 0], "y": [0, 1], "dim": 0},
+        "inequality": {"two_ell": 0, "m": 2},
+    }
+    path = tmp_path / "empty_basis.json"
+    path.write_text(json.dumps({"result": {"certificate": cert}}))
+    code, verdict = _run(capsys, "verify-report", str(path))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    assert "n = 0" in verdict["result"]["details"][0]["message"]
+
+
+def test_verifier_imports_neither_linalg_nor_multipoly():
+    # verify-report is an independent recheck: it shares no kernel with the
+    # producers and runs on plain Python ints
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"linalg", "multipoly", "numpy"}, names
+
+
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     def boom(args):
         raise IndexError("list index out of range")
@@ -374,6 +443,19 @@ def test_malformed_input_exits_with_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert str(path) in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                         ids=["utf16-bom", "nested-200k"])
+@pytest.mark.parametrize("command", ["verify-report", "rank"])
+def test_unreadable_input_exits_with_data_error(tmp_path, capsys, content, command):
+    # not UTF-8, and nested past the decoder's recursion limit
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and str(path) in err
 
 
 @pytest.mark.parametrize("argv", [

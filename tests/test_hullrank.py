@@ -28,6 +28,7 @@ from affinor_rank.linalg import rank
 from conftest import (
     local3_constants,
     random_exact_matrix,
+    reference_verify_certificate,
     rotation_block,
 )
 
@@ -326,6 +327,16 @@ def test_tampered_certificate_fails_verification(complex_r4):
     degenerate["witness"] = [0] * 4
     ok, _ = _verify_certificate_dict(degenerate)
     assert not ok
+
+
+def test_closure_failure_names_the_first_pair_in_row_major_order(quaternions_r8):
+    cert = certify_generic_rank(quaternions_r8).to_json()
+    c = cert["closure"]["C"]
+    # (2, 1) comes first column by column, (1, 3) row by row
+    c[2][1][0] = c[1][3][0] = 5
+    expected = (False, "closure equation fails at pair (1, 3)")
+    assert reference_verify_certificate(cert) == expected
+    assert _verify_certificate_dict(cert) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ fraction-free solves (closure and inverse) are checked against a
 Gauss-Jordan reduction over Fractions written here, and the product
 identities (associativity, projector systems, Clifford relations, the
 inversion probe) against the same identities written out over Fractions.
+The integer certificate verifier of ``cli`` is checked against its Fraction
+reference in ``conftest`` on certificates in random frames, intact and with
+one entry tampered.
 """
 
 import itertools
@@ -26,9 +29,11 @@ from affinor_rank import (
     CliffordSignature,
     CounterexampleFound,
     Matrix,
+    RankCertificate,
     Splitting,
     StructureConstants,
     build_clifford,
+    certify_generic_rank,
     det,
     from_affinors,
     hullrank,
@@ -41,10 +46,12 @@ from affinor_rank import (
     verify_clifford_relations,
     verify_complete_system,
 )
+from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
 from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
 from conftest import (
+    block_double,
     cofactor_det,
     dual_number_constants,
     is_zero_matrix,
@@ -53,6 +60,8 @@ from conftest import (
     matrix_algebra_2x2_constants,
     quaternion_constants,
     quaternion_matrices,
+    reference_verify_certificate,
+    rotation_block,
 )
 
 settings.register_profile("kernels", max_examples=150, deadline=None, derandomize=True)
@@ -516,3 +525,106 @@ def test_inversion_probe_finds_the_first_singular_candidate(basis, seed):
         assert got == AllSampledInvertible(samples=tried, implied_weak_rank=basis.n)
     else:
         assert got == CounterexampleFound(coeffs=expected, det=Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# The integer certificate verifier against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+_INTEGERS = st.one_of(st.integers(-3, 3), st.integers(2**31 - 4, 2**31 + 4),
+                      st.integers(-(2**31) - 4, -(2**31) + 4))
+
+
+@st.composite
+def _low_rank_rows(draw):
+    """Integer rows a @ b through an inner dimension of at most 3, so most
+    of them are rank deficient by more than repeated or zero rows."""
+    k, inner, cols = draw(st.integers(1, 6)), draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(_INTEGERS, min_size=inner, max_size=inner),
+                      min_size=k, max_size=k))
+    b = draw(st.lists(st.lists(_INTEGERS, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b else [0] * cols
+            for row in a]
+
+
+@given(_low_rank_rows())
+def test_verifier_rank_matches_fraction_elimination(rows):
+    assert _fresh_rank(rows) == len(_naive_pivots([[Fraction(v) for v in row] for row in rows]))
+
+
+def _regular_local(k: int) -> tuple[Matrix, ...]:
+    """Left multiplications of unity plus k - 1 square-zero elements, on two copies."""
+    mats = [Matrix.identity(k)] + [
+        Matrix.exact([[int((r, c) == (a, 0)) for c in range(k)] for r in range(k)])
+        for a in range(1, k)]
+    return tuple(block_double(a) for a in mats)
+
+
+# generic certificates with m = 2n: the complex numbers, the dual numbers,
+# local3 and the quaternions, each acting on two copies of itself
+_CERTIFIED_SPANS = (
+    (Matrix.identity(4), rotation_block(4)),
+    _regular_local(2),
+    _regular_local(3),
+    tuple(block_double(a) for a in quaternion_matrices()),
+)
+
+_TAMPER_SITES = ("intact", "basis", "witness", "closure", "pair", "pivots", "collapsed")
+
+# a scalar as a report writes it, or as an unreduced fraction string
+_JSON_SCALARS = _SCALARS.flatmap(lambda v: st.sampled_from(
+    (scalar_to_json(v), f"{3 * v.numerator}/{3 * v.denominator}")))
+
+
+@st.composite
+def _tampered_certificate(draw):
+    """A generic certificate of a rescaled span in a random frame (small
+    rational entries, or some near 2**31): intact, with one entry of its
+    basis, witness, closure table, pair or pivots replaced, or with the
+    witness zeroed or the pair collapsed to y = x (rank drops)."""
+    span = draw(st.sampled_from(_CERTIFIED_SPANS))
+    m, n = span[0].rows, len(span)
+    q, q_inv = draw(_frame(m))
+    # rescaling all but the unity makes the closure constants fractional
+    scales = [Fraction(1)] + [draw(_SMALL.filter(bool)) for _ in span[1:]]
+    mats = tuple(Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)).scale(c)
+                 for a, c in zip(span, scales))
+    cert = certify_generic_rank(AffinorBasis(mats))
+    assert isinstance(cert, RankCertificate) and cert.kind == "generic"
+    cert = json.loads(json.dumps(cert.to_json()))
+    site = draw(st.sampled_from(_TAMPER_SITES))
+    index = st.integers(0, m - 1)
+    if site == "basis":
+        k, r, s = draw(st.integers(0, n - 1)), draw(index), draw(index)
+        cert["basis"]["mats"][k]["entries"][r][s] = draw(_JSON_SCALARS)
+    elif site == "witness":
+        cert["witness"][draw(index)] = draw(_JSON_SCALARS)
+    elif site == "closure":
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        cert["closure"]["C"][i][j][k] = draw(_JSON_SCALARS)
+    elif site == "pair":
+        if draw(st.booleans()):
+            cert["pair"][draw(st.sampled_from("xy"))][draw(index)] = draw(_JSON_SCALARS)
+        else:
+            cert["pair"]["dim"] = draw(st.integers(0, 2 * n))
+    elif site == "pivots":
+        key = draw(st.sampled_from(("pivot_rows", "pivot_cols")))
+        cert[key][draw(st.integers(0, n - 1))] = draw(st.integers(-1, m))
+    elif site == "collapsed":
+        if draw(st.booleans()):
+            cert["witness"] = [0] * m
+        else:
+            cert["pair"]["y"] = list(cert["pair"]["x"])
+    return site, cert
+
+
+@settings(max_examples=100)
+@given(_tampered_certificate())
+def test_integer_verifier_matches_fraction_reference(case):
+    site, cert = case
+    expected = reference_verify_certificate(cert)
+    assert _verify_certificate_dict(cert) == expected
+    if site == "intact":
+        assert expected == (True, "ok")
