@@ -167,8 +167,7 @@ def chat(sc: StructureConstants) -> ChatMatrices:
     identity, which is the matrix form of the unity identities.
     """
     mats = _chat_raw(sc)
-    ident = Matrix.identity(sc.n)
-    if mats.c_hat[0].entries != ident.entries:
+    if mats.c_hat[0] != Matrix.identity(sc.n):
         raise InvalidAlgebra("first operator matrix is not the identity; unity fails")
     return mats
 

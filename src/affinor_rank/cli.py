@@ -458,6 +458,15 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         or any(len(mat) != m or any(len(row) != m for row in mat) for mat, _ in mats)
     ):
         return False, "certificate dimensions are inconsistent"
+    # the labels a reader of the basis checks must agree with the entries
+    if basis_json.get("mode") != "exact":
+        return False, f"basis.mode is {basis_json.get('mode')!r}, expected 'exact'"
+    for k, mj in enumerate(basis_json["mats"]):
+        if mj.get("mode") != "exact":
+            return False, f"mats[{k}].mode is {mj.get('mode')!r}, expected 'exact'"
+        for field in ("rows", "cols"):
+            if type(mj.get(field)) is not int or mj[field] != m:
+                return False, f"mats[{k}].{field} is {mj.get(field)!r}, expected {m}"
     if kind not in ("weak", "generic"):
         return False, f"unknown certificate kind {kind!r}"
     if claimed != n:

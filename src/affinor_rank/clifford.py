@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .algebra import VerifyResult
 from .errors import SignatureTooLarge
 from .hullrank import (
@@ -31,14 +33,16 @@ from .hullrank import (
     certify_generic_rank,
     weak_rank_witness,
 )
-from .linalg import Matrix, _rows_equal, pairwise_products, stack
+from .linalg import Matrix, _Scaled, _rows_equal, pairwise_products, stack
 
-_MAX_BUILD = 16
-_MAX_RANK_CHECK = 10
+# Cl(4,4), 8 generators, is the largest signature built: 256 blade matrices
+# of 256 x 256, one 128 MiB int64 stack, about 420 MB peak with validation;
+# one more generator multiplies the stack by 8.  ``CliffordSignature``
+# refuses a larger signature before anything is allocated.
+_MAX_BUILD = 8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -126,26 +130,46 @@ def _blade_order(n_gen: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _blade_stack(sig: CliffordSignature, blades: tuple[int, ...]) -> np.ndarray:
+    """Left regular representation of every blade, as one int64 array.
+
+    Entry [i, r, j] is the coefficient of blade r in blade i times blade j:
+    the sign of ``blade_product`` at row position(b_i XOR b_j), zero
+    elsewhere.  The sign parities are computed for all blade pairs at once,
+    one generator at a time.
+    """
+    dim = sig.dim
+    index = np.arange(dim)
+    masks = np.array(blades, dtype=np.int64)
+    position = np.empty(dim, dtype=np.int64)
+    position[masks] = index
+    parity = np.zeros(dim, dtype=np.int64)  # popcount mod 2 of every mask
+    for g in range(sig.generators):
+        parity ^= (index >> g) & 1
+    a, b = masks[:, None], masks[None, :]
+    negative = (dim - 1) & ~((1 << sig.s) - 1)  # the generators squaring to -E
+    flips = parity[a & b & negative]
+    for g in range(sig.generators):
+        # generator g of b passes every generator of a above it
+        flips ^= ((b >> g) & 1) & parity[a >> (g + 1)]
+    out = np.zeros((dim, dim, dim), dtype=np.int64)
+    out[index[:, None], position[a ^ b], index[None, :]] = 1 - 2 * flips
+    return out
+
+
 def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     """Left regular representation matrices for every basis blade.
 
-    Generator relations are verified before the basis is returned, and the
-    result is kept on it as ``relations``.
+    The matrices are made straight from integer views; their Fraction
+    entries are built only if something reads them.  Generator relations
+    are verified before the basis is returned, and the result is kept on it
+    as ``relations``.
     """
-    n_gen = sig.generators
-    dim = sig.dim
-    blades = _blade_order(n_gen)
-    position = {mask: i for i, mask in enumerate(blades)}
-    mats = []
-    for b in blades:
-        entries = [[_ZERO] * dim for _ in range(dim)]
-        for j, c in enumerate(blades):
-            sign, d = blade_product(b, c, sig.s)
-            entries[position[d]][j] = _ONE if sign > 0 else _MINUS_ONE
-        mats.append(Matrix(dim, dim, tuple(tuple(r) for r in entries)))
+    blades = _blade_order(sig.generators)
+    mats = tuple(Matrix.from_view(_Scaled(nums, 1, 1)) for nums in _blade_stack(sig, blades))
     cb = CliffordBasis(
         signature=sig,
-        basis=AffinorBasis(tuple(mats), allow_equal_dim=True),
+        basis=AffinorBasis(mats, allow_equal_dim=True),
         blades=blades,
         labels=tuple(_blade_label(b) for b in blades),
     )
@@ -163,15 +187,14 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
 def _signed_perm(mat: Matrix) -> Optional[list[int]]:
     """Per column, +-(row + 1) of its one nonzero entry when the matrix is
     a signed permutation (entries +-1), else None."""
-    perm = []
-    for col in zip(*mat.entries):
-        nz = [(i, v) for i, v in enumerate(col) if v != 0]
-        if len(nz) != 1 or nz[0][1] not in (1, -1):
-            return None
-        perm.append((nz[0][0] + 1) * int(nz[0][1]))
-    if sorted(map(abs, perm)) != list(range(1, len(perm) + 1)):
+    view = mat._scaled
+    nums, nonzero = view.nums, view.nums != 0
+    if view.den != 1 or (nonzero.sum(axis=0) != 1).any() or (np.abs(nums) > 1).any():
         return None
-    return perm
+    rows = np.argmax(nonzero, axis=0)
+    if len(set(rows.tolist())) != mat.cols:
+        return None
+    return ((rows + 1) * nums[rows, np.arange(mat.cols)]).tolist()
 
 
 def _compose(f: list[int], g: list[int]) -> list[int]:
@@ -237,14 +260,7 @@ def clifford_rank_theorem_check(
     acts freely on it, so its hull is everything.  The generic witness
     search is a fallback only.
     """
-    sig = cb.signature
-    if sig.generators > _MAX_RANK_CHECK:
-        raise SignatureTooLarge(
-            f"rank check capped at {_MAX_RANK_CHECK} generators for exact tractability"
-        )
-    unit = tuple(
-        _ONE if i == 0 else _ZERO for i in range(sig.dim)
-    )
+    unit = tuple(_ONE if i == 0 else _ZERO for i in range(cb.signature.dim))
     try:
         return certificate_from_witness(cb.basis, unit)
     except ValueError:  # pragma: no cover - the unit always works
@@ -255,13 +271,11 @@ def clifford_rank_theorem_check(
 
 
 def _block_double(mat: Matrix) -> Matrix:
-    m = mat.rows
-    entries = []
-    for i in range(m):
-        entries.append(tuple(mat.entries[i]) + (_ZERO,) * m)
-    for i in range(m):
-        entries.append((_ZERO,) * m + tuple(mat.entries[i]))
-    return Matrix(2 * m, 2 * m, tuple(entries))
+    """diag(mat, mat), made from the view."""
+    view, m = mat._scaled, mat.rows
+    nums = np.zeros((2 * m, 2 * m), dtype=view.nums.dtype)
+    nums[:m, :m] = nums[m:, m:] = view.nums
+    return Matrix.from_view(view._replace(nums=nums))
 
 
 def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import algebra as _algebra
@@ -42,7 +43,11 @@ from .linalg import (
     ExactVector,
     Matrix,
     RankResult,
+    _Scaled,
     _bareiss_rank,
+    _int_product,
+    _lowest_terms,
+    _scale,
     combine,
     exact_vector,
     has_full_row_rank,
@@ -91,14 +96,14 @@ class AffinorBasis:
         for mat in self.mats:
             if mat.rows != m or mat.cols != m:
                 raise InvalidBasis("affinors differ in shape")
-        if first.entries != Matrix.identity(m).entries:
+        if first != Matrix.identity(m):
             raise InvalidBasis("first basis element must be the identity")
         n = len(self.mats)
         if n > m or (n == m and not self.allow_equal_dim):
             raise InvalidBasis(
                 f"span rank {n} must be below module dimension {m}"
             )
-        if not has_full_row_rank(self.mats):
+        if not has_full_row_rank(self.stacked):
             raise InvalidBasis("basis elements are linearly dependent")
 
     @property
@@ -108,6 +113,11 @@ class AffinorBasis:
     @property
     def n(self) -> int:
         return len(self.mats)
+
+    @cached_property
+    def stacked(self) -> _Scaled:
+        """The basis matrices, flattened, as the rows of one scaled view."""
+        return stack(self.mats)
 
     def to_json(self) -> dict:
         return {
@@ -131,12 +141,28 @@ class Hull:
         return self.rank_result.rank
 
 
+def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Row k * n + i: basis matrix i applied to ``vectors[k]``.
+
+    One integer product of the stacked basis, reshaped to (n * m) x m,
+    with the vectors as columns; the result is in lowest terms, the same
+    view the rows would have if built one ``apply`` at a time.
+    """
+    n, m = basis.n, basis.m
+    s = basis.stacked
+    x = _scale([v for vec in vectors for v in vec], (len(vectors), m))
+    prod = _int_product(_Scaled(s.nums.reshape(n * m, m), s.den, s.bound),
+                        x._replace(nums=x.nums.T), m)
+    rows = prod.reshape(n, m, len(vectors)).transpose(2, 0, 1).ravel().tolist()
+    return Matrix.from_view(_lowest_terms(rows, s.den * x.den, (len(vectors) * n, m)))
+
+
 def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:
     """Hull of ``x``: rows are the basis images, in basis order."""
     if len(x) != basis.m:
         raise DimensionMismatch(f"vector length {len(x)} vs module dimension {basis.m}")
     x = tuple(x)
-    mat = Matrix.exact([a.apply(x) for a in basis.mats])
+    mat = _images(basis, [x])
     return Hull(x, mat, rank(mat))
 
 
@@ -144,9 +170,7 @@ def pair_span_dim(basis: AffinorBasis, x: Sequence[Fraction], y: Sequence[Fracti
     """Dimension of the sum of the hulls of two vectors."""
     if len(x) != basis.m or len(y) != basis.m:
         raise DimensionMismatch("pair vectors must match the module dimension")
-    rows = [mat.apply(tuple(x)) for mat in basis.mats]
-    rows += [mat.apply(tuple(y)) for mat in basis.mats]
-    return rank(Matrix.exact(rows)).rank
+    return rank(_images(basis, [x, y])).rank
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +543,7 @@ def inversion_probe(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
-    mats = stack(basis.mats)
+    mats = basis.stacked
     rng = random.Random(seed)
     tried = 0
     candidates = itertools.chain(

@@ -33,7 +33,7 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, Matrix
+from .linalg import EXACT, Matrix, _lowest_terms
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 
 
@@ -97,6 +97,10 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
     entries = _need(obj, "entries", path, where)
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputFormatError(path, f"{where}entries", f"expected {rows} rows")
+    if rows and all(isinstance(row, list) and len(row) == cols and set(map(type, row)) <= {int}
+                    for row in entries):
+        # plain JSON ints (bools excluded): the integer view, no Fractions
+        return Matrix.from_view(_lowest_terms([v for row in entries for v in row], 1, (rows, cols)))
     parsed = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:

@@ -1,25 +1,29 @@
 """Exact matrix kernels over the rationals.
 
-Every matrix holds ``fractions.Fraction`` entries; floats are rejected on
+A matrix is exact: its scaled-integer view holds its entries as integer
+numerators over their least common denominator d, in a numpy array.
+Producers that already hold integers (Clifford blades, doubled modules,
+integer JSON, products and inverses) make a matrix straight from that view
+with ``Matrix.from_view``; a matrix given by ``fractions.Fraction`` entries
+builds its view on first use.  ``Matrix.entries``, the Fractions, are built
+from the view only when something reads them.  Floats are rejected on
 construction, because a rounded entry would poison any certificate computed
 downstream.  Float numerics (curve planarity) run on numpy arrays obtained
 through ``Matrix.to_ndarray`` and never flow back.
 
-Each matrix lazily builds one scaled-integer view of itself: its entries
-as integer numerators over their least common denominator d, held in a
-numpy array.  Products and matrix-vector products multiply the numerator
-arrays and divide by the product of the denominators.  They use int64
-when an a-priori bound proves that no partial sum overflows
-(max|A| * max|B| * inner dimension < 2**63) and object arrays of Python
-ints otherwise, so the result is exact either way; it is rebuilt as
-Fractions, and a product keeps its own view for the next product.
+Products and matrix-vector products multiply the numerator arrays and
+divide by the product of the denominators.  They use int64 when an
+a-priori bound proves that no partial sum overflows (max|A| * max|B| *
+inner dimension < 2**63) and object arrays of Python ints otherwise, so the
+result is exact either way; a product is reduced to lowest terms, which
+makes its view canonical, and is kept as a view for the next product.
 
 Equally shaped matrices stack into one view, one flattened matrix per
 row.  Every exact product identity in the package reads such stacks: all
 pairwise products of a stack are one integer product, a row of linear
 combinations of a stack is another, and two views are compared row by row
 by cross-multiplying their denominators.  There is no entrywise Fraction
-arithmetic on matrices besides ``scale``.
+arithmetic on matrices.
 
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
@@ -38,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,7 +54,6 @@ ExactVector = tuple[Fraction, ...]
 EXACT = "exact"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
@@ -81,20 +84,26 @@ def scalar_to_json(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable row-major matrix of Fractions."""
+    """Immutable row-major matrix of exact rationals.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    A matrix holds its scaled-integer view, its ``entries`` (a tuple of
+    Fraction rows), or both; whichever is missing is built from the other
+    on first read.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Fraction, ...], ...]):
+        if len(entries) != rows:
             raise ShapeMismatch("entry rows do not match declared row count")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ShapeMismatch("ragged matrix rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        self.__dict__["entries"] = entries  # the slot cached_property fills
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable: cannot set {name!r}")
 
     # -- constructors -------------------------------------------------
 
@@ -104,10 +113,24 @@ class Matrix:
         return Matrix(len(data), len(data[0]) if data else 0, data)
 
     @staticmethod
+    def from_view(view: "_Scaled") -> "Matrix":
+        """The matrix ``view.nums / view.den`` of a 2-d view in lowest terms
+        (as ``_lowest_terms`` makes it); its entries are built on first read."""
+        out = object.__new__(Matrix)
+        rows, cols = view.nums.shape
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        out.__dict__["_scaled"] = view
+        return out
+
+    @staticmethod
     def identity(m: int) -> "Matrix":
-        return Matrix(
-            m, m, tuple(tuple(_ONE if i == j else _ZERO for j in range(m)) for i in range(m))
-        )
+        return Matrix.from_view(_Scaled(np.eye(m, dtype=np.int64), 1, int(m > 0)))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        view = self._scaled
+        return tuple(tuple(_fractions(row, view.den)) for row in view.nums.tolist())
 
     @cached_property
     def _scaled(self) -> "_Scaled":
@@ -116,15 +139,26 @@ class Matrix:
 
     # -- basic structure ----------------------------------------------
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        a, b = self._scaled, other._scaled  # both in lowest terms, so canonical
+        return a.den == b.den and a.nums.shape == b.nums.shape and np.array_equal(a.nums, b.nums)
+
+    def __hash__(self) -> int:
+        view = self._scaled
+        return hash((view.nums.shape, view.den, tuple(view.nums.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        view = self._scaled
+        return Matrix.from_view(view._replace(nums=view.nums.T))
 
     def to_ndarray(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
@@ -141,9 +175,11 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix(
-            self.rows, self.cols, tuple(tuple(c * v for v in row) for row in self.entries)
-        )
+        view = self._scaled
+        return Matrix.from_view(_lowest_terms(
+            [c.numerator * v for v in view.nums.ravel().tolist()], c.denominator * view.den,
+            view.nums.shape,
+        ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -151,15 +187,10 @@ class Matrix:
                 f"inner dimensions {self.cols} and {other.rows} differ"
             )
         a, b = self._scaled, other._scaled
-        view = _lowest_terms(
+        return Matrix.from_view(_lowest_terms(
             _int_product(a, b, self.cols).ravel().tolist(), a.den * b.den,
             (self.rows, other.cols),
-        )
-        out = Matrix(self.rows, other.cols, tuple(
-            tuple(_fractions(row, view.den)) for row in view.nums.tolist()
         ))
-        out.__dict__["_scaled"] = view  # the slot cached_property fills
-        return out
 
     def apply(self, vec: Sequence[Fraction]) -> ExactVector:
         """Matrix-vector product."""
@@ -191,7 +222,10 @@ class _Scaled(NamedTuple):
 
 
 def _lowest_terms(nums: list[int], den: int, shape: tuple[int, ...]) -> _Scaled:
-    """Scaled view of ``nums / den``, reduced so ``den`` is the least common denominator."""
+    """Scaled view of ``nums / den``, reduced so ``den`` is the least common
+    denominator; this form is canonical, equal values give equal views."""
+    if den < 0:
+        nums, den = [-v for v in nums], -den
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
@@ -375,7 +409,7 @@ def inverse(m: Matrix) -> Matrix:
         row = aug[k]
         for c in range(n):
             x[k][c] = (d * row[n + c] - sum(row[j] * x[j][c] for j in range(k + 1, n))) // row[k]
-    return Matrix(n, n, tuple(tuple(_fractions([view.den * v for v in row], d)) for row in x))
+    return Matrix.from_view(_lowest_terms([view.den * v for row in x for v in row], d, (n, n)))
 
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
@@ -437,7 +471,8 @@ class SpanSolver:
         if rk < self.n:
             raise InvalidBasis("span basis matrices are linearly dependent")
         # column k of the block is generator k on the pivot columns
-        inv = inverse(Matrix.exact(self.generators.nums[:, self._pivots].T.tolist()))._scaled
+        block = self.generators.nums[:, self._pivots].T
+        inv = inverse(Matrix.from_view(_view(block, 1)))._scaled
         self._det, self._adj_t = inv.den, _Scaled(inv.nums.T, 1, inv.bound)
 
     def _scaled_coordinates(self, targets: _Scaled) -> _Scaled:
@@ -511,20 +546,24 @@ def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
     return r == n
 
 
-def has_full_row_rank(mats: Sequence[Matrix]) -> bool:
-    """Whether equally shaped matrices are linearly independent.
+def has_full_row_rank(mats: Union[Sequence[Matrix], _Scaled]) -> bool:
+    """Whether equally shaped matrices, or the rows of their ``stack``,
+    are linearly independent.
 
-    Row i of the test is matrix i's scaled-integer numerators, flattened:
-    its entries times its own nonzero denominator, which leaves the rank
-    unchanged.  Full rank modulo a large prime certifies independence; a
-    rank drop falls back to exact fraction-free elimination.
+    The test reads the stack's numerators, the entries times one common
+    nonzero denominator, which leaves the rank unchanged.  Full rank modulo
+    a large prime certifies independence; a rank drop falls back to exact
+    fraction-free elimination.
     """
-    if not mats:
+    if isinstance(mats, _Scaled):
+        rows = mats.nums
+    elif not mats:
         return True
-    rows = np.stack([m._scaled.nums.reshape(-1) for m in mats])
+    else:
+        rows = stack(mats).nums
     if _full_row_rank_modp(rows, _PRIMES[0]):
         return True
-    return _bareiss_rank(rows.tolist())[0] == len(mats)
+    return _bareiss_rank(rows.tolist())[0] == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +573,13 @@ def has_full_row_rank(mats: Sequence[Matrix]) -> bool:
 
 def scalar_multiple_of_identity(m: Matrix) -> Optional[Fraction]:
     """The q with m == q*identity, or None."""
-    if not m.is_square:
+    if not m.is_square or not m.rows:
         return None
-    q = m.entries[0][0]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.entries[i][j]
-            if i == j:
-                if v != q:
-                    return None
-            elif v != 0:
-                return None
-    return q
+    view = m._scaled
+    q = view.nums[0, 0]
+    if not np.array_equal(view.nums, np.eye(m.rows, dtype=view.nums.dtype) * q):
+        return None
+    return Fraction(int(q), view.den)
 
 
 def random_int_vector(rng: random.Random, length: int, bound: int) -> ExactVector:

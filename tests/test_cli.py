@@ -61,6 +61,21 @@ def test_rank_generic_quaternions_r8(capsys, tmp_path):
     assert verify_certificate(out)
 
 
+def test_rank_reads_entries_past_int64(capsys, tmp_path):
+    # integer JSON past 2**63 becomes an object-array view end to end
+    big = 2**63
+    rows = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[big, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"m": 3, "n": 2, "mode": "exact", "mats": [
+        {"rows": 3, "cols": 3, "mode": "exact", "entries": e} for e in rows]}))
+    code, report = _run(capsys, "rank", str(path))
+    assert code == EXIT_POSITIVE
+    assert report["result"]["claimed_rank"] == 2
+    assert report["result"]["scalar_multiples_of_identity"] == [
+        {"index": 1, "is_multiple": False, "q": None}]
+    assert report["result"]["certificate"]["basis"]["mats"][1]["entries"][0][0] == big
+
+
 def test_rank_generic_dimension_too_small(capsys):
     code, report = _run(
         capsys, "rank", str(FIXTURES / "quaternion_r4_basis.json"), "--generic"
@@ -354,6 +369,28 @@ def test_verify_report_rejects_mistyped_fields(capsys, tmp_path, path, value):
         assert verdict["result"]["verified"] is False
         message = verdict["result"]["details"][0]["message"]
         assert message == f"{'.'.join(path)} must be an integer, got {wrong!r}"
+
+
+# A relabelled quaternion_r8 report: the entries are intact, only the labels
+# a reader of the basis checks disagree with them.
+@pytest.mark.parametrize("path, value, message", [
+    (("mode",), "float", "basis.mode is 'float', expected 'exact'"),
+    (("mats", 1, "mode"), "float", "mats[1].mode is 'float', expected 'exact'"),
+    (("mats", 2, "rows"), 3, "mats[2].rows is 3, expected 8"),
+    (("mats", 3, "cols"), 99, "mats[3].cols is 99, expected 8"),
+], ids=["basis.mode", "mats.mode", "mats.rows", "mats.cols"])
+def test_verify_report_rejects_relabelled_basis(capsys, tmp_path, path, value, message):
+    report = _generic_report(tmp_path)
+    target = report["result"]["certificate"]["basis"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    assert verdict["result"]["details"][0]["message"] == message
 
 
 def test_verify_report_rejects_an_empty_basis(capsys, tmp_path):

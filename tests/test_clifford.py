@@ -1,7 +1,8 @@
 """Clifford representation construction and rank claims."""
 
-from dataclasses import replace
+import json
 
+import numpy as np
 import pytest
 
 from affinor_rank import (
@@ -19,6 +20,8 @@ from affinor_rank import (
     verify_clifford_relations,
     verify_unity,
 )
+from affinor_rank import clifford
+from affinor_rank.cli import EXIT_DATA, main
 from affinor_rank.errors import SignatureTooLarge
 
 from conftest import quaternion_constants, quaternion_matrices
@@ -142,12 +145,43 @@ def test_rank_theorem_check_small():
         assert cert.witness[0] == 1 and all(v == 0 for v in cert.witness[1:])
 
 
-def test_rank_theorem_check_gate():
-    # the gate reads the signature before any rank work, so a small basis
-    # relabelled Cl(6,6) stands in for one far too large to build
-    cb = replace(build_clifford(CliffordSignature(1, 0)), signature=CliffordSignature(6, 6))
-    with pytest.raises(SignatureTooLarge, match="rank check capped at 10 generators"):
-        clifford_rank_theorem_check(cb)
+def test_rank_theorem_check_gate(capsys, monkeypatch):
+    # one generator past the cap is refused by the signature itself, before
+    # the blade stack (1 GiB for Cl(5,4)) is allocated, and the CLI exits 65
+    def never(*args):
+        raise AssertionError("the blade stack was allocated")
+
+    monkeypatch.setattr(clifford, "_blade_stack", never)
+    assert CliffordSignature(4, 4).generators == 8
+    with pytest.raises(SignatureTooLarge, match="exceeds the 8-generator cap"):
+        CliffordSignature(5, 4)
+    assert main(["clifford", "--s", "5", "--t", "4", "--check-rank"]) == EXIT_DATA
+    assert "exceeds the 8-generator cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s, t", [(s, n - s) for n in range(1, 6) for s in range(n + 1)])
+def test_blade_stack_matches_blade_product(s, t):
+    sig = CliffordSignature(s, t)
+    blades = clifford._blade_order(sig.generators)
+    position = {mask: i for i, mask in enumerate(blades)}
+    want = np.zeros((sig.dim,) * 3, dtype=np.int64)
+    for i, a in enumerate(blades):
+        for j, b in enumerate(blades):
+            sign, d = blade_product(a, b, s)
+            want[i, position[d], j] = sign
+    assert np.array_equal(clifford._blade_stack(sig, blades), want)
+
+
+def test_cl33_certificate_and_json_leave_entries_unbuilt():
+    # the blades are integer views; nothing on the rank-check or JSON path
+    # reads their Fraction entries
+    cb = build_clifford(CliffordSignature(3, 3))
+    cert = clifford_rank_theorem_check(cb)
+    json.dumps(cert.to_json())
+    json.dumps(cb.to_json())
+    assert not any("entries" in mat.__dict__ for mat in cb.basis.mats)
+    doubled = doubled_module_basis(build_clifford(CliffordSignature(2, 1)))
+    assert not any("entries" in mat.__dict__ for mat in doubled.mats)
 
 
 def test_doubled_module_generic_rank():

@@ -357,6 +357,13 @@ def test_scalar_multiple_check():
     assert scalar_multiple_of_identity(rotation_block(2)) is None
     with pytest.raises(InvalidBasis):
         AffinorBasis((Matrix.identity(2), Matrix.exact([[2, 0], [0, 2]])), allow_equal_dim=True)
+    # entries of 2**63 and more leave the view as Python ints in an object array
+    big = 2**63
+    assert scalar_multiple_of_identity(Matrix.exact([[big, 0], [0, big]])) == Fraction(big)
+    assert scalar_multiple_of_identity(Matrix.exact([[big, 0], [0, big + 1]])) is None
+    assert scalar_multiple_of_identity(Matrix.exact([[big, 1], [0, big]])) is None
+    basis = AffinorBasis((Matrix.identity(3), Matrix.exact([[big, 0, 0], [0, 0, 0], [0, 0, 0]])))
+    assert scalar_multiple_check(basis) == ((False, None),)
 
 
 def test_inversion_probe_quaternions(quaternions_r4):

@@ -29,6 +29,35 @@ def test_matrix_round_trip():
     assert back.entries == m.entries
 
 
+def test_integer_rows_read_into_the_same_matrix():
+    # plain JSON ints go straight into the integer view; the same values as
+    # "p/q" strings take the Fraction path, and both end in one matrix
+    for ints in ([[3, -2, 0], [0, 7, 1]], [[2**70, 0, -1], [5, 0, 2**62]]):
+        via_ints = matrix_from_json(
+            {"rows": 2, "cols": 3, "mode": "exact", "entries": ints}, "<mem>")
+        via_strings = matrix_from_json(
+            {"rows": 2, "cols": 3, "mode": "exact",
+             "entries": [[f"{v}/1" for v in row] for row in ints]}, "<mem>")
+        assert "entries" not in via_ints.__dict__
+        assert via_ints == via_strings
+        assert via_ints._scaled.nums.dtype == via_strings._scaled.nums.dtype
+        assert via_ints.entries == via_strings.entries
+
+
+@pytest.mark.parametrize("rows, field", [
+    ([[1, 2], [1, True]], "entries[1][1]"),
+    ([[1, 2], [1, 0.5]], "entries[1][1]"),
+    ([[1, 2], [1, "2/z"]], "entries[1][1]"),
+    ([[1, 2], [1]], "entries[1]"),
+    ([[1, False], [1]], "entries[0][1]"),
+], ids=["bool", "float", "bad_string", "ragged", "bool_before_ragged"])
+def test_integer_path_keeps_per_field_errors(rows, field):
+    bad = {"rows": 2, "cols": 2, "mode": "exact", "entries": rows}
+    with pytest.raises(InputFormatError) as err:
+        matrix_from_json(bad, "m.json")
+    assert err.value.field == field
+
+
 def test_float_mode_matrix_is_rejected():
     bad = {"rows": 1, "cols": 2, "mode": "float", "entries": [[0.5, 1.25]]}
     with pytest.raises(InputFormatError) as err:

@@ -135,6 +135,28 @@ def test_matmul_matches_fraction_loop(mats):
     json.dumps(prod.to_json())
 
 
+def _assert_canonical(mat: Matrix):
+    """The view ``mat`` was made with is the one its entries give: lowest
+    terms, a positive denominator, int64 exactly when the bound fits."""
+    view, ref = mat._scaled, Matrix(mat.rows, mat.cols, mat.entries)._scaled
+    assert (view.den, view.nums.dtype, view.bound) == (ref.den, ref.nums.dtype, ref.bound)
+    assert np.array_equal(view.nums, ref.nums)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_matrix(n, n), _matrix(n, n), _SCALARS)))
+def test_views_made_without_fractions_are_canonical(case):
+    # products, inverses (whose determinant may be negative), scalings
+    # (by zero too) and transposes are made straight from views
+    a, b, c = case
+    made = [a @ b, a.scale(c), a.transpose()] + ([inverse(a)] if det(a) != 0 else [])
+    for mat in made:
+        _assert_canonical(mat)
+    assert a.scale(c).entries == tuple(tuple(c * v for v in row) for row in a.entries)
+    assert a.transpose().entries == tuple(
+        tuple(row[j] for row in a.entries) for j in range(a.cols))
+    assert a.scale(1) == a and hash(a.scale(1)) == hash(a)
+
+
 @given(_chain(3))
 def test_product_of_a_product_matches_fraction_loop(mats):
     # the inner product hands its scaled view on to the outer one
@@ -525,6 +547,35 @@ def test_inversion_probe_finds_the_first_singular_candidate(basis, seed):
         assert got == AllSampledInvertible(samples=tried, implied_weak_rank=basis.n)
     else:
         assert got == CounterexampleFound(coeffs=expected, det=Fraction(0))
+
+
+@st.composite
+def _basis_and_pair(draw):
+    """Identity plus up to m - 1 random matrices of mixed magnitude and
+    denominator, with two vectors of the same kind."""
+    m = draw(st.integers(1, 4))
+    others = draw(st.lists(_matrix(m, m), max_size=m - 1))
+    x, y = (draw(st.lists(_SCALARS, min_size=m, max_size=m)) for _ in range(2))
+    try:
+        basis = AffinorBasis([Matrix.identity(m)] + others, allow_equal_dim=True)
+    except InvalidBasis:
+        assume(False)
+    return basis, tuple(x), tuple(y)
+
+
+@given(_basis_and_pair())
+def test_hull_and_pair_rows_match_per_matrix_apply(case):
+    # the stacked product gives the same lowest-terms view as the rows built
+    # one apply at a time, so elimination sees the same integers
+    basis, x, y = case
+    rows = [a.apply(x) for a in basis.mats]
+    pair = rows + [a.apply(y) for a in basis.mats]
+    h = hullrank.hull(basis, x)
+    assert h.matrix == Matrix.exact(rows)
+    assert h.matrix.entries == tuple(rows)
+    assert h.rank_result == rank(Matrix.exact(rows))
+    assert hullrank._images(basis, [x, y]) == Matrix.exact(pair)
+    assert hullrank.pair_span_dim(basis, x, y) == rank(Matrix.exact(pair)).rank
 
 
 # ---------------------------------------------------------------------------
