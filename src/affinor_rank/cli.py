@@ -21,6 +21,7 @@ reduction instead of the producers' fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +69,14 @@ def _env_seed() -> int:
         raise _UsageError(f"AFFINOR_RANK_SEED must be an integer, got {raw!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once and shared by every call in the process.
+
+    ``parse_args`` returns a fresh namespace each time and nothing here
+    changes the parser after it is built, so reusing it is safe; callers
+    must not change it either.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="search seed (default: AFFINOR_RANK_SEED or 0)")

@@ -11,7 +11,8 @@ Formats:
   ..]}`` with entries written as integers or "p/q" strings; ``"mode"`` is
   required and ``"exact"`` is its only accepted value;
 * affinor basis: ``{"m": m, "n": n, "mode": "exact", "mats": [matrix,
-  ..]}``; a basis with n == m (an operator span acting on its own
+  ..]}``; a ``"mode"`` other than ``"exact"`` is rejected, as on its
+  matrices; a basis with n == m (an operator span acting on its own
   coefficient space) is accepted on load;
 * structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars;
 * connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or
@@ -124,6 +125,10 @@ def basis_from_json(obj, path) -> AffinorBasis:
     for i, mat in enumerate(mats):
         if mat.rows != m or mat.cols != m:
             raise InputFormatError(path, f"mats[{i}]", f"expected an {m}x{m} matrix")
+    # after the matrices, so a matrix's own mode error is the one reported
+    mode = obj.get("mode", EXACT)
+    if mode != EXACT:
+        raise InputFormatError(path, "mode", f"unsupported mode {mode!r}; bases are exact")
     return AffinorBasis(tuple(mats), allow_equal_dim=(n == m))
 
 

@@ -210,12 +210,8 @@ class SampledCurve:
 
     @staticmethod
     def of(ts, points, velocities=None) -> "SampledCurve":
-        pts = tuple(tuple(float(v) for v in p) for p in points)
-        vel = (
-            None
-            if velocities is None
-            else tuple(tuple(float(v) for v in p) for p in velocities)
-        )
+        pts = tuple(tuple(map(float, p)) for p in points)
+        vel = None if velocities is None else tuple(tuple(map(float, p)) for p in velocities)
         return SampledCurve(len(pts[0]), tuple(float(t) for t in ts), pts, vel)
 
     @property

@@ -49,6 +49,13 @@ def test_bench_tracing_installs_and_records(tmp_path):
     assert calls.get("cli.encode", 0) > 0
 
 
+def test_bench_tracing_records_the_parser(tmp_path):
+    # the cli.parse layer wraps build_parser by name, though it is built once
+    code, calls = _traced_calls(tmp_path, ["rank", "docs/fixtures/complex_r4_basis.json"])
+    assert code == 0
+    assert calls.get("cli.parse", 0) > 0
+
+
 def test_bench_tracing_records_the_closure_solve(tmp_path):
     # the traced span_solve layer wraps SpanSolver's methods by name
     code, calls = _traced_calls(

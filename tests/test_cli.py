@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, reports, re-verification."""
 
+import argparse
 import ast
 import json
 import time
@@ -465,6 +466,34 @@ def test_float_mode_inputs_exit_with_data_error(capsys, tmp_path):
         assert "mode" in err, argv
 
 
+def test_rank_rejects_a_float_labelled_basis(capsys, tmp_path):
+    # the matrices stay exact; only the basis's own label says float
+    basis = json.loads((FIXTURES / "quaternion_r8_basis.json").read_text())
+    basis["mode"] = "float"
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(basis))
+    code = main(["rank", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert f"{path}: field 'mode': unsupported mode 'float'" in captured.err
+
+
+@pytest.mark.parametrize("entry", [None, [0.5]], ids=["null", "list"])
+def test_planar_rejects_non_numeric_samples(capsys, tmp_path, entry):
+    ts = [0.1 * k for k in range(6)]
+    values = [[t, 0.0, 0.0, 0.0] for t in ts]
+    values[3][2] = entry
+    curve = tmp_path / "sampled.json"
+    curve.write_text(json.dumps({"kind": "sampled", "m": 4, "t": ts, "values": values}))
+    code = main(["planar", "--basis", str(FIXTURES / "complex_r4_basis.json"),
+                 "--connection", str(FIXTURES / "flat4_connection.json"),
+                 "--curve", str(curve)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "values" in err
+
+
 def test_verify_report_missing_certificate(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"result": {}}))
@@ -611,3 +640,51 @@ def test_doc_fixtures_all_run_quickly(capsys):
         capsys.readouterr()
         assert code in (EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), argv
         assert elapsed < 10.0, argv
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_shared_parser_leaks_no_state_between_commands(capsys):
+    basis = str(FIXTURES / "quaternion_r8_basis.json")
+    cli.build_parser.cache_clear()  # the next command builds the parser afresh
+    _, first = _run(capsys, "rank", basis)
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["rank"]) == EXIT_USAGE
+    capsys.readouterr()
+    code, tuned = _run(capsys, "rank", basis, "--generic", "--trials", "7", "--seed", "5")
+    assert code == EXIT_POSITIVE and tuned["config"]["trials"] == 7
+    _, again = _run(capsys, "rank", basis)
+    assert _strip_time(again) == _strip_time(first)
+    assert again["config"]["trials"] == 64 and again["config"]["generic"] is False
+
+
+def test_warm_command_builds_no_argument_parser(capsys, monkeypatch):
+    argv = ["rank", str(FIXTURES / "complex_r4_basis.json")]
+    assert main(argv) == EXIT_POSITIVE
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == EXIT_POSITIVE
+    capsys.readouterr()
+    assert built == []
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--version", f"{cli.TOOL_NAME} {cli.__version__}"),
+    ("--help", "usage: affinor-rank"),
+])
+def test_version_and_help_after_a_command(capsys, flag, text):
+    assert main(["rank", str(FIXTURES / "complex_r4_basis.json")]) == EXIT_POSITIVE
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main([flag])
+    assert exit_.value.code == 0
+    assert text in capsys.readouterr().out
