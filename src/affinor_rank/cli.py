@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Optional, Sequence
 
 from . import __version__
@@ -234,7 +234,10 @@ def _cmd_frobenius(args) -> tuple[int, dict]:
 
 
 def _cmd_clifford(args) -> tuple[int, dict]:
-    sig = _clifford.CliffordSignature(args.s, args.t)
+    try:
+        sig = _clifford.CliffordSignature(args.s, args.t)
+    except ValueError as exc:
+        raise _UsageError(f"--s {args.s} --t {args.t}: {exc}")
     cb = _clifford.build_clifford(sig)
     relations = cb.relations
     seed = args.seed if args.seed is not None else _env_seed()
@@ -621,8 +624,9 @@ def _summary_lines(command: str, code: int, result: dict) -> list[str]:
 def _validate_knobs(args):
     if getattr(args, "trials", 1) < 1:
         raise _UsageError("--trials must be at least 1")
-    if getattr(args, "tol", 1.0) <= 0:
-        raise _UsageError("--tol must be positive")
+    tol = getattr(args, "tol", 1.0)
+    if not (isfinite(tol) and tol > 0):
+        raise _UsageError(f"--tol must be finite and positive, got {tol!r}")
     if getattr(args, "samples", 5) < 5:
         raise _UsageError("--samples must be at least 5")
 

@@ -160,10 +160,9 @@ def _blade_stack(sig: CliffordSignature, blades: tuple[int, ...]) -> np.ndarray:
 def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     """Left regular representation matrices for every basis blade.
 
-    The matrices are made straight from integer views; their Fraction
-    entries are built only if something reads them.  Generator relations
-    are verified before the basis is returned, and the result is kept on it
-    as ``relations``.
+    Each matrix is its integer view, made straight from the blade stack
+    with no Fraction on the way.  Generator relations are verified before
+    the basis is returned, and the result is kept on it as ``relations``.
     """
     blades = _blade_order(sig.generators)
     mats = tuple(Matrix.from_view(_Scaled(nums, 1, 1)) for nums in _blade_stack(sig, blades))

@@ -108,11 +108,8 @@ class ProjectorSystem:
 
 
 def _block_projector(m: int, start: int, size: int) -> Matrix:
-    entries = [
-        tuple(_ONE if i == j and start <= i < start + size else _ZERO for j in range(m))
-        for i in range(m)
-    ]
-    return Matrix(m, m, tuple(entries))
+    return Matrix(m, m, [[int(i == j and start <= i < start + size) for j in range(m)]
+                         for i in range(m)])
 
 
 def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:

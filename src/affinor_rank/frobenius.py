@@ -222,8 +222,8 @@ def _identification(sc: StructureConstants, mats: ChatMatrices) -> dict:
     for s in range(sc.n):
         lam = tuple(Fraction(1 if t == s else 0) for t in range(sc.n))
         g = gram(sc, lam).gram
-        plain = plain and tuple(m.apply(lam) for m in mats.c_hat) == g.transpose().entries
-        star = star and tuple(m.apply(lam) for m in mats.c_hat_star) == g.entries
+        plain = plain and Matrix.exact(m.apply(lam) for m in mats.c_hat) == g.transpose()
+        star = star and Matrix.exact(m.apply(lam) for m in mats.c_hat_star) == g
     return {
         "multiplier_rows_match_gram_transpose": plain,
         "star_rows_match_gram": star,

@@ -323,18 +323,14 @@ def _random_candidates(rng: random.Random, m: int, trials: int):
 
 def _symbolic_hull_entries(basis: AffinorBasis) -> list[list[Poly]]:
     m = basis.m
+    units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
     rows = []
     for mat in basis.mats:
-        row = []
-        for j in range(m):
-            terms = {}
-            for k in range(m):
-                v = mat.entries[j][k]
-                if v != 0:
-                    mono = tuple(1 if t == k else 0 for t in range(m))
-                    terms[mono] = Fraction(v)
-            row.append(Poly(m, terms))
-        rows.append(row)
+        view = mat._scaled
+        rows.append([
+            Poly(m, {units[k]: Fraction(v, view.den) for k, v in enumerate(nums) if v != 0})
+            for nums in view.nums.tolist()
+        ])
     return rows
 
 

@@ -34,7 +34,7 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, Matrix, _lowest_terms
+from .linalg import EXACT, Matrix, _scale
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 
 
@@ -98,21 +98,16 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
     entries = _need(obj, "entries", path, where)
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputFormatError(path, f"{where}entries", f"expected {rows} rows")
-    if rows and all(isinstance(row, list) and len(row) == cols and set(map(type, row)) <= {int}
-                    for row in entries):
-        # plain JSON ints (bools excluded): the integer view, no Fractions
-        return Matrix.from_view(_lowest_terms([v for row in entries for v in row], 1, (rows, cols)))
-    parsed = []
+    values = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputFormatError(path, f"{where}entries[{i}]", f"expected {cols} entries")
-        parsed.append(
-            tuple(
-                exact_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
-                for j, v in enumerate(row)
-            )
-        )
-    return Matrix(rows, cols, tuple(parsed))
+        if set(map(type, row)) <= {int}:  # plain JSON ints, bools excluded
+            values += row
+        else:
+            values += [exact_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
+                       for j, v in enumerate(row)]
+    return Matrix.from_view(_scale(values, (rows, cols)))
 
 
 def basis_from_json(obj, path) -> AffinorBasis:

@@ -1,15 +1,16 @@
 """Exact matrix kernels over the rationals.
 
-A matrix is exact: its scaled-integer view holds its entries as integer
-numerators over their least common denominator d, in a numpy array.
-Producers that already hold integers (Clifford blades, doubled modules,
-integer JSON, products and inverses) make a matrix straight from that view
-with ``Matrix.from_view``; a matrix given by ``fractions.Fraction`` entries
-builds its view on first use.  ``Matrix.entries``, the Fractions, are built
-from the view only when something reads them.  Floats are rejected on
-construction, because a rounded entry would poison any certificate computed
-downstream.  Float numerics (curve planarity) run on numpy arrays obtained
-through ``Matrix.to_ndarray`` and never flow back.
+A matrix is exact, and it is its scaled-integer view: integer numerators
+over the least common denominator d of its entries, in a numpy array, in
+lowest terms.  Producers that already hold integers (Clifford blades,
+doubled modules, products and inverses) make a matrix straight from that
+view with ``Matrix.from_view``; the constructor scales int or
+``fractions.Fraction`` entries into it at once.  ``Matrix.entries``, the
+Fractions, are derived from the view on each read and serve only as a
+reference outside the kernels.  Floats are rejected on construction,
+because a rounded entry would poison any certificate computed downstream.
+Float numerics (curve planarity) run on numpy arrays obtained through
+``Matrix.to_ndarray`` and never flow back.
 
 Products and matrix-vector products multiply the numerator arrays and
 divide by the product of the denominators.  They use int64 when an
@@ -41,7 +42,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -87,23 +87,27 @@ def scalar_to_json(value: Fraction):
 class Matrix:
     """Immutable row-major matrix of exact rationals.
 
-    A matrix holds its scaled-integer view, its ``entries`` (a tuple of
-    Fraction rows), or both; whichever is missing is built from the other
-    on first read.
+    A matrix holds one thing, its scaled-integer view in lowest terms; its
+    shape is the view's, and ``entries`` (a tuple of Fraction rows) is
+    derived from the view on each read.
     """
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Fraction, ...], ...]):
+    __slots__ = ("_scaled",)
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Union[int, Fraction]]]):
         if len(entries) != rows:
             raise ShapeMismatch("entry rows do not match declared row count")
         for row in entries:
             if len(row) != cols:
                 raise ShapeMismatch("ragged matrix rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        self.__dict__["entries"] = entries  # the slot cached_property fills
+        view = _scale([v for row in entries for v in row], (rows, cols))
+        object.__setattr__(self, "_scaled", view)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Matrix is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild from the view, not by setattr
+        return Matrix.from_view, (self._scaled,)
 
     # -- constructors -------------------------------------------------
 
@@ -115,27 +119,28 @@ class Matrix:
     @staticmethod
     def from_view(view: "_Scaled") -> "Matrix":
         """The matrix ``view.nums / view.den`` of a 2-d view in lowest terms
-        (as ``_lowest_terms`` makes it); its entries are built on first read."""
+        (as ``_lowest_terms`` makes it)."""
         out = object.__new__(Matrix)
-        rows, cols = view.nums.shape
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "cols", cols)
-        out.__dict__["_scaled"] = view
+        object.__setattr__(out, "_scaled", view)
         return out
 
     @staticmethod
     def identity(m: int) -> "Matrix":
         return Matrix.from_view(_Scaled(np.eye(m, dtype=np.int64), 1, int(m > 0)))
 
-    @cached_property
+    @property
+    def rows(self) -> int:
+        return self._scaled.nums.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._scaled.nums.shape[1]
+
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fraction rows, built from the view on each read."""
         view = self._scaled
         return tuple(tuple(_fractions(row, view.den)) for row in view.nums.tolist())
-
-    @cached_property
-    def _scaled(self) -> "_Scaled":
-        """Integer numerators over the lcm of the entry denominators."""
-        return _scale([v for row in self.entries for v in row], (self.rows, self.cols))
 
     # -- basic structure ----------------------------------------------
 
@@ -150,7 +155,7 @@ class Matrix:
         return hash((view.nums.shape, view.den, tuple(view.nums.ravel().tolist())))
 
     def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.to_json()['entries']!r})"
 
     @property
     def is_square(self) -> bool:
@@ -161,14 +166,15 @@ class Matrix:
         return Matrix.from_view(view._replace(nums=view.nums.T))
 
     def to_ndarray(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
+        # int / int rounds once, exactly like float(Fraction)
+        view = self._scaled
+        return np.array([[v / view.den for v in row] for row in view.nums.tolist()], dtype=float)
 
     def to_json(self) -> dict:
         view = self._scaled
-        if view.den == 1:
-            entries = view.nums.tolist()
-        else:
-            entries = [[scalar_to_json(v) for v in row] for row in self.entries]
+        entries = view.nums.tolist()
+        if view.den != 1:
+            entries = [[_ratio_json(v, view.den) for v in row] for row in entries]
         return {"rows": self.rows, "cols": self.cols, "mode": EXACT, "entries": entries}
 
     # -- arithmetic ----------------------------------------------------
@@ -236,8 +242,9 @@ def _lowest_terms(nums: list[int], den: int, shape: tuple[int, ...]) -> _Scaled:
     return _Scaled(np.array(nums, dtype=dtype).reshape(shape), den, bound)
 
 
-def _scale(values: Sequence[Fraction], shape: tuple[int, ...]) -> _Scaled:
-    """Scaled view of exact values laid out in ``shape`` (row-major)."""
+def _scale(values: Sequence[Union[int, Fraction]], shape: tuple[int, ...]) -> _Scaled:
+    """Scaled view of exact values, ints or Fractions, laid out in ``shape``
+    (row-major)."""
     den = math.lcm(*{v.denominator for v in values})
     if den == 1:
         nums = [v.numerator for v in values]
@@ -271,6 +278,12 @@ def _rows_equal(a: _Scaled, b: _Scaled) -> list[bool]:
     return (x * b.den == y * a.den).all(axis=1).tolist()
 
 
+def _ratio_json(num: int, den: int):
+    """``scalar_to_json(Fraction(num, den))``, without making the Fraction."""
+    g = math.gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
+
+
 def _fractions(nums: list[int], den: int) -> list[Fraction]:
     """The Fractions ``v / den`` for ``v`` in ``nums``, each in lowest terms."""
     if den == 1:
@@ -301,18 +314,6 @@ class RankResult:
             "pivot_rows": list(self.pivot_rows),
             "pivot_cols": list(self.pivot_cols),
         }
-
-
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """The matrix's scaled-integer numerators as Python int rows.
-
-    Scaling by the common denominator d preserves rank and every minor's
-    vanishing pattern, so pivots found on the scaled matrix certify the
-    original one.  Also returns d**rows, by which a determinant of the
-    scaled matrix exceeds the original's.
-    """
-    view = m._scaled
-    return view.nums.tolist(), view.den ** m.rows
 
 
 def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, int]:
@@ -361,20 +362,25 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, i
 
 
 def rank(m: Matrix) -> RankResult:
-    """Certified rank of a matrix, with the pivots of a nonzero maximal minor."""
-    rk, prows, pcols, _, _ = _bareiss_rank(_integer_rows(m)[0])
+    """Certified rank of a matrix, with the pivots of a nonzero maximal minor.
+
+    Elimination runs on the view's numerators, den times the matrix, which
+    has the same rank and the same vanishing minors, so its pivots certify
+    the matrix itself.
+    """
+    rk, prows, pcols, _, _ = _bareiss_rank(m._scaled.nums.tolist())
     return RankResult(rk, tuple(prows), tuple(pcols))
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant."""
+    """Exact determinant: that of the view's numerators over den**rows."""
     if not m.is_square:
         raise NotSquare("determinant of a non-square matrix")
-    rows, scale = _integer_rows(m)
-    rk, _, _, sign, last_pivot = _bareiss_rank(rows)
+    view = m._scaled
+    rk, _, _, sign, last_pivot = _bareiss_rank(view.nums.tolist())
     if rk < m.rows:
         return _ZERO
-    return Fraction(sign * last_pivot, scale)
+    return Fraction(sign * last_pivot, view.den ** m.rows)
 
 
 def invertible(m: Matrix) -> bool:

@@ -47,8 +47,9 @@ def random_exact_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9
 
 def linear_combination(mats, coeffs) -> Matrix:
     """sum_k coeffs[k] * mats[k], entry by entry in Fractions; the plain oracle."""
+    entries = [m.entries for m in mats]  # each read builds the Fractions anew
     return Matrix.exact([
-        [sum((Fraction(c) * m.entries[i][j] for c, m in zip(coeffs, mats)), Fraction(0))
+        [sum((Fraction(c) * e[i][j] for c, e in zip(coeffs, entries)), Fraction(0))
          for j in range(mats[0].cols)]
         for i in range(mats[0].rows)
     ])
@@ -179,10 +180,9 @@ def quaternion_matrices() -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
 def block_double(mat: Matrix) -> Matrix:
     """diag(mat, mat) on the doubled space."""
-    m = mat.rows
-    z = [Fraction(0)] * m
-    rows = [tuple(mat.entries[i]) + tuple(z) for i in range(m)]
-    rows += [tuple(z) + tuple(mat.entries[i]) for i in range(m)]
+    m, entries = mat.rows, mat.entries
+    z = (Fraction(0),) * m
+    rows = [row + z for row in entries] + [z + row for row in entries]
     return Matrix(2 * m, 2 * m, tuple(rows))
 
 

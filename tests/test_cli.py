@@ -183,6 +183,16 @@ def test_clifford_checks_relations_once(capsys, monkeypatch):
     assert len(checked) == 1
 
 
+@pytest.mark.parametrize("s, t", [("-1", "2"), ("0", "0"), ("2", "-3")])
+def test_clifford_invalid_signature_is_usage_error(capsys, s, t):
+    code = main(["clifford", "--s", s, "--t", t])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "internal error" not in captured.err
+    assert f"--s {s} --t {t}" in captured.err
+
+
 def test_distributions_verifies_system_once(capsys, monkeypatch):
     checked = []
     real = distributions.verify_complete_system
@@ -259,6 +269,23 @@ def test_planar_circle_r2(capsys):
     )
     assert code == EXIT_POSITIVE
     assert report["result"]["verdict"] == "planar"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_planar_tolerance_must_be_finite_and_positive(capsys, tol):
+    # every residual compares False against nan, which would read as a
+    # definitive negative; inf would accept anything
+    code = main([
+        "planar",
+        "--basis", str(FIXTURES / "complex_r2_basis.json"),
+        "--connection", str(FIXTURES / "flat2_connection.json"),
+        "--curve", str(FIXTURES / "circle2_curve.json"),
+        "--tol", tol,
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--tol" in captured.err
 
 
 # ---------------------------------------------------------------------------

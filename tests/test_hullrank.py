@@ -72,10 +72,10 @@ def test_basis_rejects_rank_above_dimension():
 
 
 def test_basis_validation_scales_each_matrix_once(monkeypatch):
-    # validation stacks the per-matrix views that hull and to_json reuse,
-    # instead of scaling one n x m^2 stack of every entry
+    # a matrix is scaled once, when it is built from Fractions; validation
+    # stacks the views that hull and to_json reuse, instead of scaling one
+    # n x m^2 stack of every entry
     built = clifford.build_clifford(clifford.CliffordSignature(2, 2)).basis.mats
-    fresh = [Matrix(m.rows, m.cols, m.entries) for m in built]  # no cached views
     shapes = []
     scale = linalg._scale
 
@@ -84,6 +84,8 @@ def test_basis_validation_scales_each_matrix_once(monkeypatch):
         return scale(values, shape)
 
     monkeypatch.setattr(linalg, "_scale", recording)
+    fresh = [Matrix(m.rows, m.cols, m.entries) for m in built]
+    assert shapes == [(16, 16)] * 16
     AffinorBasis(tuple(fresh), allow_equal_dim=True)
     assert shapes == [(16, 16)] * 16
 

@@ -1,7 +1,11 @@
 """Exact matrix kernels."""
 
+import ast
+import copy
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,26 @@ def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
     assert calls == [linalg._PRIMES[0]]
     dependent = stack([e, e.scale(3)]).nums
     assert modp(dependent, linalg._PRIMES[0]) is False
+
+
+def test_matrix_stores_only_its_view():
+    m = Matrix.exact([[1, "1/3"], [2**70, 0]])
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and hash(copied) == hash(m)
+        assert copied.entries == m.entries
+
+
+def test_only_linalg_reads_matrix_entries():
+    # a matrix is its integer view; its Fraction entries are a reference for
+    # tests, and no other module of the package reads them
+    readers = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert readers == []

@@ -95,8 +95,9 @@ def _chain(draw, length: int):
 
 
 def _naive_matmul(a: Matrix, b: Matrix):
+    x, y = a.entries, b.entries  # each read builds the Fractions anew
     return tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+        tuple(sum((x[i][k] * y[k][j] for k in range(a.cols)), Fraction(0))
               for j in range(b.cols))
         for i in range(a.rows)
     )
@@ -232,6 +233,8 @@ def test_to_json_matches_per_entry_form(m):
         for v in row:
             assert type(v) is int or (type(v) is str and "/" in v)
     assert json.loads(json.dumps(got)) == got
+    # the float view rounds each exact entry once, as float(Fraction) does
+    assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in m.entries]
 
 
 def test_product_that_wraps_in_int64_stays_exact():
