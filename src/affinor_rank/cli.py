@@ -12,10 +12,13 @@ traceback).
 Reports embed full witnesses and bases, so ``verify-report`` can audit a
 certificate with no access to the original inputs, through a re-derivation
 that shares no code with the search that produced it: it imports neither
-``linalg`` nor ``multipoly`` and uses no numpy.  It reads each matrix as
-integer numerators over its own denominator, multiplies sparse rows in
-plain Python ints, and ranks by plain integer Gaussian elimination with gcd
-reduction instead of the producers' fraction-free (Bareiss) elimination.
+``linalg`` nor ``multipoly`` and uses no numpy.  It reads each matrix,
+from its dense ``"entries"`` or, with a parser of its own, its sparse
+``"nonzeros"``, as sparse rows of integer numerators over its own
+denominator, multiplies sparse rows in plain Python ints, and ranks by
+plain integer Gaussian elimination with gcd reduction instead of the
+producers' fraction-free (Bareiss) elimination.  A certificate whose data
+does not parse is rejected, not an input error.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import frobenius as _frobenius
 from . import hullrank as _hullrank
 from . import jsonio
 from . import planarity as _planarity
-from .errors import AffinorRankError, MissingCertificate
+from .errors import AffinorRankError, InputFormatError, MissingCertificate
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -371,14 +374,58 @@ def _integer_rows(rows, where: str, field: str) -> tuple[list[list[int]], int]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in out], den
 
 
-def _mats_from_basis_json(basis_json: dict, where: str) -> list[tuple[list[list[int]], int]]:
-    """Each embedded matrix as (integer numerators, lcm of its denominators)."""
-    return [_integer_rows(mj["entries"], where, "entries") for mj in basis_json["mats"]]
+def _nonzero_rows(items, m: int, where: str, field: str) -> tuple[list[list], int]:
+    """An m x m ``"nonzeros"`` list as sparse integer rows over the lcm of its denominators.
+
+    Indices must be ints (not bools) in ``0..m-1``, in strictly increasing
+    row-major order, and no value may be zero; anything else raises
+    ``InputFormatError``.
+    """
+    if not isinstance(items, list):
+        raise InputFormatError(where, field, "expected a list of [i, j, value] triples")
+    rows: list[list] = [[] for _ in range(m)]
+    last, dens = -1, []
+    for k, item in enumerate(items):
+        if not isinstance(item, list) or len(item) != 3:
+            raise InputFormatError(where, f"{field}[{k}]", "expected [i, j, value]")
+        i, j, v = item
+        if type(i) is not int or type(j) is not int or not (0 <= i < m and 0 <= j < m):
+            raise InputFormatError(
+                where, f"{field}[{k}]", f"index ({i!r}, {j!r}) is not a pair of integers below {m}")
+        if i * m + j <= last:
+            raise InputFormatError(where, f"{field}[{k}]", "indices are not in increasing order")
+        last = i * m + j
+        if type(v) is not int:
+            v = jsonio.exact_scalar_from_json(v, where, f"{field}[{k}][2]")
+            dens.append(v.denominator)
+        if not v:
+            raise InputFormatError(where, f"{field}[{k}][2]", "a listed entry is zero")
+        rows[i].append((j, v))
+    if not dens:
+        return rows, 1
+    den = lcm(*dens)
+    return [[(j, v.numerator * (den // v.denominator)) for j, v in row] for row in rows], den
 
 
-def _sparse(rows: list[list[int]], scale: int) -> list[list[tuple[int, int]]]:
-    """``scale`` times each row, as (column, value) pairs over its nonzero entries."""
-    return [[(s, scale * v) for s, v in compress(enumerate(row), row)] for row in rows]
+def _mats_from_basis_json(basis_json: dict, where: str, m: int) -> list[tuple[list, int]]:
+    """Each embedded m x m matrix as (sparse integer rows of (column, numerator)
+    pairs, lcm of its denominators), from its ``"entries"`` or its
+    ``"nonzeros"``; a matrix that has both, neither, or a malformed one
+    raises ``InputFormatError``."""
+    out = []
+    for k, mj in enumerate(basis_json["mats"]):
+        if ("entries" in mj) == ("nonzeros" in mj):
+            raise InputFormatError(where, f"mats[{k}]", 'expected one of "entries" and "nonzeros"')
+        if "nonzeros" in mj:
+            out.append(_nonzero_rows(mj["nonzeros"], m, where, f"mats[{k}].nonzeros"))
+            continue
+        rows = mj["entries"]
+        if not isinstance(rows, list) or len(rows) != m or any(
+                not isinstance(row, list) or len(row) != m for row in rows):
+            raise InputFormatError(where, f"mats[{k}].entries", f"expected {m} rows of {m}")
+        rows, den = _integer_rows(rows, where, f"mats[{k}].entries")
+        out.append(([[(s, v) for s, v in compress(enumerate(row), row)] for row in rows], den))
+    return out
 
 
 def _apply(mat, vec: list[int]) -> list[int]:
@@ -452,7 +499,7 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         kind = cert["kind"]
         claimed = cert["claimed_rank"]
         basis_json = cert["basis"]
-        mats = _mats_from_basis_json(basis_json, where)
+        mats_json = basis_json["mats"]
         [witness], _ = _integer_rows([cert["witness"]], where, "witness")
         m = basis_json["m"]
         n = basis_json["n"]
@@ -463,16 +510,14 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         return False, mistyped
     if n < 1:
         return False, f"affinor basis has n = {n}, expected at least 1"
-    if (
-        len(mats) != n
-        or len(witness) != m
-        or any(len(mat) != m or any(len(row) != m for row in mat) for mat, _ in mats)
-    ):
+    if not isinstance(mats_json, list) or len(mats_json) != n or len(witness) != m:
         return False, "certificate dimensions are inconsistent"
     # the labels a reader of the basis checks must agree with the entries
     if basis_json.get("mode") != "exact":
         return False, f"basis.mode is {basis_json.get('mode')!r}, expected 'exact'"
-    for k, mj in enumerate(basis_json["mats"]):
+    for k, mj in enumerate(mats_json):
+        if not isinstance(mj, dict):
+            return False, f"mats[{k}] is not a matrix object"
         if mj.get("mode") != "exact":
             return False, f"mats[{k}].mode is {mj.get('mode')!r}, expected 'exact'"
         for field in ("rows", "cols"):
@@ -483,8 +528,10 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     if claimed != n:
         return False, f"claimed rank {claimed} differs from span rank {n}"
     # basis matrix k is mats[k] / den
+    mats = _mats_from_basis_json(basis_json, where, m)
     den = lcm(*(d for _, d in mats))
-    mats = [_sparse(mat, den // d) for mat, d in mats]
+    mats = [mat if d == den else [[(s, v * (den // d)) for s, v in row] for row in mat]
+            for mat, d in mats]
     hull_rows = [_apply(mat, witness) for mat in mats]
     recomputed = _fresh_rank(hull_rows)
     if recomputed != claimed:
@@ -560,7 +607,10 @@ def verify_certificate_detailed(report_path) -> tuple[bool, list[dict]]:
     details = []
     all_ok = True
     for idx, cert in enumerate(certs):
-        ok, message = _verify_certificate_dict(cert, str(report_path))
+        try:
+            ok, message = _verify_certificate_dict(cert, str(report_path))
+        except InputFormatError as exc:  # a scalar or a nonzero list that does not parse
+            ok, message = False, f"malformed certificate: {exc}"
         details.append({"index": idx, "kind": cert.get("kind"), "ok": ok, "message": message})
         all_ok = all_ok and ok
     return all_ok, details

@@ -8,12 +8,21 @@ methods); this module only reads.
 Formats:
 
 * matrix: ``{"rows": r, "cols": c, "mode": "exact", "entries": [[..],
-  ..]}`` with entries written as integers or "p/q" strings; ``"mode"`` is
-  required and ``"exact"`` is its only accepted value;
+  ..]}`` with entries written as integers or "p/q" strings, or the sparse
+  form ``{"rows": r, "cols": c, "mode": "exact", "nonzeros": [[i, j, v],
+  ..]}`` listing the nonzero entries v at row i and column j; ``"mode"`` is
+  required and ``"exact"`` is its only accepted value.  ``Matrix.to_json``
+  writes the sparse form when the matrix is not empty and at most one
+  entry in eight is nonzero.  A matrix has exactly one of ``"entries"``
+  and ``"nonzeros"``; in ``"nonzeros"`` the indices are integers (not
+  booleans) within the shape, the pairs (i, j) come in strictly
+  increasing row-major order (so none repeats), and no v is zero.  A
+  matrix holds at most ``MAX_ENTRIES`` entries, sparse or dense;
 * affinor basis: ``{"m": m, "n": n, "mode": "exact", "mats": [matrix,
   ..]}``; a ``"mode"`` other than ``"exact"`` is rejected, as on its
-  matrices; a basis with n == m (an operator span acting on its own
-  coefficient space) is accepted on load;
+  matrices; n * m * m is at most ``MAX_ENTRIES``; a basis with n == m (an
+  operator span acting on its own coefficient space) is accepted on
+  load;
 * structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars;
 * connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or
   ``{"m": m, "gamma": {"poly": [[[ [[coeff, [powers..]], ..] ]]]}}``;
@@ -34,8 +43,14 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, Matrix, _scale
+from .linalg import EXACT, Matrix, _scale, _scale_sparse
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
+
+#: Most entries a matrix, or a basis in all, may hold: the size of the
+#: largest stack the package builds, Cl(4,4)'s 256 blades of 256 x 256.  The
+#: sparse form leaves its zeros out, so without a cap a few bytes of input
+#: could ask for any amount of memory.
+MAX_ENTRIES = 1 << 24
 
 
 def load_json(path: Union[str, Path]) -> dict:
@@ -95,7 +110,15 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
         )
     rows = _int(_need(obj, "rows", path, where), path, f"{where}rows")
     cols = _int(_need(obj, "cols", path, where), path, f"{where}cols")
-    entries = _need(obj, "entries", path, where)
+    if rows < 0 or cols < 0 or rows * cols > MAX_ENTRIES:
+        raise InputFormatError(
+            path, f"{where}rows", f"{rows}x{cols} is not a shape of at most {MAX_ENTRIES} entries")
+    if ("entries" in obj) == ("nonzeros" in obj):
+        raise InputFormatError(
+            path, f"{where}entries", 'expected exactly one of "entries" and "nonzeros"')
+    if "nonzeros" in obj:
+        return _sparse_matrix_from_json(obj["nonzeros"], rows, cols, path, f"{where}nonzeros")
+    entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputFormatError(path, f"{where}entries", f"expected {rows} rows")
     values = []
@@ -110,16 +133,45 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
     return Matrix.from_view(_scale(values, (rows, cols)))
 
 
+def _sparse_matrix_from_json(items, rows: int, cols: int, path, field) -> Matrix:
+    """The matrix of a ``"nonzeros"`` list, checked as the module docstring says."""
+    if not isinstance(items, list):
+        raise InputFormatError(path, field, "expected a list of [i, j, value] triples")
+    positions, values = [], []
+    for k, item in enumerate(items):
+        at = f"{field}[{k}]"
+        if not isinstance(item, list) or len(item) != 3:
+            raise InputFormatError(path, at, "expected [i, j, value]")
+        i, j, v = item
+        if type(i) is not int or type(j) is not int or not (0 <= i < rows and 0 <= j < cols):
+            raise InputFormatError(
+                path, at, f"index ({i!r}, {j!r}) is not a pair of integers within {rows}x{cols}")
+        pos = i * cols + j
+        if positions and pos <= positions[-1]:
+            raise InputFormatError(path, at, "indices are not in increasing row-major order")
+        value = v if type(v) is int else exact_scalar_from_json(v, path, f"{at}[2]")
+        if not value:
+            raise InputFormatError(path, f"{at}[2]", "a listed entry is zero")
+        positions.append(pos)
+        values.append(value)
+    return Matrix.from_view(_scale_sparse(values, positions, (rows, cols)))
+
+
 def basis_from_json(obj, path) -> AffinorBasis:
     m = _int(_need(obj, "m", path, ""), path, "m")
     n = _int(_need(obj, "n", path, ""), path, "n")
     mats_json = _need(obj, "mats", path, "")
     if not isinstance(mats_json, list) or len(mats_json) != n:
         raise InputFormatError(path, "mats", f"expected {n} matrices")
-    mats = [matrix_from_json(mj, path, f"mats[{i}].") for i, mj in enumerate(mats_json)]
-    for i, mat in enumerate(mats):
-        if mat.rows != m or mat.cols != m:
+    if n * m * m > MAX_ENTRIES:
+        raise InputFormatError(
+            path, "mats", f"{n} matrices of {m}x{m} exceed {MAX_ENTRIES} entries")
+    mats = []
+    for i, mj in enumerate(mats_json):
+        mat = matrix_from_json(mj, path, f"mats[{i}].")
+        if mat.rows != m or mat.cols != m:  # before the next matrix is allocated
             raise InputFormatError(path, f"mats[{i}]", f"expected an {m}x{m} matrix")
+        mats.append(mat)
     # after the matrices, so a matrix's own mode error is the one reported
     mode = obj.get("mode", EXACT)
     if mode != EXACT:

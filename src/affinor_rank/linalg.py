@@ -29,8 +29,9 @@ arithmetic on matrices.
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
 size and the reported pivots select a minor whose determinant is provably
-nonzero.  The modular linear-independence test stacks the numerators of
-several matrices' views, one matrix per row, and reduces them mod p.
+nonzero.  The linear-independence test stacks the numerators of several
+matrices' views, one matrix per row; rows with disjoint supports pass at
+sight, and other stacks are reduced mod p.
 The same elimination, followed by fraction-free back substitution, gives
 the inverse; span coordinates of a whole batch of targets follow from the
 inverse pivot block of the stacked generators, proved by an integer product.
@@ -100,8 +101,12 @@ class Matrix:
         for row in entries:
             if len(row) != cols:
                 raise ShapeMismatch("ragged matrix rows")
-        view = _scale([v for row in entries for v in row], (rows, cols))
-        object.__setattr__(self, "_scaled", view)
+        values = [v for row in entries for v in row]
+        wrong = set(map(type, values)) - {int, Fraction}  # bools and floats too
+        if wrong:
+            names = ", ".join(sorted(t.__name__ for t in wrong))
+            raise TypeError(f"matrix entries are ints or Fractions, not {names}")
+        object.__setattr__(self, "_scaled", _scale(values, (rows, cols)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Matrix is immutable: cannot set {name!r}")
@@ -155,7 +160,7 @@ class Matrix:
         return hash((view.nums.shape, view.den, tuple(view.nums.ravel().tolist())))
 
     def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.to_json()['entries']!r})"
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={_json_rows(self._scaled)!r})"
 
     @property
     def is_square(self) -> bool:
@@ -168,14 +173,26 @@ class Matrix:
     def to_ndarray(self) -> np.ndarray:
         # int / int rounds once, exactly like float(Fraction)
         view = self._scaled
-        return np.array([[v / view.den for v in row] for row in view.nums.tolist()], dtype=float)
+        return np.array([v / view.den for v in view.nums.ravel().tolist()],
+                        dtype=float).reshape(view.nums.shape)
 
     def to_json(self) -> dict:
+        """The matrix JSON: ``"entries"`` row by row, or, when the matrix is
+        not empty and at most one entry in eight is nonzero, ``"nonzeros"``,
+        the triples [i, j, v] of its nonzero entries in row-major order.  At
+        that density the sparse text is never the longer one while both
+        dimensions stay below 10**5."""
         view = self._scaled
-        entries = view.nums.tolist()
+        out = {"rows": self.rows, "cols": self.cols, "mode": EXACT}
+        if view.nums.size == 0 or 8 * np.count_nonzero(view.nums) > view.nums.size:
+            out["entries"] = _json_rows(view)
+            return out
+        i, j = np.nonzero(view.nums)  # row-major order
+        values = view.nums[i, j].tolist()
         if view.den != 1:
-            entries = [[_ratio_json(v, view.den) for v in row] for row in entries]
-        return {"rows": self.rows, "cols": self.cols, "mode": EXACT, "entries": entries}
+            values = [_ratio_json(v, view.den) for v in values]
+        out["nonzeros"] = [list(t) for t in zip(i.tolist(), j.tolist(), values)]
+        return out
 
     # -- arithmetic ----------------------------------------------------
 
@@ -253,6 +270,16 @@ def _scale(values: Sequence[Union[int, Fraction]], shape: tuple[int, ...]) -> _S
     return _lowest_terms(nums, den, shape)
 
 
+def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[int],
+                  shape: tuple[int, int]) -> _Scaled:
+    """Scaled view of the matrix of ``shape`` that is zero but for
+    ``values`` at the flat row-major ``positions``."""
+    nonzero = _scale(values, (len(values),))
+    nums = np.zeros(shape[0] * shape[1], dtype=nonzero.nums.dtype)
+    nums[positions] = nonzero.nums
+    return _Scaled(nums.reshape(shape), nonzero.den, nonzero.bound)
+
+
 def _int_product(a: _Scaled, b: _Scaled, inner: int) -> np.ndarray:
     """Exact product of the numerator arrays.
 
@@ -282,6 +309,14 @@ def _ratio_json(num: int, den: int):
     """``scalar_to_json(Fraction(num, den))``, without making the Fraction."""
     g = math.gcd(num, den)
     return num // g if g == den else f"{num // g}/{den // g}"
+
+
+def _json_rows(view: _Scaled) -> list[list]:
+    """The rows of a 2-d view as JSON scalars, ints and "p/q" strings."""
+    rows = view.nums.tolist()
+    if view.den == 1:
+        return rows
+    return [[_ratio_json(v, view.den) for v in row] for row in rows]
 
 
 def _fractions(nums: list[int], den: int) -> list[Fraction]:
@@ -420,7 +455,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
     """Scaled view of an exact integer array, as int64 when its bound fits."""
-    bound = int(np.abs(nums).max()) if nums.size else 0
+    # max and min, not abs: np.abs would copy the whole array
+    bound = max(int(nums.max()), -int(nums.min())) if nums.size else 0
     if nums.dtype == object and bound < _INT64_LIMIT:
         nums = nums.astype(np.int64)
     return _Scaled(nums, den, bound)
@@ -557,9 +593,13 @@ def has_full_row_rank(mats: Union[Sequence[Matrix], _Scaled]) -> bool:
     are linearly independent.
 
     The test reads the stack's numerators, the entries times one common
-    nonzero denominator, which leaves the rank unchanged.  Full rank modulo
-    a large prime certifies independence; a rank drop falls back to exact
-    fraction-free elimination.
+    nonzero denominator, which leaves the rank unchanged.  Nonzero rows
+    with pairwise disjoint supports (no column holds two nonzeros, as for
+    Clifford blades) are independent, which one boolean mask shows.  Other
+    stacks are tested modulo a large prime, where full rank certifies
+    independence; a rank drop falls back to exact fraction-free
+    elimination.  Distinct permutation matrices are not enough: the six
+    3 x 3 ones span only 5 dimensions, and their supports overlap.
     """
     if isinstance(mats, _Scaled):
         rows = mats.nums
@@ -567,6 +607,9 @@ def has_full_row_rank(mats: Union[Sequence[Matrix], _Scaled]) -> bool:
         return True
     else:
         rows = stack(mats).nums
+    support = rows != 0
+    if support.any(axis=1).all() and (np.count_nonzero(support, axis=0) <= 1).all():
+        return True
     if _full_row_rank_modp(rows, _PRIMES[0]):
         return True
     return _bareiss_rank(rows.tolist())[0] == len(rows)

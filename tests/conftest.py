@@ -55,6 +55,22 @@ def linear_combination(mats, coeffs) -> Matrix:
     ])
 
 
+def densify(obj):
+    """A copy of report or matrix JSON with every sparse ``"nonzeros"``
+    matrix written out as dense ``"entries"``; everything else is kept."""
+    if isinstance(obj, list):
+        return [densify(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    out = {k: densify(v) for k, v in obj.items() if k != "nonzeros"}
+    if "nonzeros" in obj:
+        entries = [[0] * obj["cols"] for _ in range(obj["rows"])]
+        for i, j, v in obj["nonzeros"]:
+            entries[i][j] = v
+        out["entries"] = entries
+    return out
+
+
 def is_zero_matrix(m: Matrix) -> bool:
     return all(v == 0 for row in m.entries for v in row)
 
@@ -91,6 +107,8 @@ def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[b
     """(ok, message) of the Fraction verifier on one certificate."""
     def scalars(values, field):
         return [jsonio.exact_scalar_from_json(v, where, field) for v in values]
+
+    cert = densify(cert)
 
     try:
         kind = cert["kind"]

@@ -22,6 +22,8 @@ from affinor_rank.cli import (
 )
 from affinor_rank.errors import MissingCertificate
 
+from conftest import densify
+
 FIXTURES = Path(__file__).parent.parent / "docs" / "fixtures"
 
 
@@ -74,7 +76,8 @@ def test_rank_reads_entries_past_int64(capsys, tmp_path):
     assert report["result"]["claimed_rank"] == 2
     assert report["result"]["scalar_multiples_of_identity"] == [
         {"index": 1, "is_multiple": False, "q": None}]
-    assert report["result"]["certificate"]["basis"]["mats"][1]["entries"][0][0] == big
+    basis = densify(report["result"]["certificate"]["basis"])
+    assert basis["mats"][1]["entries"][0][0] == big
 
 
 def test_rank_generic_dimension_too_small(capsys):
@@ -337,6 +340,8 @@ def _last_pivot_col_8(cert):
 
 
 def _drop_basis_row(cert):
+    # the verifier reads both forms, so the sparse unity may be written out first
+    cert["basis"] = densify(cert["basis"])
     cert["basis"]["mats"][1]["entries"] = cert["basis"]["mats"][1]["entries"][:-1]
 
 
@@ -361,6 +366,121 @@ def test_verify_report_rejects_malformed_certificate(capsys, tmp_path, tamper):
     code, verdict = _run(capsys, "verify-report", str(tampered))
     assert code == EXIT_NEGATIVE
     assert verdict["result"]["verified"] is False
+
+
+# Defects of one sparse matrix (the blade e1, 32 nonzeros) in a Cl(3,2)
+# certificate; every other field is intact.
+
+
+def _set_in_e1(path, value):
+    def tamper(mat):
+        *parents, key = path
+        for parent in parents:
+            mat = mat[parent]
+        mat[key] = value
+    return tamper
+
+
+def _both_forms(mat):
+    mat["entries"] = densify(mat)["entries"]
+
+
+def _neither_form(mat):
+    del mat["nonzeros"]
+
+
+def _swap_first_two(mat):
+    nz = mat["nonzeros"]
+    nz[0], nz[1] = nz[1], nz[0]
+
+
+def _repeat_first(mat):
+    mat["nonzeros"].insert(1, list(mat["nonzeros"][0]))
+
+
+@pytest.fixture(scope="module")
+def cl32_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cl32") / "report.json"
+    assert main(["clifford", "--s", "3", "--t", "2", "--check-rank", "--out", str(out)]) == 0
+    assert verify_certificate(out)
+    report = json.loads(out.read_text())
+    assert report["result"]["rank_certificate"]["basis"]["mats"][1]["nonzeros"][0] == [0, 1, 1]
+    return report
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_both_forms, id="both_forms"),
+    pytest.param(_neither_form, id="neither_form"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 0), False), id="index_bool"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 1), 1.0), id="index_float"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 1), "1"), id="index_string"),
+    pytest.param(_set_in_e1(("nonzeros", -1, 1), 32), id="index_out_of_range"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 0), -1), id="index_negative"),
+    pytest.param(_swap_first_two, id="unsorted"),
+    pytest.param(_repeat_first, id="duplicate"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 2), 0), id="value_zero"),
+    pytest.param(_set_in_e1(("nonzeros", 0, 2), "1/z"), id="value_unparsable"),
+    pytest.param(_set_in_e1(("nonzeros", 0), [0, 1]), id="pair_not_triple"),
+    pytest.param(_set_in_e1(("nonzeros",), "[]"), id="not_a_list"),
+    pytest.param(_set_in_e1(("rows",), 31), id="rows_not_m"),
+    pytest.param(_set_in_e1(("cols",), 33), id="cols_not_m"),
+])
+def test_verify_report_rejects_malformed_sparse_matrix(capsys, tmp_path, cl32_report, tamper):
+    report = json.loads(json.dumps(cl32_report))
+    tamper(report["result"]["rank_certificate"]["basis"]["mats"][1])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+
+
+def test_verify_report_rejects_a_changed_sparse_value(capsys, tmp_path):
+    # a weak certificate rechecks only the images A_k w, which no change of a
+    # nonzero value of a signed permutation makes dependent; the closure
+    # recheck of a generic certificate sees any change
+    report = _generic_report(tmp_path)
+    mat = report["result"]["certificate"]["basis"]["mats"][1]
+    assert mat["nonzeros"][0][2] in (1, -1)
+    mat["nonzeros"][0][2] *= 2
+    for form in (report, densify(report)):
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(form))
+        code, verdict = _run(capsys, "verify-report", str(tampered))
+        assert code == EXIT_NEGATIVE
+        assert verdict["result"]["details"][0]["message"] == "closure equation fails at pair (1, 1)"
+
+
+# Cl(2,1) spans all of R^8, too much for a generic rank; the four planes of
+# R^8 get a generic certificate
+@pytest.mark.parametrize("argv, want", [
+    (["clifford", "--s", "2", "--t", "1"], EXIT_INCONCLUSIVE),
+    (["distributions", "--dims", "2,2,2,2"], EXIT_POSITIVE),
+], ids=["clifford", "distributions"])
+def test_emitted_sparse_basis_reads_back(capsys, tmp_path, argv, want):
+    emitted = tmp_path / "basis.json"
+    assert main(argv + ["--emit", str(emitted)]) == EXIT_POSITIVE
+    capsys.readouterr()
+    basis = json.loads(emitted.read_text())
+    assert all("nonzeros" in mj for mj in basis["mats"][1:])
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(densify(basis)))
+    results = []
+    for path in (emitted, dense):
+        code, report = _run(capsys, "rank", str(path), "--generic")
+        results.append((code, report["result"]))
+    assert results[0] == results[1]
+    assert results[0][0] == want
+
+
+def test_cl43_report_is_small_and_verifies(capsys, tmp_path):
+    # Cl(4,3): 128 blades of 128 x 128, 2.1 M entries of which 16 k are nonzero
+    out = tmp_path / "cl43.json"
+    assert main(["clifford", "--s", "4", "--t", "3", "--check-rank", "--out", str(out)]) == 0
+    assert out.stat().st_size < 500_000
+    code, verdict = _run(capsys, "verify-report", str(out))
+    assert code == EXIT_POSITIVE
+    assert verdict["result"]["verified"] is True
 
 
 def _generic_report(tmp_path) -> dict:

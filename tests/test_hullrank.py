@@ -100,8 +100,10 @@ def test_basis_zero_mod_p_row_is_accepted_by_exact_fallback(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(linalg, "_full_row_rank_modp", recording)
-    e12 = Matrix.exact([[0, p, 0], [0, 0, 0], [0, 0, 0]])
-    assert AffinorBasis((Matrix.identity(3), e12)).n == 2
+    # its support meets the identity's at (0, 0), so the disjoint-support
+    # shortcut does not apply and the mod-p test runs
+    a = Matrix.exact([[p, p, 0], [0, 0, 0], [0, 0, 0]])
+    assert AffinorBasis((Matrix.identity(3), a)).n == 2
     assert results == [False]  # the second row is 0 mod p
 
 

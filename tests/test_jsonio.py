@@ -57,6 +57,67 @@ def test_integer_path_keeps_per_field_errors(rows, field):
     assert err.value.field == field
 
 
+def test_sparse_form_reads_into_the_same_matrix():
+    # the sparse reader fills the same lowest-terms view as the dense one
+    dense = [[0, "2/6", 0], [0, 0, 0], [2**70, 0, "-1/3"]]
+    sparse = [[0, 1, "1/3"], [2, 0, 2**70], [2, 2, "-3/9"]]
+    shape = {"rows": 3, "cols": 3, "mode": "exact"}
+    via_dense = matrix_from_json({**shape, "entries": dense}, "<m>")
+    via_sparse = matrix_from_json({**shape, "nonzeros": sparse}, "<m>")
+    assert via_sparse == via_dense
+    assert via_sparse._scaled.nums.dtype == via_dense._scaled.nums.dtype
+    assert matrix_from_json({"rows": 2, "cols": 4, "mode": "exact", "nonzeros": []},
+                            "<m>") == Matrix.exact([[0] * 4] * 2)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"entries": [[1, 0], [0, 1]]}, "entries"),
+    ({"nonzeros": None}, "entries"),
+    ({"nonzeros": [[0, True, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": [[0, 1.0, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": [["0", 1, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": [[0, 2, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": [[-1, 0, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": [[1, 0, 1], [0, 1, 1]]}, "nonzeros[1]"),
+    ({"nonzeros": [[0, 1, 1], [0, 1, 2]]}, "nonzeros[1]"),
+    ({"nonzeros": [[0, 1, 0]]}, "nonzeros[0][2]"),
+    ({"nonzeros": [[0, 1, "0/5"]]}, "nonzeros[0][2]"),
+    ({"nonzeros": [[0, 1, "2/z"]]}, "nonzeros[0][2]"),
+    ({"nonzeros": [[0, 1, 0.5]]}, "nonzeros[0][2]"),
+    ({"nonzeros": [[0, 1]]}, "nonzeros[0]"),
+    ({"nonzeros": {"0": 1}}, "nonzeros"),
+], ids=["both", "neither", "bool_index", "float_index", "string_index", "col_out_of_range",
+        "negative_row", "unsorted", "duplicate", "zero", "zero_string", "bad_value",
+        "float_value", "pair", "not_a_list"])
+def test_sparse_form_rejects_malformed_lists(change, field):
+    bad = {"rows": 2, "cols": 2, "mode": "exact", "nonzeros": [[0, 0, 1]]}
+    for key, value in change.items():  # None removes the key
+        if value is None:
+            del bad[key]
+        else:
+            bad[key] = value
+    with pytest.raises(InputFormatError) as err:
+        matrix_from_json(bad, "m.json")
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1), (1 << 12, (1 << 12) + 1)])
+def test_matrix_shape_is_capped(rows, cols):
+    # a sparse matrix leaves its zeros out, so its shape alone must be bounded
+    bad = {"rows": rows, "cols": cols, "mode": "exact", "nonzeros": []}
+    with pytest.raises(InputFormatError) as err:
+        matrix_from_json(bad, "m.json")
+    assert err.value.field == "rows"
+
+
+def test_basis_size_is_capped():
+    # each matrix is within the cap, the two together are not
+    empty = {"rows": 4096, "cols": 4096, "mode": "exact", "nonzeros": []}
+    with pytest.raises(InputFormatError) as err:
+        basis_from_json({"m": 4096, "n": 2, "mode": "exact", "mats": [empty, empty]}, "b.json")
+    assert err.value.field == "mats"
+
+
 def test_float_mode_matrix_is_rejected():
     bad = {"rows": 1, "cols": 2, "mode": "float", "entries": [[0.5, 1.25]]}
     with pytest.raises(InputFormatError) as err:

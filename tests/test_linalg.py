@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinor_rank import Matrix, det, inverse, invertible, linalg, rank
+from affinor_rank import (
+    CliffordSignature,
+    Matrix,
+    build_clifford,
+    det,
+    inverse,
+    invertible,
+    linalg,
+    rank,
+)
 from affinor_rank.errors import InvalidBasis, NotInvertible, NotSquare, ShapeMismatch
 from affinor_rank.linalg import SpanSolver, has_full_row_rank, stack
 from affinor_rank.multipoly import Poly, determinant
@@ -115,6 +125,25 @@ def test_pivot_minor_is_nonsingular(rng):
 def test_exact_entries_reject_floats():
     with pytest.raises(TypeError):
         Matrix.exact([[0.5]])
+
+
+@pytest.mark.parametrize("value", [True, 0.5, 1.0, "1/2", None], ids=repr)
+def test_constructor_takes_only_ints_and_fractions(value):
+    # a bool would pass as 1 and a float fail on its missing denominator
+    with pytest.raises(TypeError):
+        Matrix(1, 2, [[1, value]])
+
+
+def test_empty_matrices_keep_their_shape():
+    assert Matrix(0, 3, ()).to_ndarray().shape == (0, 3)
+    assert Matrix(2, 0, ((), ())).to_ndarray().shape == (2, 0)
+
+
+def test_repr_shows_entries_of_a_sparse_written_matrix():
+    m = Matrix.identity(8).scale(Fraction(1, 2))
+    assert "nonzeros" in m.to_json()
+    entries = [["1/2" if i == j else 0 for j in range(8)] for i in range(8)]
+    assert repr(m) == f"Matrix(rows=8, cols=8, entries={entries!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +322,29 @@ def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
     assert calls == [linalg._PRIMES[0]]
     dependent = stack([e, e.scale(3)]).nums
     assert modp(dependent, linalg._PRIMES[0]) is False
+
+
+def test_permutation_matrices_are_not_taken_for_independent():
+    # distinct 0/1 matrices with one 1 per row and column, yet the six 3 x 3
+    # permutation matrices span only 5 dimensions (Birkhoff): supports that
+    # overlap must go to elimination
+    perms = [Matrix.exact([[int(p[r] == c) for c in range(3)] for r in range(3)])
+             for p in itertools.permutations(range(3))]
+    assert has_full_row_rank(perms) is False
+    assert has_full_row_rank(perms[:5]) is True
+
+
+def test_disjoint_supports_skip_elimination(monkeypatch):
+    # supports are disjoint here too, but a zero row is never independent
+    zero_row = [Matrix.exact([[0, 0], [0, 0]]), Matrix.exact([[0, 5], [0, 0]])]
+    assert has_full_row_rank(zero_row) is False
+
+    def refuse(rows, p):
+        raise AssertionError("eliminated a stack with disjoint supports")
+
+    monkeypatch.setattr(linalg, "_full_row_rank_modp", refuse)
+    blades = build_clifford(CliffordSignature(3, 3)).basis
+    assert has_full_row_rank(blades.stacked) is True
 
 
 def test_matrix_stores_only_its_view():

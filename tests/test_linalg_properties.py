@@ -46,13 +46,16 @@ from affinor_rank import (
     verify_clifford_relations,
     verify_complete_system,
 )
+from affinor_rank import cli
 from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
 from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
+from affinor_rank.jsonio import matrix_from_json
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
 from conftest import (
     block_double,
     cofactor_det,
+    densify,
     dual_number_constants,
     is_zero_matrix,
     linear_combination,
@@ -211,7 +214,9 @@ _BEYOND_INT64 = st.builds(
 
 def _json_cases():
     """Matrices whose views take every path: integer, fractional, beyond int64,
-    and products whose views ``_lowest_terms`` reduces to denominator 1."""
+    products whose views ``_lowest_terms`` reduces to denominator 1, and
+    mostly zero matrices on both sides of the sparse form's density rule
+    (identities reach it exactly at 8 x 8)."""
     shapes = st.tuples(_DIMS, _DIMS)
     plain = shapes.flatmap(lambda shape: _matrix(*shape))
     big = shapes.flatmap(lambda shape: _matrix(*shape, _BEYOND_INT64))
@@ -219,20 +224,36 @@ def _json_cases():
     # view is reduced from denominator d to 1
     cleared = plain.map(lambda m: m @ Matrix.identity(m.cols).scale(m._scaled.den))
     products = _chain(3).map(lambda mats: (mats[0] @ mats[1]) @ mats[2])
-    return st.one_of(plain, big, cleared, products)
+    one_in_ten = st.integers(0, 9).flatmap(
+        lambda k: _BEYOND_INT64 if k == 0 else st.just(Fraction(0)))
+    wide = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    sparse = wide.flatmap(lambda shape: _matrix(*shape, one_in_ten))
+    identities = st.integers(0, 12).map(Matrix.identity)
+    return st.one_of(plain, big, cleared, products, sparse, identities)
 
 
 @given(_json_cases())
 def test_to_json_matches_per_entry_form(m):
+    # the dense form entry by entry; a sparse form densifies to it, is
+    # chosen by the one density rule and is never the longer text; both
+    # forms read back into the same matrix
     got = m.to_json()
-    assert got == {
+    dense = {
         "rows": m.rows, "cols": m.cols, "mode": "exact",
         "entries": [[scalar_to_json(v) for v in row] for row in m.entries],
     }
-    for row in got["entries"]:
-        for v in row:
-            assert type(v) is int or (type(v) is str and "/" in v)
+    nonzero = sum(v != 0 for row in m.entries for v in row)
+    assert ("nonzeros" in got) == (0 < m.rows * m.cols >= 8 * nonzero)
+    assert densify(got) == dense
+    if "nonzeros" in got:
+        assert set(got) == {"rows", "cols", "mode", "nonzeros"}
+        positions = [(i, j) for i, j, _ in got["nonzeros"]]
+        assert positions == sorted(set(positions)) and len(positions) == nonzero
+        assert len(cli._encode(got)) <= len(cli._encode(dense))
+    for v in [v for row in dense["entries"] for v in row]:
+        assert type(v) is int or (type(v) is str and "/" in v)
     assert json.loads(json.dumps(got)) == got
+    assert matrix_from_json(got, "<mem>") == m == matrix_from_json(dense, "<mem>")
     # the float view rounds each exact entry once, as float(Fraction) does
     assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in m.entries]
 
@@ -651,6 +672,7 @@ def _tampered_certificate(draw):
     site = draw(st.sampled_from(_TAMPER_SITES))
     index = st.integers(0, m - 1)
     if site == "basis":
+        cert["basis"] = densify(cert["basis"])  # the verifier reads both forms
         k, r, s = draw(st.integers(0, n - 1)), draw(index), draw(index)
         cert["basis"]["mats"][k]["entries"][r][s] = draw(_JSON_SCALARS)
     elif site == "witness":
