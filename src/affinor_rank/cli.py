@@ -527,6 +527,9 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         return False, f"unknown certificate kind {kind!r}"
     if claimed != n:
         return False, f"claimed rank {claimed} differs from span rank {n}"
+    # a sparse basis lists no zeros, so its text does not bound n * m * m
+    if n * m * m > jsonio.MAX_ENTRIES:
+        return False, f"{n} matrices of {m}x{m} exceed {jsonio.MAX_ENTRIES} entries"
     # basis matrix k is mats[k] / den
     mats = _mats_from_basis_json(basis_json, where, m)
     den = lcm(*(d for _, d in mats))

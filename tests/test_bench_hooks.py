@@ -81,24 +81,14 @@ def test_bench_tracing_records_the_identity_checks(tmp_path, argv, want, span):
 
 def test_bench_tracing_records_the_verifier(tmp_path):
     # the verifier's traced layers wrap _fresh_rank, _matmul and
-    # _mats_from_basis_json by name
+    # _mats_from_basis_json by name; the last reads sparse matrices too
     report = tmp_path / "generic.json"
     assert main(["rank", str(ROOT / "docs/fixtures/quaternion_r8_basis.json"), "--generic",
                  "--out", str(report)]) == 0
+    cert = json.loads(report.read_text())["result"]["certificate"]
+    assert "nonzeros" in cert["basis"]["mats"][1]
     code, calls = _traced_calls(tmp_path, ["verify-report", str(report)])
     assert code == 0
     for span in ("cli.verify.fresh_rank", "cli.verify.closure_recheck", "jsonio.build"):
         assert calls.get(span, 0) > 0, span
 
-
-def test_bench_tracing_records_the_sparse_reader(tmp_path):
-    # the verifier reads a sparse matrix with its own parser inside
-    # _mats_from_basis_json, which the jsonio.build layer wraps by name
-    report = tmp_path / "cl21.json"
-    assert main(["clifford", "--s", "2", "--t", "1", "--check-rank", "--out", str(report)]) == 0
-    cert = json.loads(report.read_text())["result"]["rank_certificate"]
-    assert "nonzeros" in cert["basis"]["mats"][1]
-    code, calls = _traced_calls(tmp_path, ["verify-report", str(report)])
-    assert code == 0
-    for span in ("jsonio.build", "cli.verify.fresh_rank"):
-        assert calls.get(span, 0) > 0, span

@@ -21,6 +21,7 @@ from affinor_rank.cli import (
     verify_certificate,
 )
 from affinor_rank.errors import MissingCertificate
+from affinor_rank.jsonio import MAX_ENTRIES
 
 from conftest import densify
 
@@ -557,6 +558,30 @@ def test_verify_report_rejects_an_empty_basis(capsys, tmp_path):
     assert code == EXIT_NEGATIVE
     assert verdict["result"]["verified"] is False
     assert "n = 0" in verdict["result"]["details"][0]["message"]
+
+
+def test_verify_report_rejects_an_oversized_sparse_basis(capsys, tmp_path):
+    # a valid generic certificate for the identity on R^4097: about 70 KB of
+    # JSON that, unchecked, would recheck its closure with dense 4097 x 4097 lists
+    m = 4097
+    e0, e1 = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
+    identity = {"rows": m, "cols": m, "mode": "exact",
+                "nonzeros": [[i, i, 1] for i in range(m)]}
+    cert = {
+        "kind": "generic", "claimed_rank": 1, "witness": e0,
+        "pivot_rows": [0], "pivot_cols": [0],
+        "basis": {"m": m, "n": 1, "mode": "exact", "mats": [identity]},
+        "closure": {"C": [[[1]]]},
+        "pair": {"x": e0, "y": e1, "dim": 2},
+        "inequality": {"two_ell": 2, "m": m},
+    }
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps({"result": {"certificate": cert}}))
+    code, verdict = _run(capsys, "verify-report", str(path))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    message = verdict["result"]["details"][0]["message"]
+    assert message == f"1 matrices of {m}x{m} exceed {MAX_ENTRIES} entries"
 
 
 def test_verifier_imports_neither_linalg_nor_multipoly():
