@@ -48,9 +48,7 @@ def main():
     dump("complex_r4_basis.json", AffinorBasis((e4, rotation_block(4))).to_json())
     dump(
         "complex_r2_basis.json",
-        AffinorBasis(
-            (Matrix.identity(2), rotation_block(2)), allow_equal_dim=True
-        ).to_json(),
+        AffinorBasis((Matrix.identity(2), rotation_block(2))).to_json(),
     )
     dump(
         "quaternion_r8_basis.json",
@@ -58,7 +56,7 @@ def main():
     )
     dump(
         "quaternion_r4_basis.json",
-        AffinorBasis(quaternions(), allow_equal_dim=True).to_json(),
+        AffinorBasis(quaternions()).to_json(),
     )
 
     dual = {"n": 2, "C": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}

@@ -84,7 +84,6 @@ from .linalg import (
     Matrix,
     RankResult,
     det,
-    invertible,
     inverse,
     rank,
 )

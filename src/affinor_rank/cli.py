@@ -619,12 +619,6 @@ def verify_certificate_detailed(report_path) -> tuple[bool, list[dict]]:
     return all_ok, details
 
 
-def verify_certificate(report_path) -> bool:
-    """Re-verify every certificate embedded in a report file."""
-    ok, _ = verify_certificate_detailed(report_path)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Report assembly and entry point
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     mats = tuple(Matrix.from_view(_Scaled(nums, 1, 1)) for nums in _blade_stack(sig, blades))
     cb = CliffordBasis(
         signature=sig,
-        basis=AffinorBasis(mats, allow_equal_dim=True),
+        basis=AffinorBasis(mats),
         blades=blades,
         labels=tuple(_blade_label(b) for b in blades),
     )

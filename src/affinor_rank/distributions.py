@@ -104,7 +104,7 @@ class ProjectorSystem:
         """Hull basis {E, P_1, .., P_(n-1)} spanning the projector span."""
         ident = Matrix.identity(self.m)
         mats = (ident,) + self.projectors[:-1]
-        return AffinorBasis(mats, allow_equal_dim=(len(mats) == self.m))
+        return AffinorBasis(mats)
 
 
 def _block_projector(m: int, start: int, size: int) -> Matrix:

@@ -71,7 +71,7 @@ class InsufficientSamples(AffinorRankError):
 
 
 class NonFiniteState(AffinorRankError):
-    """Numerical integration blew up."""
+    """Numerical integration blew up, or a curve sample is not finite."""
 
 
 class MissingCertificate(AffinorRankError):

@@ -134,7 +134,7 @@ def find_frobenius_form(
     witnesses means the determinant of the pencil is the zero polynomial.
     """
     _require_valid(sc)
-    basis = AffinorBasis(chat(sc).c_hat, allow_equal_dim=True)
+    basis = AffinorBasis(chat(sc).c_hat)
     outcome = weak_rank_witness(basis, trials=trials, seed=seed)
     if isinstance(outcome, RankCertificate):
         cand = gram(sc, outcome.witness)
@@ -237,9 +237,8 @@ def frobenius_iff_generic_rank(
 ) -> EquivalenceReport:
     """Read the Frobenius verdict and the operator-module rank off one search.
 
-    The operator module acts on a space of the algebra's own dimension,
-    which is the one place the "span rank below module dimension"
-    restriction is deliberately lifted.  "Generic rank" for this module is
+    The operator module acts on a space of the algebra's own dimension, so
+    its span rank equals the module dimension.  "Generic rank" for this module is
     read as witness existence: the doubled-dimension pair condition cannot
     even be posed when the span fills the matrix space's dimension.
     """

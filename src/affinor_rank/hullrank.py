@@ -76,14 +76,13 @@ class AffinorBasis:
 
     Validation happens once, here: the first element must equal the
     identity exactly, the elements must be linearly independent as vectors
-    in matrix space, and the span rank n must be below the module
-    dimension m.  Multiplication-operator modules and full matrix-algebra
-    representations legitimately act on a space of their own dimension;
-    they are built with ``allow_equal_dim=True``.
+    in matrix space, and the span rank n must be at most the module
+    dimension m (n == m for multiplication-operator modules and full
+    matrix-algebra representations, which act on a space of their own
+    dimension).
     """
 
     mats: tuple[Matrix, ...]
-    allow_equal_dim: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "mats", tuple(self.mats))
@@ -99,10 +98,8 @@ class AffinorBasis:
         if first != Matrix.identity(m):
             raise InvalidBasis("first basis element must be the identity")
         n = len(self.mats)
-        if n > m or (n == m and not self.allow_equal_dim):
-            raise InvalidBasis(
-                f"span rank {n} must be below module dimension {m}"
-            )
+        if n > m:
+            raise InvalidBasis(f"span rank {n} exceeds module dimension {m}")
         if not has_full_row_rank(self.stacked):
             raise InvalidBasis("basis elements are linearly dependent")
 
@@ -354,7 +351,7 @@ def _symbolic_minor_scan(basis: AffinorBasis):
 
 
 def certificate_from_witness(
-    basis: AffinorBasis, x: Sequence, kind: str = "weak", notes: tuple[str, ...] = ()
+    basis: AffinorBasis, x: Sequence, notes: tuple[str, ...] = ()
 ) -> RankCertificate:
     """Build a weak-rank certificate from a known witness vector."""
     x = exact_vector(x)
@@ -364,7 +361,7 @@ def certificate_from_witness(
             f"vector is not a witness: hull dimension {h.dim}, expected {basis.n}"
         )
     return RankCertificate(
-        kind=kind,
+        kind="weak",
         claimed_rank=basis.n,
         witness=x,
         pivot_rows=h.rank_result.pivot_rows,

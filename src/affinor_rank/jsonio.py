@@ -30,12 +30,15 @@ Formats:
   [[term, ..], ..]}`` with term ``{"type": "power", "coeff": c, "exp": a}``
   or ``{"type": "cos"|"sin", "coeff": c, "omega": w}``, or
   ``{"kind": "sampled", "m": m, "t": [..], "values": [[..], ..],
-  "velocities": optional}``.
+  "velocities": optional}``.  Every number of a connection or a curve must
+  be finite: NaN, infinities and integers past the float range are
+  rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -99,7 +102,13 @@ def exact_scalar_from_json(value, path, field) -> Fraction:
 def float_scalar_from_json(value, path, field) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(path, field, f"not a number: {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputFormatError(path, field, f"not a finite number: {value!r}")
+    return out
 
 
 def matrix_from_json(obj, path, where: str = "") -> Matrix:
@@ -176,7 +185,7 @@ def basis_from_json(obj, path) -> AffinorBasis:
     mode = obj.get("mode", EXACT)
     if mode != EXACT:
         raise InputFormatError(path, "mode", f"unsupported mode {mode!r}; bases are exact")
-    return AffinorBasis(tuple(mats), allow_equal_dim=(n == m))
+    return AffinorBasis(tuple(mats))
 
 
 def constants_from_json(obj, path) -> StructureConstants:
@@ -216,7 +225,7 @@ def connection_from_json(obj, path) -> ConnectionSpec:
         table = gamma["constant"]
         try:
             spec = ConnectionSpec.constant(table)
-        except (AffinorRankError, TypeError, ValueError) as exc:
+        except (AffinorRankError, OverflowError, TypeError, ValueError) as exc:
             raise InputFormatError(path, "gamma.constant", str(exc))
         if spec.m != m:
             raise InputFormatError(path, "gamma.constant", f"table is not {m}x{m}x{m}")
@@ -224,7 +233,7 @@ def connection_from_json(obj, path) -> ConnectionSpec:
     if "poly" in gamma:
         try:
             return ConnectionSpec.polynomial(m, gamma["poly"])
-        except (AffinorRankError, TypeError, ValueError) as exc:
+        except (AffinorRankError, OverflowError, TypeError, ValueError) as exc:
             raise InputFormatError(path, "gamma.poly", str(exc))
     raise InputFormatError(path, "gamma", 'expected "constant" or "poly"')
 
@@ -238,7 +247,7 @@ def _term_from_json(obj, path, field):
         exp = _int(_need(obj, "exp", path, f"{field}."), path, f"{field}.exp")
         if exp < 0:
             raise InputFormatError(path, f"{field}.exp", "exponent must be nonnegative")
-        return ("power", coeff, float(exp))
+        return ("power", coeff, float_scalar_from_json(exp, path, f"{field}.exp"))
     if kind in ("cos", "sin"):
         omega = float_scalar_from_json(
             _need(obj, "omega", path, f"{field}."), path, f"{field}.omega"
@@ -252,12 +261,10 @@ def curve_from_json(obj, path) -> CurveSpec:
     m = _int(_need(obj, "m", path, ""), path, "m")
     if kind == "closed":
         domain = _need(obj, "domain", path, "")
-        if (
-            not isinstance(domain, list)
-            or len(domain) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in domain)
-        ):
+        if not isinstance(domain, list) or len(domain) != 2:
             raise InputFormatError(path, "domain", "expected [t0, t1]")
+        domain = tuple(
+            float_scalar_from_json(v, path, f"domain[{i}]") for i, v in enumerate(domain))
         coords_json = _need(obj, "coords", path, "")
         if not isinstance(coords_json, list) or len(coords_json) != m:
             raise InputFormatError(path, "coords", f"expected {m} coordinate term lists")
@@ -272,7 +279,7 @@ def curve_from_json(obj, path) -> CurveSpec:
                 )
             )
         try:
-            return ClosedFormCurve(m, (float(domain[0]), float(domain[1])), tuple(coords))
+            return ClosedFormCurve(m, domain, tuple(coords))
         except (AffinorRankError, ValueError) as exc:
             raise InputFormatError(path, "coords", str(exc))
     if kind == "sampled":
@@ -281,7 +288,7 @@ def curve_from_json(obj, path) -> CurveSpec:
         velocities = obj.get("velocities")
         try:
             curve = SampledCurve.of(ts, values, velocities)
-        except (AffinorRankError, ValueError, TypeError) as exc:
+        except (AffinorRankError, OverflowError, TypeError, ValueError) as exc:
             raise InputFormatError(path, "values", str(exc))
         if curve.m != m:
             raise InputFormatError(path, "values", f"points have length {curve.m}, expected {m}")

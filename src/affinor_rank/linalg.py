@@ -418,13 +418,6 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * last_pivot, view.den ** m.rows)
 
 
-def invertible(m: Matrix) -> bool:
-    """Whether a square matrix is invertible, decided by its determinant."""
-    if not m.is_square:
-        raise NotSquare("invertibility of a non-square matrix")
-    return det(m) != 0
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free solve: inverse and span coordinates
 # ---------------------------------------------------------------------------

@@ -8,11 +8,18 @@ gracefully and can be asserted against a tolerance.
 
 Conventions:
 
+* both curve kinds answer ``jet(t) -> (x, v, a)`` (position, velocity,
+  acceleration as float arrays) and ``sample_times(samples)``; each sample
+  evaluates its jet once;
 * covariant acceleration components: ``a^k = x''^k + G[k][i][j] x'^i x'^j``
   with ``G`` the connection coefficients at the current position;
 * closed-form curves (polynomial and trigonometric terms) are
   differentiated symbolically, so their residuals carry no discretization
-  error; sampled curves use order-2 centered differences;
+  error; sampled curves use order-2 centered differences at interior grid
+  points;
+* sampled curves and constant connections hold read-only float arrays,
+  built with NaN and infinities rejected; a sample whose ``|tangent|^2``
+  or covariant acceleration is not finite raises ``NonFiniteState``;
 * a sample where the acceleration is negligible against ``|tangent|^2``
   passes outright (the zero vector lies in every subspace), so geodesic
   points never fail by division noise;
@@ -29,12 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientSamples,
-    NonFiniteState,
-    OutOfDomain,
-)
+from .errors import DimensionMismatch, InsufficientSamples, NonFiniteState, OutOfDomain
 from .hullrank import AffinorBasis
 
 DEFAULT_PLANARITY_TOL = 1e-6
@@ -52,53 +54,56 @@ _GRID_SNAP = 0.01  # fraction of the step within which t must hit a grid point
 PolyTerm = tuple[float, tuple[int, ...]]  # (coefficient, exponent per coordinate)
 
 
-@dataclass(frozen=True)
+def _frozen(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only float array with ``ndim`` axes, all finite."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{what} must have {ndim} axes, not {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite numbers")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class ConnectionSpec:
-    """Connection coefficients, constant or polynomial in position."""
+    """Connection coefficients, constant or polynomial in position.
+
+    A constant table is one read-only m x m x m array, returned as it is
+    by ``gamma_at``."""
 
     m: int
-    constant_gamma: Optional[tuple] = None
+    constant_gamma: Optional[np.ndarray] = None
     poly_gamma: Optional[tuple] = None  # [k][i][j] -> tuple of PolyTerm
 
     def __post_init__(self):
         if (self.constant_gamma is None) == (self.poly_gamma is None):
             raise ValueError("exactly one of constant or polynomial coefficients")
-        for table in (self.constant_gamma, self.poly_gamma):
-            if table is None:
-                continue
-            if len(table) != self.m or any(
-                len(plane) != self.m or any(len(row) != self.m for row in plane)
-                for plane in table
-            ):
-                raise DimensionMismatch("coefficient table is not m x m x m")
+        table = self.constant_gamma if self.poly_gamma is None else self.poly_gamma
+        if len(table) != self.m or any(
+            len(plane) != self.m or any(len(row) != self.m for row in plane) for plane in table
+        ):
+            raise DimensionMismatch("coefficient table is not m x m x m")
 
     @staticmethod
     def constant(gamma) -> "ConnectionSpec":
-        arr = tuple(tuple(tuple(float(v) for v in row) for row in plane) for plane in gamma)
+        arr = _frozen(gamma, 3, "connection coefficients")
         return ConnectionSpec(len(arr), constant_gamma=arr)
 
     @staticmethod
     def flat(m: int) -> "ConnectionSpec":
-        zero = tuple(tuple(tuple(0.0 for _ in range(m)) for _ in range(m)) for _ in range(m))
-        return ConnectionSpec(m, constant_gamma=zero)
+        return ConnectionSpec.constant(np.zeros((m, m, m)))
 
     @staticmethod
     def polynomial(m: int, table) -> "ConnectionSpec":
-        normal = tuple(
-            tuple(
-                tuple(
-                    tuple((float(c), tuple(int(p) for p in powers)) for c, powers in cell)
-                    for cell in row
-                )
-                for row in plane
-            )
-            for plane in table
-        )
+        normal = tuple(tuple(tuple(
+            tuple((float(c), tuple(int(p) for p in powers)) for c, powers in cell)
+            for cell in row) for row in plane) for plane in table)
         return ConnectionSpec(m, poly_gamma=normal)
 
     def gamma_at(self, x: np.ndarray) -> np.ndarray:
         if self.constant_gamma is not None:
-            return np.array(self.constant_gamma, dtype=float)
+            return self.constant_gamma
         out = np.zeros((self.m, self.m, self.m))
         for k, plane in enumerate(self.poly_gamma):
             for i, row in enumerate(plane):
@@ -143,6 +148,9 @@ def _eval_term(term: Term, t: float, deriv: int) -> float:
     return scaled * value
 
 
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]  # position, velocity, acceleration
+
+
 @dataclass(frozen=True)
 class ClosedFormCurve:
     """Curve with exact polynomial/trigonometric coordinate functions."""
@@ -157,70 +165,64 @@ class ClosedFormCurve:
         if not self.domain[0] < self.domain[1]:
             raise ValueError("domain must be a nondegenerate interval")
 
-    def _check_domain(self, t: float):
+    def jet(self, t: float) -> Jet:
         t0, t1 = self.domain
         slack = 1e-12 * max(1.0, abs(t0), abs(t1))
         if t < t0 - slack or t > t1 + slack:
             raise OutOfDomain(f"t = {t} outside [{t0}, {t1}]")
+        try:
+            return tuple(
+                np.array([sum(_eval_term(term, t, deriv) for term in comp) for comp in self.coords])
+                for deriv in range(3)
+            )
+        except OverflowError:  # a float power past the float range
+            raise NonFiniteState(f"curve derivatives overflow at t = {t}") from None
 
-    def _derivative(self, t: float, deriv: int) -> np.ndarray:
-        return np.array(
-            [sum(_eval_term(term, t, deriv) for term in comp) for comp in self.coords]
-        )
-
-    def pos(self, t: float) -> np.ndarray:
-        self._check_domain(t)
-        return self._derivative(t, 0)
-
-    def vel(self, t: float) -> np.ndarray:
-        self._check_domain(t)
-        return self._derivative(t, 1)
-
-    def acc(self, t: float) -> np.ndarray:
-        self._check_domain(t)
-        return self._derivative(t, 2)
+    def sample_times(self, samples: int) -> list[float]:
+        return [float(t) for t in np.linspace(*self.domain, samples)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Curve known at uniform grid points, optionally with velocities."""
+    """Curve known at uniform grid points, optionally with velocities.
+
+    ``ts`` has shape (k,), ``points`` and ``velocities`` shape (k, m); all
+    are read-only float arrays."""
 
     m: int
-    ts: tuple[float, ...]
-    points: tuple[tuple[float, ...], ...]
-    velocities: Optional[tuple[tuple[float, ...], ...]] = None
+    ts: np.ndarray
+    points: np.ndarray
+    velocities: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.ts) < _MIN_SAMPLES:
             raise InsufficientSamples(
                 f"need at least {_MIN_SAMPLES} samples, got {len(self.ts)}"
             )
-        if len(self.points) != len(self.ts):
-            raise DimensionMismatch("one point per sample time is required")
-        if any(len(p) != self.m for p in self.points):
-            raise DimensionMismatch("sample points must have length m")
-        diffs = np.diff(np.array(self.ts))
+        if self.points.shape != (len(self.ts), self.m):
+            raise DimensionMismatch("one point of length m per sample time is required")
+        if self.velocities is not None and self.velocities.shape != self.points.shape:
+            raise DimensionMismatch("one velocity of length m per sample time is required")
+        diffs = np.diff(self.ts)
         if np.any(diffs <= 0):
             raise ValueError("sample grid must be strictly increasing")
         h = diffs[0]
         if np.max(np.abs(diffs - h)) > 1e-9 * max(1.0, abs(h)):
             raise ValueError("sample grid must be uniform")
-        if self.velocities is not None and len(self.velocities) != len(self.ts):
-            raise DimensionMismatch("one velocity per sample time is required")
 
     @staticmethod
     def of(ts, points, velocities=None) -> "SampledCurve":
-        pts = tuple(tuple(map(float, p)) for p in points)
-        vel = None if velocities is None else tuple(tuple(map(float, p)) for p in velocities)
-        return SampledCurve(len(pts[0]), tuple(float(t) for t in ts), pts, vel)
+        pts = _frozen(points, 2, "sample points")
+        vel = None if velocities is None else _frozen(velocities, 2, "velocities")
+        return SampledCurve(pts.shape[1], _frozen(ts, 1, "sample times"), pts, vel)
 
     @property
     def domain(self) -> tuple[float, float]:
-        return (self.ts[0], self.ts[-1])
+        return (float(self.ts[0]), float(self.ts[-1]))
 
     @property
     def step(self) -> float:
-        return self.ts[1] - self.ts[0]
+        return float(self.ts[1] - self.ts[0])
 
     def index_of(self, t: float) -> int:
         t0, t1 = self.domain
@@ -229,34 +231,25 @@ class SampledCurve:
         h = self.step
         i = round((t - t0) / h)
         if abs(t - self.ts[min(i, len(self.ts) - 1)]) > _GRID_SNAP * h:
-            raise OutOfDomain(
-                "sampled curves are only evaluable at their grid points"
-            )
+            raise OutOfDomain("sampled curves are only evaluable at their grid points")
         return min(max(i, 0), len(self.ts) - 1)
 
-    def interior_index(self, t: float) -> int:
+    def jet(self, t: float) -> Jet:
+        """The grid point at ``t`` with centered-difference derivatives; a
+        stored velocity is read as it is."""
         i = self.index_of(t)
         if i == 0 or i == len(self.ts) - 1:
-            raise InsufficientSamples(
-                "centered differences need an interior grid point"
-            )
-        return i
+            raise InsufficientSamples("centered differences need an interior grid point")
+        h, p, w = self.step, self.points, self.velocities
+        if w is None:
+            return p[i], (p[i + 1] - p[i - 1]) / (2 * h), (p[i + 1] - 2 * p[i] + p[i - 1]) / (h * h)
+        return p[i], w[i], (w[i + 1] - w[i - 1]) / (2 * h)
 
-    def vel_at(self, i: int) -> np.ndarray:
-        if self.velocities is not None:
-            return np.array(self.velocities[i])
-        h = self.step
-        return (np.array(self.points[i + 1]) - np.array(self.points[i - 1])) / (2 * h)
-
-    def acc_at(self, i: int) -> np.ndarray:
-        h = self.step
-        if self.velocities is not None:
-            return (np.array(self.velocities[i + 1]) - np.array(self.velocities[i - 1])) / (2 * h)
-        return (
-            np.array(self.points[i + 1])
-            - 2 * np.array(self.points[i])
-            + np.array(self.points[i - 1])
-        ) / (h * h)
+    def sample_times(self, samples: int) -> list[float]:
+        """Up to ``samples`` interior grid times, evenly spread."""
+        last = len(self.ts) - 2
+        idx = np.unique(np.round(np.linspace(1, last, min(samples, last))).astype(int))
+        return [float(t) for t in self.ts[idx]]
 
 
 CurveSpec = Union[ClosedFormCurve, SampledCurve]
@@ -267,19 +260,23 @@ CurveSpec = Union[ClosedFormCurve, SampledCurve]
 # ---------------------------------------------------------------------------
 
 
+def _covariant_jet(conn: ConnectionSpec, curve: CurveSpec, t: float):
+    """Tangent, its squared length and the covariant acceleration at ``t``,
+    from one jet; a value that is not finite raises ``NonFiniteState``."""
+    x, v, a = curve.jet(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        acc = a + np.einsum("kij,i,j->k", conn.gamma_at(x), v, v)
+        vv = float(v @ v)
+    if not (math.isfinite(vv) and np.isfinite(acc).all()):
+        raise NonFiniteState(f"tangent or covariant acceleration is not finite at t = {t}")
+    return v, vv, acc
+
+
 def covariant_accel(conn: ConnectionSpec, curve: CurveSpec, t: float) -> np.ndarray:
     """Acceleration corrected by the connection at parameter ``t``."""
     if conn.m != curve.m:
         raise DimensionMismatch("connection and curve dimensions differ")
-    if isinstance(curve, ClosedFormCurve):
-        x, v, a = curve.pos(t), curve.vel(t), curve.acc(t)
-    else:
-        i = curve.interior_index(t)
-        x = np.array(curve.points[i])
-        v = curve.vel_at(i)
-        a = curve.acc_at(i)
-    gamma = conn.gamma_at(x)
-    return a + np.einsum("kij,i,j->k", gamma, v, v)
+    return _covariant_jet(conn, curve, t)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +312,6 @@ class PlanarityReport:
         }
 
 
-def _sample_times(curve: CurveSpec, samples: int) -> list[float]:
-    if isinstance(curve, ClosedFormCurve):
-        t0, t1 = curve.domain
-        return [float(t) for t in np.linspace(t0, t1, samples)]
-    interior = len(curve.ts) - 2
-    if interior < 1:
-        raise InsufficientSamples("sampled curve has no interior grid points")
-    count = min(samples, interior)
-    idx = np.unique(np.round(np.linspace(1, len(curve.ts) - 2, count)).astype(int))
-    return [float(curve.ts[i]) for i in idx]
-
-
-def _tangent(curve: CurveSpec, t: float) -> np.ndarray:
-    if isinstance(curve, ClosedFormCurve):
-        return curve.vel(t)
-    return curve.vel_at(curve.interior_index(t))
-
-
 def planarity_check(
     basis: AffinorBasis,
     conn: ConnectionSpec,
@@ -351,20 +330,19 @@ def planarity_check(
     if basis.m != curve.m or conn.m != curve.m:
         raise DimensionMismatch("basis, connection and curve dimensions differ")
     mats = np.stack([mat.to_ndarray() for mat in basis.mats])
-    ts = _sample_times(curve, samples)
+    ts = curve.sample_times(samples)
     residuals: list[Optional[float]] = []
     degenerate = 0
     max_res = 0.0
     counterexample = None
     for t in ts:
-        v = _tangent(curve, t)
+        v, vv, acc = _covariant_jet(conn, curve, t)
         if float(np.linalg.norm(v)) <= tol:
             residuals.append(None)
             degenerate += 1
             continue
-        acc = covariant_accel(conn, curve, t)
         acc_norm = float(np.linalg.norm(acc))
-        if acc_norm <= tol * float(v @ v):
+        if acc_norm <= tol * vv:
             residuals.append(0.0)
             continue
         hull_rows = mats @ v  # (n, m)
@@ -411,9 +389,7 @@ def _integrate_second_order(
     x = np.array([float(v) for v in x0])
     v = np.array([float(v) for v in v0])
     h = t1 / steps
-    ts = [0.0]
-    points = [tuple(x)]
-    velocities = [tuple(v)]
+    ts, points, velocities = [0.0], [x], [v]
     for k in range(steps):
         k1x, k1v = v, accel(x, v)
         k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
@@ -426,8 +402,8 @@ def _integrate_second_order(
         ):
             raise NonFiniteState(f"integration blew up at step {k + 1}")
         ts.append((k + 1) * h)
-        points.append(tuple(x))
-        velocities.append(tuple(v))
+        points.append(x)
+        velocities.append(v)
     return SampledCurve.of(ts, points, velocities)
 
 

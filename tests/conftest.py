@@ -296,7 +296,7 @@ def rng():
 
 @pytest.fixture
 def quaternions_r4() -> AffinorBasis:
-    return AffinorBasis(quaternion_matrices(), allow_equal_dim=True)
+    return AffinorBasis(quaternion_matrices())
 
 
 @pytest.fixture

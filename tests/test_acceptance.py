@@ -36,7 +36,7 @@ from affinor_rank import (
     verify_complete_system,
     weak_rank_witness,
 )
-from affinor_rank.cli import verify_certificate
+from affinor_rank.cli import verify_certificate_detailed
 from affinor_rank.linalg import det, scalar_multiple_of_identity
 
 from conftest import (
@@ -92,7 +92,7 @@ def run_criterion_2(seed: int) -> dict:
     assert isinstance(cert8, RankCertificate)
     out["quaternion_r8_rank"] = cert8.claimed_rank
     out["certificates"].append(cert8.to_json())
-    r4 = AffinorBasis(quats, allow_equal_dim=True)
+    r4 = AffinorBasis(quats)
     blocked = certify_generic_rank(r4, seed=seed)
     assert isinstance(blocked, Inapplicable)
     out["quaternion_r4"] = blocked.to_json()
@@ -255,9 +255,7 @@ def run_criterion_6(seed: int) -> dict:
     out["geodesic_max_residual"] = worst
 
     # (b) dimension two: every smooth closed-form curve passes
-    basis2 = AffinorBasis(
-        (Matrix.identity(2), rotation_block(2)), allow_equal_dim=True
-    )
+    basis2 = AffinorBasis((Matrix.identity(2), rotation_block(2)))
     curves = [
         ClosedFormCurve(2, (0.0, 6.0), ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),))),
         ClosedFormCurve(2, (0.1, 3.0), ((("power", 1.0, 2.0),),
@@ -304,7 +302,7 @@ def run_criterion_6(seed: int) -> dict:
     errors = []
     for steps in (64, 128):
         ts = np.linspace(0.0, 2.0, steps + 1)
-        sampled = SampledCurve.of(ts, [[float(c) for c in smooth.pos(t)] for t in ts])
+        sampled = SampledCurve.of(ts, [smooth.jet(t)[0] for t in ts])
         approx = covariant_accel(conn_flat, sampled, sampled.ts[sampled.index_of(1.0)])
         errors.append(float(np.linalg.norm(approx - exact)))
     ratio = errors[0] / errors[1]
@@ -440,7 +438,7 @@ def test_criterion_7_certificate_audit(c1, c2, c3, c4, c5, tmp_path):
         assert certs, f"{name} produced no certificates"
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"result": {"certificates": certs}}))
-        assert verify_certificate(path), f"{name} certificate audit failed"
+        assert verify_certificate_detailed(path)[0], f"{name} certificate audit failed"
         total += len(certs)
     print(f"\n[criterion 7] PASS: {total} certificates re-verified through "
           "the independent path")

@@ -71,6 +71,10 @@ def test_bench_tracing_records_the_closure_solve(tmp_path):
     (["distributions", "--dims", "2,2"], 0, "distributions.verify"),
     (["rank", "docs/fixtures/quaternion_r4_basis.json", "--probe-inversion"], 0,
      "hullrank.inversion_probe"),
+    # the helix leaves the complex structure's hull: a definitive negative
+    (["planar", "--basis", "docs/fixtures/complex_r4_basis.json",
+      "--connection", "docs/fixtures/flat4_connection.json",
+      "--curve", "docs/fixtures/helix_curve.json"], 1, "planarity.check"),
 ])
 def test_bench_tracing_records_the_identity_checks(tmp_path, argv, want, span):
     # the traced layers of the product-identity checks wrap them by name

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import json
+import math
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from affinor_rank.cli import (
     EXIT_POSITIVE,
     EXIT_USAGE,
     main,
-    verify_certificate,
+    verify_certificate_detailed,
 )
 from affinor_rank.errors import MissingCertificate
 from affinor_rank.jsonio import MAX_ENTRIES
@@ -62,7 +63,7 @@ def test_rank_generic_quaternions_r8(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["kind"] == "generic"
     assert report["result"]["claimed_rank"] == 4
-    assert verify_certificate(out)
+    assert verify_certificate_detailed(out)[0]
 
 
 def test_rank_reads_entries_past_int64(capsys, tmp_path):
@@ -403,7 +404,7 @@ def _repeat_first(mat):
 def cl32_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("cl32") / "report.json"
     assert main(["clifford", "--s", "3", "--t", "2", "--check-rank", "--out", str(out)]) == 0
-    assert verify_certificate(out)
+    assert verify_certificate_detailed(out)[0]
     report = json.loads(out.read_text())
     assert report["result"]["rank_certificate"]["basis"]["mats"][1]["nonzeros"][0] == [0, 1, 1]
     return report
@@ -666,11 +667,53 @@ def test_planar_rejects_non_numeric_samples(capsys, tmp_path, entry):
     assert "values" in err
 
 
+def _sampled_helix(curve, bad):
+    ts = [0.1 * k for k in range(6)]
+    values = [[math.cos(t), math.sin(t), t, 0.0] for t in ts]
+    values[3][2] = bad
+    curve.clear()
+    curve.update(kind="sampled", m=4, t=ts, values=values)
+
+
+def _scale_helix(curve, factor):
+    for comp in curve["coords"]:
+        for term in comp:
+            term["coeff"] *= factor
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda conn, curve: conn["gamma"]["constant"][0][1].__setitem__(2, math.nan),
+    lambda conn, curve: conn["gamma"]["constant"][0][1].__setitem__(2, None),
+    lambda conn, curve: _scale_helix(curve, 1e300),  # |tangent|^2 overflows
+    lambda conn, curve: _sampled_helix(curve, math.nan),
+    lambda conn, curve: _sampled_helix(curve, 10 ** 400),  # past the float range
+    lambda conn, curve: curve.__setitem__("domain", [0.0, math.inf]),
+    lambda conn, curve: curve["coords"][0][0].__setitem__("omega", 1e200),  # omega^2 overflows
+    lambda conn, curve: curve["coords"][2][0].__setitem__("exp", 10 ** 400),
+], ids=["nan-gamma", "null-gamma", "overflow", "nan-sample", "huge-sample", "inf-domain",
+        "omega-overflow", "huge-exponent"])
+def test_planar_rejects_non_finite_numbers(capsys, tmp_path, spoil):
+    # a NaN residual passes every "> tol" test, and an infinite |tangent|^2
+    # passes a sample outright: neither may read as a verdict
+    conn = json.loads((FIXTURES / "flat4_connection.json").read_text())
+    curve = json.loads((FIXTURES / "helix_curve.json").read_text())
+    spoil(conn, curve)
+    (tmp_path / "conn.json").write_text(json.dumps(conn))
+    (tmp_path / "curve.json").write_text(json.dumps(curve))
+    code = main(["planar", "--basis", str(FIXTURES / "complex_r4_basis.json"),
+                 "--connection", str(tmp_path / "conn.json"),
+                 "--curve", str(tmp_path / "curve.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_report_missing_certificate(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"result": {}}))
     with pytest.raises(MissingCertificate):
-        verify_certificate(path)
+        verify_certificate_detailed(path)
     assert main(["verify-report", str(path)]) == EXIT_DATA
 
 

@@ -112,7 +112,7 @@ def test_tampered_generator_is_reported():
     mats[1] = Matrix.exact(bad)
     tampered = CliffordBasis(
         cb.signature,
-        type(cb.basis)(tuple(mats), allow_equal_dim=True),
+        type(cb.basis)(tuple(mats)),
         cb.blades,
         cb.labels,
     )
@@ -129,7 +129,7 @@ def test_tampered_dense_matrix_falls_back():
     mats[1] = Matrix.exact(dense)
     tampered = CliffordBasis(
         cb.signature,
-        type(cb.basis)(tuple(mats), allow_equal_dim=True),
+        type(cb.basis)(tuple(mats)),
         cb.blades,
         cb.labels,
     )

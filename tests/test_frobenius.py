@@ -181,7 +181,7 @@ def test_module_witness_transfers_to_functional():
     # a full-rank hull witness of the operator module is itself a regular
     # functional: the two searches decide one and the same pencil
     for sc in (dual_number_constants(), quaternion_constants()):
-        basis = AffinorBasis(chat(sc).c_hat, allow_equal_dim=True)
+        basis = AffinorBasis(chat(sc).c_hat)
         cert = weak_rank_witness(basis)
         assert isinstance(cert, RankCertificate)
         assert gram(sc, cert.witness).regular

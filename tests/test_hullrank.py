@@ -54,21 +54,16 @@ def test_basis_rejects_dependent_elements():
         AffinorBasis((e, e.scale(3)))
 
 
-def test_basis_rejects_equal_dimension_by_default():
-    e = Matrix.identity(2)
-    f = rotation_block(2)
-    with pytest.raises(InvalidBasis):
-        AffinorBasis((e, f))
-    assert AffinorBasis((e, f), allow_equal_dim=True).n == 2
+def test_basis_accepts_equal_dimension():
+    # n == m: the span fills its own module dimension, as operator modules do
+    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    assert (basis.n, basis.m) == (2, 2)
 
 
 def test_basis_rejects_rank_above_dimension():
     e = Matrix.identity(2)
     with pytest.raises(InvalidBasis):
-        AffinorBasis(
-            (e, rotation_block(2), Matrix.exact([[1, 0], [0, 0]])),
-            allow_equal_dim=True,
-        )
+        AffinorBasis((e, rotation_block(2), Matrix.exact([[1, 0], [0, 0]])))
 
 
 def test_basis_validation_scales_each_matrix_once(monkeypatch):
@@ -86,7 +81,7 @@ def test_basis_validation_scales_each_matrix_once(monkeypatch):
     monkeypatch.setattr(linalg, "_scale", recording)
     fresh = [Matrix(m.rows, m.cols, m.entries) for m in built]
     assert shapes == [(16, 16)] * 16
-    AffinorBasis(tuple(fresh), allow_equal_dim=True)
+    AffinorBasis(tuple(fresh))
     assert shapes == [(16, 16)] * 16
 
 
@@ -243,7 +238,7 @@ def test_no_witness_is_definitive_for_small_degenerate_module():
     # three hull rows are always proportional, so no witness exists and
     # the symbolic scan proves it
     mats = chat(local3_constants())
-    basis = AffinorBasis(mats.c_hat, allow_equal_dim=True)
+    basis = AffinorBasis(mats.c_hat)
     result = weak_rank_witness(basis, trials=16)
     assert isinstance(result, NoWitnessFound)
     assert result.definitive
@@ -360,7 +355,7 @@ def test_scalar_multiple_check():
     assert scalar_multiple_of_identity(Matrix.exact([[2, 0], [0, 2]])) == Fraction(2)
     assert scalar_multiple_of_identity(rotation_block(2)) is None
     with pytest.raises(InvalidBasis):
-        AffinorBasis((Matrix.identity(2), Matrix.exact([[2, 0], [0, 2]])), allow_equal_dim=True)
+        AffinorBasis((Matrix.identity(2), Matrix.exact([[2, 0], [0, 2]])))
     # entries of 2**63 and more leave the view as Python ints in an object array
     big = 2**63
     assert scalar_multiple_of_identity(Matrix.exact([[big, 0], [0, big]])) == Fraction(big)

@@ -1,6 +1,8 @@
 """Input format parsing and its error reporting."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from affinor_rank.jsonio import (
     load_json,
     matrix_from_json,
 )
+
+from conftest import densify
 
 
 def _write(tmp_path, name, payload):
@@ -221,6 +225,10 @@ def test_curve_closed_form_parsing():
     with pytest.raises(InputFormatError) as err:
         curve_from_json(bad, "curve.json")
     assert "coords[0][0].type" in str(err.value)
+    for end in (float("inf"), float("nan"), 10 ** 400, "1"):
+        with pytest.raises(InputFormatError) as err:
+            curve_from_json(dict(obj, domain=[0.0, end]), "curve.json")
+        assert "domain[1]" in str(err.value)
 
 
 def test_curve_sampled_parsing():
@@ -243,3 +251,20 @@ def test_unknown_curve_kind():
     with pytest.raises(InputFormatError) as err:
         curve_from_json({"kind": "spline", "m": 1}, "<mem>")
     assert "spline" in str(err.value)
+
+
+def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch):
+    # compared after densify: the writer now emits sparse matrices where the
+    # committed copies are dense, and the readers take either form
+    docs = Path(__file__).parent.parent / "docs"
+    spec = importlib.util.spec_from_file_location("make_fixtures", docs / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    payloads = {}
+    monkeypatch.setattr(make_fixtures, "dump", payloads.__setitem__)
+    make_fixtures.main()
+    committed = {p.name: p for p in (docs / "fixtures").glob("*.json")}
+    assert payloads.keys() == committed.keys()
+    for name, payload in payloads.items():
+        expected = densify(json.loads(committed[name].read_text()))
+        assert densify(json.loads(json.dumps(payload))) == expected, name

@@ -344,7 +344,7 @@ def test_from_affinors_matches_reference_on_conjugated_quaternions(frame):
             for a in quaternion_matrices()]
     expected = _reference_closure(mats)
     assert isinstance(expected[0][0], tuple)  # the reference finds it closed
-    got = from_affinors(AffinorBasis(mats, allow_equal_dim=True))
+    got = from_affinors(AffinorBasis(mats))
     assert got.c == expected
     _assert_exact(v for plane in got.c for row in plane for v in row)
 
@@ -366,7 +366,7 @@ def _open_span(draw):
 @given(_open_span())
 def test_not_closed_matches_reference_pair_and_residual(mats):
     try:
-        basis = AffinorBasis(mats, allow_equal_dim=True)
+        basis = AffinorBasis(mats)
     except InvalidBasis:
         assume(False)
     expected = _reference_closure(basis.mats)
@@ -507,7 +507,7 @@ def _dense_clifford(draw):
     rows[i][j] += draw(_NUDGE)
     mats[g] = Matrix(m, m, tuple(tuple(row) for row in rows))
     try:
-        basis = AffinorBasis(mats, allow_equal_dim=True)
+        basis = AffinorBasis(mats)
     except InvalidBasis:
         assume(False)
     return replace(cb, basis=basis, relations=None)
@@ -548,7 +548,7 @@ def _conjugated_span(draw):
     mats = [Matrix.identity(m)] + [
         Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)) for a in others]
     try:
-        return AffinorBasis(mats, allow_equal_dim=True)
+        return AffinorBasis(mats)
     except InvalidBasis:
         assume(False)
 
@@ -581,7 +581,7 @@ def _basis_and_pair(draw):
     others = draw(st.lists(_matrix(m, m), max_size=m - 1))
     x, y = (draw(st.lists(_SCALARS, min_size=m, max_size=m)) for _ in range(2))
     try:
-        basis = AffinorBasis([Matrix.identity(m)] + others, allow_equal_dim=True)
+        basis = AffinorBasis([Matrix.identity(m)] + others)
     except InvalidBasis:
         assume(False)
     return basis, tuple(x), tuple(y)

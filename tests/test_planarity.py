@@ -131,6 +131,52 @@ def test_sampled_curve_validation():
         SampledCurve.of([0.0, 0.1, 0.2], [[0.0]] * 3)
     with pytest.raises(ValueError):
         SampledCurve.of([0.0, 0.1, 0.15, 0.3, 0.4], [[0.0]] * 5)
+    ts = [0.1 * k for k in range(5)]
+    for bad in (math.nan, math.inf, None):  # None would read as nan
+        with pytest.raises(ValueError):
+            SampledCurve.of(ts, [[0.0], [0.1], [bad], [0.3], [0.4]])
+    with pytest.raises(DimensionMismatch):
+        SampledCurve.of(ts, [[0.0]] * 5, [[0.0, 1.0]] * 5)
+
+
+def test_jets_agree_between_closed_form_and_sampled_curves():
+    # a quadratic's centered differences are exact up to rounding
+    curve = ClosedFormCurve(2, (0.0, 1.0), ((("power", 1.0, 2.0),), (("power", 3.0, 1.0),)))
+    ts = np.linspace(0.0, 1.0, 11)
+    sampled = SampledCurve.of(ts, [curve.jet(t)[0] for t in ts])
+    for got, want in zip(sampled.jet(ts[4]), curve.jet(ts[4])):
+        assert np.allclose(got, want, atol=1e-12)
+    assert sampled.sample_times(50) == [float(t) for t in ts[1:-1]]
+    assert curve.sample_times(3) == [0.0, 0.5, 1.0]
+
+
+def test_arrays_are_read_only():
+    conn = _random_constant_connection(random.Random(2), 2)
+    ts = np.linspace(0.0, 1.0, 6)
+    curve = SampledCurve.of(ts, [[t, t * t] for t in ts], [[1.0, 2 * t] for t in ts])
+    for arr in (conn.gamma_at(np.zeros(2)), curve.ts, curve.points, curve.velocities):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the factories copy what they read: the caller's arrays stay writable
+    g = np.zeros((2, 2, 2))
+    ConnectionSpec.constant(g)
+    g[0, 0, 0] = 1.0
+
+
+def test_non_finite_jets_raise():
+    # a NaN coefficient in a polynomial connection, and a tangent whose
+    # squared length overflows, never reach a residual
+    table = [[[(), ()], [(), ()]], [[(), ()], [(), ()]]]
+    table[0][0][0] = ((math.nan, (0, 0)),)
+    line = _line(2, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(NonFiniteState):
+        covariant_accel(ConnectionSpec.polynomial(2, table), line, 0.5)
+    fast = _line(2, (0.0, 0.0), (1e300, 0.0))
+    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    with pytest.raises(NonFiniteState):
+        planarity_check(basis, ConnectionSpec.flat(2), fast)
+    with pytest.raises(ValueError):
+        ConnectionSpec.constant([[[math.nan]]])
 
 
 def test_sampled_acceleration_second_order_convergence():
@@ -145,7 +191,7 @@ def test_sampled_acceleration_second_order_convergence():
     errors = []
     for steps in (64, 128):
         ts = np.linspace(0.0, 2.0, steps + 1)
-        sampled = SampledCurve.of(ts, [[float(c) for c in curve.pos(t)] for t in ts])
+        sampled = SampledCurve.of(ts, [curve.jet(t)[0] for t in ts])
         idx = sampled.index_of(t_star)
         approx = covariant_accel(conn, sampled, sampled.ts[idx])
         errors.append(float(np.linalg.norm(approx - exact)))
@@ -173,9 +219,7 @@ def test_straight_lines_are_planar_for_every_basis(rng):
 
 
 def test_dimension_two_everything_is_planar(rng):
-    basis = AffinorBasis(
-        (Matrix.identity(2), rotation_block(2)), allow_equal_dim=True
-    )
+    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
     curves = [
         ClosedFormCurve(2, (0.0, 6.0), ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),))),
         ClosedFormCurve(2, (0.1, 3.0), ((("power", 1.0, 2.0),), (("power", 1.0, 1.0), ("power", -0.5, 3.0)))),
@@ -223,7 +267,7 @@ def test_degenerate_tangent_flagged_indeterminate():
         2, (-0.0004, 0.0004),
         ((("power", 1.0, 2.0),), (("power", 1.0, 3.0),)),
     )
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)), allow_equal_dim=True)
+    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
     report = planarity_check(basis, ConnectionSpec.flat(2), curve, samples=5, tol=1e-3)
     assert report.degenerate_samples == 5
     assert report.verdict == "indeterminate"
@@ -345,9 +389,7 @@ def test_polynomial_disguised_flat_connection():
         y1 = a + b * t
         y2 = (c + d * t) - y1 ** 3
         assert np.allclose(curve.points[i], [y1, y2], atol=1e-9), t
-    basis = AffinorBasis(
-        (Matrix.identity(2), rotation_block(2)), allow_equal_dim=True
-    )
+    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
     report = planarity_check(basis, conn, curve, samples=15)
     assert report.verdict == "planar"
 
