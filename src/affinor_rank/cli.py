@@ -669,13 +669,13 @@ def _summary_lines(command: str, code: int, result: dict) -> list[str]:
 
 
 def _validate_knobs(args):
-    if getattr(args, "trials", 1) < 1:
-        raise _UsageError("--trials must be at least 1")
+    if not 1 <= getattr(args, "trials", 1) <= 4096:  # the search bound doubles every 8
+        raise _UsageError("--trials must be between 1 and 4096")
     tol = getattr(args, "tol", 1.0)
     if not (isfinite(tol) and tol > 0):
         raise _UsageError(f"--tol must be finite and positive, got {tol!r}")
-    if getattr(args, "samples", 5) < 5:
-        raise _UsageError("--samples must be at least 5")
+    if not 5 <= getattr(args, "samples", 5) <= 100_000:  # one least-squares solve each
+        raise _UsageError("--samples must be between 5 and 100000")
 
 
 def dispatch(args) -> tuple[int, dict]:

@@ -29,7 +29,6 @@ from .hullrank import (
     Inapplicable,
     NoWitnessFound,
     RankCertificate,
-    certificate_from_witness,
     certify_generic_rank,
     weak_rank_witness,
 )
@@ -256,17 +255,13 @@ def clifford_rank_theorem_check(
     """Witness that the blade images of one vector span the whole space.
 
     The unit coefficient vector is tried first; the regular representation
-    acts freely on it, so its hull is everything.  The generic witness
-    search is a fallback only.
+    acts freely on it, so its hull is everything.
     """
     unit = tuple(_ONE if i == 0 else _ZERO for i in range(cb.signature.dim))
-    try:
-        return certificate_from_witness(cb.basis, unit)
-    except ValueError:  # pragma: no cover - the unit always works
-        result = weak_rank_witness(cb.basis, trials, seed)
-        if isinstance(result, RankCertificate):
-            return result
-        raise AssertionError("no witness found for a regular representation")
+    result = weak_rank_witness(cb.basis, trials, seed, extra_candidates=(unit,))
+    if isinstance(result, RankCertificate):
+        return result
+    raise AssertionError("no witness found for a regular representation")
 
 
 def _block_double(mat: Matrix) -> Matrix:

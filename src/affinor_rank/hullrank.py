@@ -21,6 +21,10 @@ Two levels of claim are certified:
 Witness searches are deterministic first (standard basis vectors, then the
 all-ones vector), then draw seeded random integer vectors with a doubling
 coefficient bound, so identical seeds reproduce identical certificates.
+The hull, pair and inversion searches walk that order in batches doubling
+from 1, each one integer product with the basis; every candidate is then
+decided in order by exact Bareiss elimination of its own rows, so the hit,
+its pivots and the count tried are those of a one-at-a-time search.
 Failure to find a witness is reported as evidence, never as a proof of
 absence; a definitive negative is only emitted when every maximal minor of
 the symbolic hull matrix vanishes identically (expanded for small sizes).
@@ -52,7 +56,6 @@ from .linalg import (
     exact_vector,
     has_full_row_rank,
     rank,
-    random_int_vector,
     scalar_multiple_of_identity,
     scalar_to_json,
     stack,
@@ -64,6 +67,11 @@ DEFAULT_SEED = 0
 
 _RANDOM_ROUND = 8
 _INITIAL_BOUND = 4
+
+# A batch holds at most this many candidates and multiplications (candidates
+# x basis entries): a basis past 2**18 entries goes one candidate at a time.
+_BATCH_CANDIDATES = 64
+_BATCH_PRODUCT = 1 << 18
 
 # Symbolic minor expansion is attempted only below these sizes.
 _SYMBOLIC_MAX_ROWS = 6
@@ -146,6 +154,8 @@ def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matri
     view the rows would have if built one ``apply`` at a time.
     """
     n, m = basis.n, basis.m
+    if any(len(vec) != m for vec in vectors):
+        raise DimensionMismatch(f"vectors must have the module dimension {m}")
     s = basis.stacked
     x = _scale([v for vec in vectors for v in vec], (len(vectors), m))
     prod = _int_product(_Scaled(s.nums.reshape(n * m, m), s.den, s.bound),
@@ -156,8 +166,6 @@ def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matri
 
 def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:
     """Hull of ``x``: rows are the basis images, in basis order."""
-    if len(x) != basis.m:
-        raise DimensionMismatch(f"vector length {len(x)} vs module dimension {basis.m}")
     x = tuple(x)
     mat = _images(basis, [x])
     return Hull(x, mat, rank(mat))
@@ -165,8 +173,6 @@ def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:
 
 def pair_span_dim(basis: AffinorBasis, x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Dimension of the sum of the hulls of two vectors."""
-    if len(x) != basis.m or len(y) != basis.m:
-        raise DimensionMismatch("pair vectors must match the module dimension")
     return rank(_images(basis, [x, y])).rank
 
 
@@ -302,12 +308,8 @@ class CounterexampleFound:
 # ---------------------------------------------------------------------------
 
 
-def _deterministic_candidates(m: int) -> list[ExactVector]:
-    ident = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        for i in range(m)
-    ]
-    return ident + [tuple(Fraction(1) for _ in range(m))]
+def _deterministic_candidates(m: int) -> list[tuple[int, ...]]:
+    return [tuple(int(j == i) for j in range(m)) for i in range(m)] + [(1,) * m]
 
 
 def _random_candidates(rng: random.Random, m: int, trials: int):
@@ -315,7 +317,34 @@ def _random_candidates(rng: random.Random, m: int, trials: int):
     for k in range(trials):
         if k and k % _RANDOM_ROUND == 0:
             bound *= 2
-        yield random_int_vector(rng, m, bound)
+        vec = (0,) * m
+        while not any(vec):  # never the zero vector; randint(a, b) is randrange(a, b + 1)
+            vec = tuple([rng.randrange(-bound, bound + 1) for _ in range(m)])
+        yield vec
+
+
+def _first_hit(candidates, evaluate, rows: int, cost: int, full: bool):
+    """Decide ``candidates`` in order, a batch at a time: ``evaluate(batch)``
+    is one integer product, ``rows`` integer rows per candidate in batch
+    order, and ``cost`` the multiplications one candidate adds to it.  A
+    candidate hits when the Bareiss rank of its rows equals ``rows``
+    (``full``) or falls below it.  Returns the first hit and its
+    RankResult, or None twice, then the number tried and the best rank
+    before the hit.
+    """
+    candidates = iter(candidates)
+    cap = max(1, min(_BATCH_CANDIDATES, _BATCH_PRODUCT // cost))
+    size, tried, best = 1, 0, 0
+    while batch := list(itertools.islice(candidates, size)):
+        flat = evaluate(batch)
+        for k, cand in enumerate(batch):
+            rk, prows, pcols, _, _ = _bareiss_rank(flat[k * rows:(k + 1) * rows])
+            tried += 1
+            if (rk == rows) == full:
+                return cand, RankResult(rk, tuple(prows), tuple(pcols)), tried, best
+            best = max(best, rk)
+        size = min(2 * size, cap)
+    return None, None, tried, best
 
 
 def _symbolic_hull_entries(basis: AffinorBasis) -> list[list[Poly]]:
@@ -354,21 +383,17 @@ def certificate_from_witness(
     basis: AffinorBasis, x: Sequence, notes: tuple[str, ...] = ()
 ) -> RankCertificate:
     """Build a weak-rank certificate from a known witness vector."""
-    x = exact_vector(x)
-    h = hull(basis, x)
+    h = hull(basis, exact_vector(x))
     if h.dim != basis.n:
-        raise ValueError(
-            f"vector is not a witness: hull dimension {h.dim}, expected {basis.n}"
-        )
-    return RankCertificate(
-        kind="weak",
-        claimed_rank=basis.n,
-        witness=x,
-        pivot_rows=h.rank_result.pivot_rows,
-        pivot_cols=h.rank_result.pivot_cols,
-        basis=basis,
-        notes=notes,
-    )
+        raise ValueError(f"vector is not a witness: hull dimension {h.dim}, expected {basis.n}")
+    return _weak_certificate(basis, h.base_vector, h.rank_result, notes=notes)
+
+
+def _weak_certificate(basis: AffinorBasis, x: Sequence, pivots: RankResult,
+                      **fields) -> RankCertificate:
+    return RankCertificate(kind="weak", claimed_rank=basis.n, witness=exact_vector(x),
+                           pivot_rows=pivots.pivot_rows, pivot_cols=pivots.pivot_cols,
+                           basis=basis, **fields)
 
 
 def weak_rank_witness(
@@ -388,50 +413,31 @@ def weak_rank_witness(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
-    rng = random.Random(seed)
-    max_seen = 0
-    tried = 0
     candidates = itertools.chain(
         (exact_vector(c) for c in extra_candidates),
         _deterministic_candidates(m),
-        _random_candidates(rng, m, trials),
+        _random_candidates(random.Random(seed), m, trials),
     )
-    for x in candidates:
-        tried += 1
-        h = hull(basis, x)
-        if h.dim == n:
-            return RankCertificate(
-                kind="weak",
-                claimed_rank=n,
-                witness=h.base_vector,
-                pivot_rows=h.rank_result.pivot_rows,
-                pivot_cols=h.rank_result.pivot_cols,
-                basis=basis,
-                trials=tried,
-            )
-        max_seen = max(max_seen, h.dim)
+    x, pivots, tried, max_seen = _first_hit(
+        candidates, lambda batch: _images(basis, batch)._scaled.nums.tolist(),
+        n, n * m * m, True)
+    if x is not None:
+        return _weak_certificate(basis, x, pivots, trials=tried)
     outcome, point = _symbolic_minor_scan(basis)
     if outcome == "witness" and point is not None:
         cert = certificate_from_witness(
             basis, point, notes=("witness extracted from a nonzero symbolic minor",)
         )
         return replace(cert, trials=tried)
-    if outcome == "vanish":
-        return NoWitnessFound(
-            target_rank=n,
-            stage="hull",
-            max_dim_seen=max_seen,
-            trials=tried,
-            definitive=True,
-            note="every maximal minor of the symbolic hull matrix vanishes identically",
-        )
+    vanish = outcome == "vanish"
     return NoWitnessFound(
         target_rank=n,
         stage="hull",
         max_dim_seen=max_seen,
         trials=tried,
-        definitive=False,
-        note="search exhausted; absence of a witness was not proved",
+        definitive=vanish,
+        note="every maximal minor of the symbolic hull matrix vanishes identically" if vanish
+        else "search exhausted; absence of a witness was not proved",
     )
 
 
@@ -462,36 +468,32 @@ def certify_generic_rank(
     if isinstance(weak, NoWitnessFound):
         return weak
 
-    best_dim = 0
-    tried = 0
     unit = _deterministic_candidates(m)[:-1]
+    # Both random streams draw from this one rng in turn (x_k, then y_k),
+    # so the seed fixes every pair and the two bounds double in step.
+    rng = random.Random(seed)
     pair_candidates = itertools.chain(
         ((exact_vector(a), exact_vector(b)) for a, b in extra_pairs),
         ((unit[i], unit[j]) for i in range(m) for j in range(i + 1, m)),
         ((weak.witness, unit[i]) for i in range(m)),
+        zip(_random_candidates(rng, m, trials), _random_candidates(rng, m, trials)),
     )
-    # Both random streams draw from this one rng in turn (x_k, then y_k),
-    # so the seed fixes every pair and the two bounds double in step.
-    rng = random.Random(seed)
-    random_pairs = zip(
-        _random_candidates(rng, m, trials), _random_candidates(rng, m, trials)
-    )
-    for x, y in itertools.chain(pair_candidates, random_pairs):
-        tried += 1
-        d = pair_span_dim(basis, x, y)
-        if d == 2 * n:
-            return RankCertificate(
-                kind="generic",
-                claimed_rank=n,
-                witness=weak.witness,
-                pivot_rows=weak.pivot_rows,
-                pivot_cols=weak.pivot_cols,
-                basis=basis,
-                closure=closure,
-                pair=(x, y, d),
-                inequality=(2 * n, m),
-            )
-        best_dim = max(best_dim, d)
+    pair, _, tried, best_dim = _first_hit(
+        pair_candidates,
+        lambda batch: _images(basis, [v for xy in batch for v in xy])._scaled.nums.tolist(),
+        2 * n, 2 * n * m * m, True)
+    if pair is not None:
+        return RankCertificate(
+            kind="generic",
+            claimed_rank=n,
+            witness=weak.witness,
+            pivot_rows=weak.pivot_rows,
+            pivot_cols=weak.pivot_cols,
+            basis=basis,
+            closure=closure,
+            pair=(*map(exact_vector, pair), 2 * n),
+            inequality=(2 * n, m),
+        )
     return NoWitnessFound(
         target_rank=2 * n,
         stage="pair",
@@ -529,22 +531,19 @@ def inversion_probe(
     A singular sample refutes "every nonzero element is invertible"
     definitively; an all-pass is probabilistic evidence only and says so.
     Basis elements themselves and the all-ones combination are tried before
-    random coefficients.  Each sample is one integer product of its
-    coefficients with the stacked basis, and is singular exactly when
-    fraction-free elimination of its numerators drops rank.
+    random coefficients.  A batch of samples is one integer product of
+    their coefficients with the stacked basis, and a sample is singular
+    exactly when fraction-free elimination of its numerators drops rank.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
-    mats = basis.stacked
-    rng = random.Random(seed)
-    tried = 0
     candidates = itertools.chain(
-        _deterministic_candidates(n), _random_candidates(rng, n, trials)
+        _deterministic_candidates(n), _random_candidates(random.Random(seed), n, trials)
     )
-    for coeffs in candidates:
-        tried += 1
-        element = combine([coeffs], mats).nums.reshape(m, m).tolist()
-        if _bareiss_rank(element)[0] < m:
-            return CounterexampleFound(coeffs=coeffs, det=Fraction(0))
+    coeffs, _, tried, _ = _first_hit(
+        candidates, lambda batch: combine(batch, basis.stacked).nums.reshape(-1, m).tolist(),
+        m, n * m * m, False)
+    if coeffs is not None:
+        return CounterexampleFound(coeffs=exact_vector(coeffs), det=Fraction(0))
     return AllSampledInvertible(samples=tried, implied_weak_rank=n)

@@ -24,8 +24,8 @@ Formats:
   operator span acting on its own coefficient space) is accepted on
   load;
 * structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars;
-* connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or
-  ``{"m": m, "gamma": {"poly": [[[ [[coeff, [powers..]], ..] ]]]}}``;
+* connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or ``{"m": m,
+  "gamma": {"poly": [[[ [[coeff, [p_1, .., p_m]], ..] ]]]}}``, p_i >= 0 ints;
 * curve: ``{"kind": "closed", "m": m, "domain": [t0, t1], "coords":
   [[term, ..], ..]}`` with term ``{"type": "power", "coeff": c, "exp": a}``
   or ``{"type": "cos"|"sin", "coeff": c, "omega": w}``, or
@@ -193,25 +193,17 @@ def constants_from_json(obj, path) -> StructureConstants:
     mode = obj.get("mode", EXACT)
     if mode != EXACT:
         raise InputFormatError(path, "mode", "structure constants must be exact")
-    c = _need(obj, "C", path, "")
-    if not isinstance(c, list) or len(c) != n:
-        raise InputFormatError(path, "C", f"expected {n} planes")
-    planes = []
-    for i, plane in enumerate(c):
-        if not isinstance(plane, list) or len(plane) != n:
-            raise InputFormatError(path, f"C[{i}]", f"expected {n} rows")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != n:
-                raise InputFormatError(path, f"C[{i}][{j}]", f"expected {n} entries")
-            rows.append(
-                tuple(
-                    exact_scalar_from_json(v, path, f"C[{i}][{j}][{k}]")
-                    for k, v in enumerate(row)
-                )
-            )
-        planes.append(tuple(rows))
-    return StructureConstants(n, tuple(planes))
+    return StructureConstants(n, _cube(_need(obj, "C", path, ""), n, path, "C",
+                                       lambda v, at: exact_scalar_from_json(v, path, at)))
+
+
+def _cube(value, n, path, field, leaf, depth=0) -> tuple:
+    """An n x n x n nested list, each innermost item read by ``leaf(item, field)``."""
+    if not isinstance(value, list) or len(value) != n:
+        raise InputFormatError(path, field, f"expected {n} {('planes', 'rows', 'entries')[depth]}")
+    if depth == 2:
+        return tuple(leaf(v, f"{field}[{k}]") for k, v in enumerate(value))
+    return tuple(_cube(v, n, path, f"{field}[{i}]", leaf, depth + 1) for i, v in enumerate(value))
 
 
 def connection_from_json(obj, path) -> ConnectionSpec:
@@ -231,11 +223,33 @@ def connection_from_json(obj, path) -> ConnectionSpec:
             raise InputFormatError(path, "gamma.constant", f"table is not {m}x{m}x{m}")
         return spec
     if "poly" in gamma:
-        try:
-            return ConnectionSpec.polynomial(m, gamma["poly"])
-        except (AffinorRankError, OverflowError, TypeError, ValueError) as exc:
-            raise InputFormatError(path, "gamma.poly", str(exc))
+        cells = _cube(gamma["poly"], m, path, "gamma.poly",
+                      lambda cell, at: _poly_cell_from_json(cell, m, path, at))
+        return ConnectionSpec.polynomial(m, cells)
     raise InputFormatError(path, "gamma", 'expected "constant" or "poly"')
+
+
+def _poly_cell_from_json(cell, m, path, field) -> list:
+    """A list of [coeff, [exponent per coordinate]] terms, read by the
+    number rules of curve terms."""
+    if not isinstance(cell, list):
+        raise InputFormatError(path, field, "expected a list of terms")
+    for s, term in enumerate(cell):
+        if not (isinstance(term, list) and len(term) == 2
+                and isinstance(term[1], list) and len(term[1]) == m):
+            raise InputFormatError(path, f"{field}[{s}]", f"expected [coeff, [{m} exponents]]")
+    return [(float_scalar_from_json(c, path, f"{field}[{s}][0]"),
+             [_exponent(p, path, f"{field}[{s}][1][{i}]") for i, p in enumerate(powers)])
+            for s, (c, powers) in enumerate(cell)]
+
+
+def _exponent(value, path, field) -> int:
+    """A nonnegative integer that is finite as a float."""
+    exp = _int(value, path, field)
+    if exp < 0:
+        raise InputFormatError(path, field, "exponent must be nonnegative")
+    float_scalar_from_json(exp, path, field)
+    return exp
 
 
 def _term_from_json(obj, path, field):
@@ -244,10 +258,8 @@ def _term_from_json(obj, path, field):
     kind = _need(obj, "type", path, f"{field}.")
     coeff = float_scalar_from_json(_need(obj, "coeff", path, f"{field}."), path, f"{field}.coeff")
     if kind == "power":
-        exp = _int(_need(obj, "exp", path, f"{field}."), path, f"{field}.exp")
-        if exp < 0:
-            raise InputFormatError(path, f"{field}.exp", "exponent must be nonnegative")
-        return ("power", coeff, float_scalar_from_json(exp, path, f"{field}.exp"))
+        return ("power", coeff, float(_exponent(_need(obj, "exp", path, f"{field}."),
+                                                path, f"{field}.exp")))
     if kind in ("cos", "sin"):
         omega = float_scalar_from_json(
             _need(obj, "omega", path, f"{field}."), path, f"{field}.omega"

@@ -40,7 +40,6 @@ inverse pivot block of the stacked generators, proved by an integer product.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -369,8 +368,10 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, i
     for c in range(ncols):
         if r >= nrows:
             break
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if p is None:
+        p = r  # a loop, not next() over a generator: this runs once per column
+        while p < nrows and a[p][c] == 0:
+            p += 1
+        if p == nrows:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
@@ -623,10 +624,3 @@ def scalar_multiple_of_identity(m: Matrix) -> Optional[Fraction]:
         return None
     return Fraction(int(q), view.den)
 
-
-def random_int_vector(rng: random.Random, length: int, bound: int) -> ExactVector:
-    """Seeded random integer vector with entries in [-bound, bound], not all zero."""
-    while True:
-        vec = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(length))
-        if any(v != 0 for v in vec):
-            return vec

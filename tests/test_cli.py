@@ -709,6 +709,53 @@ def test_planar_rejects_non_finite_numbers(capsys, tmp_path, spoil):
     assert captured.err.count("\n") == 1
 
 
+def _poly_term(conn, term):
+    conn["gamma"] = {"poly": [[[[] for _ in range(4)] for _ in range(4)] for _ in range(4)]}
+    conn["gamma"]["poly"][0][1][2] = [term]
+
+
+@pytest.mark.parametrize("term, code", [
+    ([0.0, [1, 0, 0, 0]], EXIT_NEGATIVE),  # the flat connection, written as a polynomial
+    ([0.0, [10 ** 400, 0, 0, 0]], EXIT_DATA),  # past the float range
+    ([0.0, [1.5, 0, 0, 0]], EXIT_DATA),
+    ([0.0, [True, 0, 0, 0]], EXIT_DATA),
+    ([0.0, [-1, 0, 0, 0]], EXIT_DATA),
+    ([0.0, [1, 0, 0]], EXIT_DATA),  # one exponent short of m = 4
+    ([True, [1, 0, 0, 0]], EXIT_DATA),
+    (["nan", [1, 0, 0, 0]], EXIT_DATA),
+    ([0.0, 1], EXIT_DATA),
+], ids=["valid", "huge-exponent", "fractional-exponent", "bool-exponent", "negative-exponent",
+        "short-exponents", "bool-coefficient", "string-coefficient", "bare-exponent"])
+def test_planar_reads_polynomial_connections_by_the_number_rules(capsys, tmp_path, term, code):
+    # each number of a "poly" cell is read as curve terms are: a finite
+    # coefficient, and one nonnegative integer exponent per coordinate
+    conn = json.loads((FIXTURES / "flat4_connection.json").read_text())
+    _poly_term(conn, term)
+    (tmp_path / "conn.json").write_text(json.dumps(conn))
+    got = main(["planar", "--basis", str(FIXTURES / "complex_r4_basis.json"),
+                "--connection", str(tmp_path / "conn.json"),
+                "--curve", str(FIXTURES / "helix_curve.json"), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert got == code
+    if code == EXIT_DATA:
+        assert err.count("\n") == 1 and "gamma.poly[0][1][2][0]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "missing.json", "--trials", "4097"],
+    ["frobenius", "missing.json", "--trials", "4097"],
+    ["planar", "--basis", "missing.json", "--connection", "missing.json",
+     "--curve", "missing.json", "--samples", "100001"],
+], ids=["rank-trials", "frobenius-trials", "planar-samples"])
+def test_search_and_sample_caps_refuse_before_reading_input(capsys, argv):
+    # the cap is checked first: the missing input would otherwise exit 65
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and argv[-2] in captured.err
+
+
 def test_verify_report_missing_certificate(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"result": {}}))

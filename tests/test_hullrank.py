@@ -133,8 +133,13 @@ def test_hull_of_zero_vector(quaternions_r4):
 
 
 def test_hull_dimension_mismatch(quaternions_r4):
+    short = (Fraction(1),) * 3
     with pytest.raises(DimensionMismatch):
-        hull(quaternions_r4, (Fraction(1),) * 3)
+        hull(quaternions_r4, short)
+    with pytest.raises(DimensionMismatch):
+        pair_span_dim(quaternions_r4, _unit(4, 0), short)
+    with pytest.raises(DimensionMismatch):
+        weak_rank_witness(quaternions_r4, extra_candidates=[short])
 
 
 def test_hull_contains_base_vector(complex_r4, rng):
@@ -385,3 +390,41 @@ def test_inversion_probe_projector_counterexample():
 def test_inversion_probe_identity_span():
     basis = AffinorBasis((Matrix.identity(3),))
     assert isinstance(inversion_probe(basis), AllSampledInvertible)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name, counts, *aliases):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    for mod in (module, *aliases):
+        monkeypatch.setattr(mod, name, counted)
+
+
+def test_searches_make_one_product_per_batch(monkeypatch, quaternions_r8):
+    # batches double from 1, so 85 pair candidates take 7 products and 69
+    # probe samples 7; a one-at-a-time search makes 85 and 69
+    from affinor_rank import hullrank
+
+    counts = {}
+    _counting(monkeypatch, hullrank, "_images", counts)
+    _counting(monkeypatch, linalg, "combine", counts, hullrank)
+    _counting(monkeypatch, linalg, "rank", counts, hullrank)
+    p = Matrix.exact([[int(i == j == 0) for j in range(6)] for i in range(6)])
+    basis = AffinorBasis((Matrix.identity(6), p))
+    assert isinstance(weak_rank_witness(basis), RankCertificate)
+    weak_products = counts.pop("_images")
+    outcome = certify_generic_rank(basis)
+    assert isinstance(outcome, NoWitnessFound) and outcome.stage == "pair"
+    assert outcome.trials == 15 + 6 + 64
+    assert counts.pop("_images") - weak_products <= 8
+    assert isinstance(inversion_probe(quaternions_r8), AllSampledInvertible)
+    assert counts.pop("combine") <= 8
+    assert "rank" not in counts

@@ -21,19 +21,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from affinor_rank import (
     AffinorBasis,
     AllSampledInvertible,
     CliffordSignature,
     CounterexampleFound,
+    Inapplicable,
     Matrix,
+    NoWitnessFound,
     RankCertificate,
     Splitting,
     StructureConstants,
     build_clifford,
     certify_generic_rank,
+    chat,
     det,
     from_affinors,
     hullrank,
@@ -45,6 +48,7 @@ from affinor_rank import (
     verify_associativity,
     verify_clifford_relations,
     verify_complete_system,
+    weak_rank_witness,
 )
 from affinor_rank import cli
 from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
@@ -60,6 +64,7 @@ from conftest import (
     is_zero_matrix,
     linear_combination,
     local3_constants,
+    local_constants,
     matrix_algebra_2x2_constants,
     quaternion_constants,
     quaternion_matrices,
@@ -553,9 +558,9 @@ def _conjugated_span(draw):
         assume(False)
 
 
-@given(_conjugated_span(), st.integers(0, 3))
-def test_inversion_probe_finds_the_first_singular_candidate(basis, seed):
-    trials = 4
+@given(_conjugated_span(), st.integers(0, 3), st.integers(1, 40))
+def test_inversion_probe_finds_the_first_singular_candidate(basis, seed, trials):
+    # up to 45 samples: batches of 1, 2, 4, 8, 16 and 32 decide them
     candidates = itertools.chain(
         hullrank._deterministic_candidates(basis.n),
         hullrank._random_candidates(random.Random(seed), basis.n, trials),
@@ -571,6 +576,103 @@ def test_inversion_probe_finds_the_first_singular_candidate(basis, seed):
         assert got == AllSampledInvertible(samples=tried, implied_weak_rank=basis.n)
     else:
         assert got == CounterexampleFound(coeffs=expected, det=Fraction(0))
+
+
+def _draws(rng, m, trials):
+    """The seeded random candidates, written out: entries in [-b, b], with
+    b = 4 doubled every 8 draws, and the zero vector drawn again."""
+    for k in range(trials):
+        vec = (0,) * m
+        while not any(vec):
+            vec = tuple(rng.randint(-(4 << k // 8), 4 << k // 8) for _ in range(m))
+        yield vec
+
+
+def _first_of(candidates, dim, target):
+    """The first candidate whose ``dim`` reaches ``target``, or None, then
+    the number tried and the best dimension before it."""
+    tried, best = 0, 0
+    for c in candidates:
+        tried += 1
+        d = dim(c)
+        if d == target:
+            return c, tried, best
+        best = max(best, d)
+    return None, tried, best
+
+
+def _weak_one_at_a_time(basis, trials, seed):
+    m = basis.m
+    unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    return _first_of(itertools.chain(unit, [(1,) * m], _draws(random.Random(seed), m, trials)),
+                     lambda x: hullrank.hull(basis, x).dim, basis.n)
+
+
+def _pairs_one_at_a_time(basis, witness, trials, seed):
+    m, rng = basis.m, random.Random(seed)
+    unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    return _first_of(itertools.chain(
+        ((unit[i], unit[j]) for i in range(m) for j in range(i + 1, m)),
+        ((witness, unit[i]) for i in range(m)),
+        zip(_draws(rng, m, trials), _draws(rng, m, trials)),
+    ), lambda xy: hullrank.pair_span_dim(basis, *xy), 2 * basis.n)
+
+
+@st.composite
+def _search_span(draw):
+    """The identity with disjoint diagonal block projectors, a closed span
+    (a block of size 1 leaves pairs short of 2n), or with sparse matrices,
+    rarely closed, in a random frame."""
+    m = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=1, max_size=m - 1)))
+        others = [Matrix.exact([[int(i == j and lo <= i < hi) for j in range(m)] for i in range(m)])
+                  for lo, hi in zip([0] + cuts, cuts)]
+    else:
+        others = draw(st.lists(_matrix(m, m, _SPARSE), min_size=1, max_size=m // 2))
+    q, q_inv = draw(_frame(m))
+    mats = [Matrix.identity(m)] + [
+        Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)) for a in others]
+    try:
+        return AffinorBasis(mats)
+    except InvalidBasis:
+        assume(False)
+
+
+_RANK_ONE_PROJECTOR_SPAN = AffinorBasis((
+    Matrix.identity(6), Matrix.exact([[int(i == j == 0) for j in range(6)] for i in range(6)])))
+
+
+@given(_search_span(), st.integers(1, 40), st.integers(0, 3))
+@example(_RANK_ONE_PROJECTOR_SPAN, 40, 1)
+@example(AffinorBasis(chat(local3_constants()).c_hat), 40, 2)  # no witness, proved
+@example(AffinorBasis(chat(local_constants(7)).c_hat), 33, 0)  # no witness, unproved
+def test_batched_searches_match_one_at_a_time(basis, trials, seed):
+    # batch boundaries fall after candidates 1, 3, 7, 15, 31 and 63; the
+    # first hit, its pivots, trials and the best dimension must not move
+    x, tried, best = _weak_one_at_a_time(basis, trials, seed)
+    got = weak_rank_witness(basis, trials, seed)
+    assert got.trials == tried
+    if x is not None:
+        pivots = hullrank.hull(basis, x).rank_result
+        assert (got.witness, got.pivot_rows, got.pivot_cols) == (
+            x, pivots.pivot_rows, pivots.pivot_cols)
+    elif isinstance(got, NoWitnessFound):
+        assert got.max_dim_seen == best
+        assert got.definitive == (hullrank._symbolic_minor_scan(basis)[0] == "vanish")
+    else:  # a witness read off a nonzero symbolic minor
+        assert hullrank._symbolic_minor_scan(basis)[0] == "witness"
+    generic = certify_generic_rank(basis, trials, seed)
+    if isinstance(generic, Inapplicable) or isinstance(got, NoWitnessFound):
+        assert isinstance(generic, Inapplicable) or generic == got
+        return
+    pair, pair_tried, pair_best = _pairs_one_at_a_time(basis, got.witness, trials, seed)
+    if pair is not None:
+        assert generic.pair == (*pair, 2 * basis.n)
+    else:
+        assert generic == NoWitnessFound(
+            target_rank=2 * basis.n, stage="pair", max_dim_seen=pair_best,
+            trials=pair_tried, definitive=False, note=generic.note)
 
 
 @st.composite
