@@ -4,6 +4,10 @@ Conventions, fixed once for the whole package:
 
 * ``c[i][j][k]`` is the coefficient of the k-th basis element in the
   product of the i-th and j-th basis elements (in that order).
+* The constants are one exact ``Matrix``, ``table``, n**2 x n, whose row
+  ``i*n + j`` holds e_i e_j; every check reads its integer view, or the
+  cube of its numerators, with the ``linalg`` kernels.  The Fractions
+  ``c`` are derived on each read, a reference and the ``multiply`` oracle.
 * Index 0 is the unity element; inputs whose first element fails the
   unity identities are reported, never silently permuted.
 * ``chat(sc).c_hat[i]`` has the left factor as its row index: entry
@@ -21,17 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TYPE_CHECKING
 
-from .errors import DimensionMismatch, InvalidAlgebra, NotClosed, ShapeMismatch
+import numpy as np
+
+from .errors import DimensionMismatch, InvalidAlgebra, InvalidBasis, NotClosed, ShapeMismatch
 from .linalg import (
-    EXACT,
-    Matrix,
-    SpanSolver,
-    _rows_equal,
-    as_fraction,
-    combine,
-    pairwise_products,
-    scalar_to_json,
-    stack,
+    EXACT, Matrix, SpanSolver, _fractions, _int_product, _json_rows, _lowest_terms, _rows_equal,
+    _view, as_fraction, pairwise_products, products_refused, stack,
 )
 
 if TYPE_CHECKING:
@@ -40,36 +39,37 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Third-order coefficient array of an n-dimensional algebra with unity."""
+    """Third-order coefficient array of an n-dimensional algebra with unity,
+    n >= 1, as ``table``; constants are equal when their values are."""
 
     n: int
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    table: Matrix
 
     def __post_init__(self):
-        if len(self.c) != self.n:
-            raise ShapeMismatch("structure constant array is not n x n x n")
-        for plane in self.c:
-            if len(plane) != self.n:
-                raise ShapeMismatch("structure constant array is not n x n x n")
-            for row in plane:
-                if len(row) != self.n:
-                    raise ShapeMismatch("structure constant array is not n x n x n")
+        if self.n < 1 or (self.table.rows, self.table.cols) != (self.n * self.n, self.n):
+            raise ShapeMismatch("structure constant array is not n x n x n with n >= 1")
 
     @staticmethod
     def exact(c: Sequence[Sequence[Sequence]]) -> "StructureConstants":
-        data = tuple(
-            tuple(tuple(as_fraction(v) for v in row) for row in plane) for plane in c
-        )
-        return StructureConstants(len(data), data)
+        n = len(c)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
+            raise ShapeMismatch("structure constant array is not n x n x n")
+        return StructureConstants(n, Matrix.exact(row for plane in c for row in plane))
+
+    @property
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The table as nested Fractions, built from the view on each read."""
+        view, n = self.table._scaled, self.n
+        rows = [tuple(_fractions(row, view.den)) for row in view.nums.tolist()]
+        return tuple(tuple(rows[i * n:(i + 1) * n]) for i in range(n))
+
+    def cube(self, axes: tuple[int, int, int] = (0, 1, 2)) -> np.ndarray:
+        """The numerators of ``table``, as an n x n x n array, axes in that order."""
+        return self.table._scaled.nums.reshape((self.n,) * 3).transpose(axes)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": EXACT,
-            "C": [
-                [[scalar_to_json(v) for v in row] for row in plane] for plane in self.c
-            ],
-        }
+        rows, n = _json_rows(self.table._scaled), self.n
+        return {"n": n, "mode": EXACT, "C": [rows[i * n:(i + 1) * n] for i in range(n)]}
 
 
 @dataclass(frozen=True)
@@ -132,32 +132,22 @@ class AssociativityResult:
 
 
 def verify_unity(sc: StructureConstants) -> VerifyResult:
-    """Check that index 0 multiplies as the unity element on both sides."""
-    violations = []
-    for i in range(sc.n):
-        for k in range(sc.n):
-            expected = 1 if i == k else 0
-            if sc.c[0][i][k] != expected:
-                violations.append((0, i, k))
-            if sc.c[i][0][k] != expected:
-                violations.append((i, 0, k))
-    # deduplicate (0, 0, k) which the two loops both visit
-    seen = set()
-    uniq = [v for v in violations if not (v in seen or seen.add(v))]
-    return VerifyResult(not uniq, tuple(uniq))
+    """Check that index 0 multiplies as the unity element on both sides:
+    the rows of e_0 e_i and of e_i e_0 in the table are den * I."""
+    view, n = sc.table._scaled, sc.n
+    unit = np.diag(np.array([view.den] * n, dtype=object))
+    left, right = view.nums[:n] != unit, view.nums[::n] != unit
+    right[0] = False  # (0, 0, k) is listed once
+    bad = np.argwhere(np.stack([left, right], axis=-1)).tolist()
+    return VerifyResult(not bad, tuple((i, 0, k) if side else (0, i, k) for i, k, side in bad))
 
 
 def _chat_raw(sc: StructureConstants) -> ChatMatrices:
-    n = sc.n
-    c_hat = tuple(
-        Matrix(n, n, tuple(tuple(sc.c[j][i][k] for k in range(n)) for j in range(n)))
-        for i in range(n)
-    )
-    c_hat_star = tuple(
-        Matrix(n, n, tuple(tuple(sc.c[i][k][j] for k in range(n)) for j in range(n)))
-        for i in range(n)
-    )
-    return ChatMatrices(c_hat, c_hat_star)
+    def planes(axes):  # each in lowest terms: a plane may share a factor with den
+        den = sc.table._scaled.den
+        return tuple(Matrix.from_view(_lowest_terms(p.ravel().tolist(), den, p.shape))
+                     for p in sc.cube(axes))
+    return ChatMatrices(planes((1, 0, 2)), planes((0, 2, 1)))
 
 
 def chat(sc: StructureConstants) -> ChatMatrices:
@@ -178,11 +168,9 @@ def _violations(family: Sequence[Matrix], sc: StructureConstants) -> list[tuple[
     Both sides are integer views: the n**2 products as one stacked product,
     and the structure-constant table, n**2 x n, times the same stack.
     """
-    n = sc.n
-    mats = stack(family)
-    same = _rows_equal(
-        pairwise_products(mats, n), combine([row for plane in sc.c for row in plane], mats)
-    )
+    n, table, mats = sc.n, sc.table._scaled, stack(family)
+    combos = _view(_int_product(table, mats, n), table.den * mats.den)
+    same = _rows_equal(pairwise_products(mats, n), combos)
     return [divmod(t, n) for t, ok in enumerate(same) if not ok]
 
 
@@ -203,7 +191,7 @@ def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> Al
     """Product of two elements through the structure constants."""
     if len(a.coeffs) != sc.n or len(b.coeffs) != sc.n:
         raise DimensionMismatch("element length does not match algebra dimension")
-    out = [Fraction(0)] * sc.n
+    c, out = sc.c, [Fraction(0)] * sc.n
     for i, ai in enumerate(a.coeffs):
         if ai == 0:
             continue
@@ -211,7 +199,7 @@ def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> Al
             if bj == 0:
                 continue
             f = ai * bj
-            row = sc.c[i][j]
+            row = c[i][j]
             for s in range(sc.n):
                 if row[s] != 0:
                     out[s] += f * row[s]
@@ -229,13 +217,17 @@ def from_affinors(basis: "AffinorBasis") -> StructureConstants:
     product, in row-major (i, j) order, that fails the proof raises
     NotClosed with that pair and its residual.  Closure failing is a
     meaningful result for callers that only need weak-rank arguments, so
-    they catch NotClosed rather than treating it as a bug.
+    they catch NotClosed rather than treating it as a bug.  A basis whose
+    products would pass ``MAX_PRODUCT_ENTRIES`` raises InvalidBasis first.
     """
     n = basis.n
+    refused = products_refused(n, basis.m)
+    if refused:
+        raise InvalidBasis(refused)
     solver = SpanSolver(basis.mats)
     products = pairwise_products(solver.generators, basis.m)
     coords = solver.coefficients(products)
     for t, c in enumerate(coords):
         if c is None:
             raise NotClosed(divmod(t, n), solver.residual_sq(products, t))
-    return StructureConstants(n, tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n)))
+    return StructureConstants.exact([coords[i * n:(i + 1) * n] for i in range(n)])

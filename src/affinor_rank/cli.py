@@ -268,6 +268,9 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError:
         raise _UsageError(f"--dims must be comma-separated integers, got {args.dims!r}")
+    refused = jsonio.products_refused(len(dims), sum(dims))  # the projector identities' products
+    if refused:
+        raise _UsageError(f"--dims {args.dims}: {refused}")
     conjugate = None
     if args.conjugate:
         conjugate = jsonio.matrix_from_json(

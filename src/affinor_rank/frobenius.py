@@ -24,24 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import (
-    ChatMatrices,
-    StructureConstants,
-    chat,
-    verify_associativity,
-    verify_unity,
-)
+from .algebra import ChatMatrices, StructureConstants, chat, verify_associativity, verify_unity
 from .errors import DimensionMismatch, InvalidAlgebra
 from .hullrank import (
-    _SYMBOLIC_MAX_ROWS,
-    AffinorBasis,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    NoWitnessFound,
-    RankCertificate,
-    weak_rank_witness,
+    _SYMBOLIC_MAX_ROWS, AffinorBasis, DEFAULT_SEED, DEFAULT_TRIALS, NoWitnessFound,
+    RankCertificate, weak_rank_witness,
 )
-from .linalg import ExactVector, Matrix, det, exact_vector, scalar_to_json
+from .linalg import ExactVector, Matrix, _rows_equal, det, exact_vector, scalar_to_json, stack
 
 
 @dataclass(frozen=True)
@@ -92,17 +81,13 @@ class FrobeniusVerdict:
 
 
 def gram(sc: StructureConstants, lam) -> FrobeniusCandidate:
-    """Bilinear form of the functional with coefficient vector ``lam``."""
+    """Bilinear form of the functional with coefficient vector ``lam``: the
+    table, n**2 x n, times lambda is the form's rows laid end to end."""
     lam = exact_vector(lam)
     if len(lam) != sc.n:
         raise DimensionMismatch("functional length does not match algebra dimension")
-    rows = []
-    for i in range(sc.n):
-        row = []
-        for j in range(sc.n):
-            row.append(sum(sc.c[i][j][s] * lam[s] for s in range(sc.n)))
-        rows.append(row)
-    g = Matrix.exact(rows)
+    view = (sc.table @ Matrix(sc.n, 1, [[v] for v in lam]))._scaled
+    g = Matrix.from_view(view._replace(nums=view.nums.reshape(sc.n, sc.n)))
     d = det(g)
     return FrobeniusCandidate(lam, g, d, d != 0)
 
@@ -216,14 +201,14 @@ def _identification(sc: StructureConstants, mats: ChatMatrices) -> dict:
     """Check which operator orientation realizes the bilinear form.
 
     Both sides are linear in the functional, so agreement on the n unit
-    vectors proves the identity for every functional.
+    vectors proves the identity for every functional.  All e_s at once
+    compare each family, operator by operator, with the table's cube: its
+    axes in the order (1, 0, 2) for ``c_hat``, as they are for ``c_hat_star``.
     """
-    plain, star = True, True
-    for s in range(sc.n):
-        lam = tuple(Fraction(1 if t == s else 0) for t in range(sc.n))
-        g = gram(sc, lam).gram
-        plain = plain and Matrix.exact(m.apply(lam) for m in mats.c_hat) == g.transpose()
-        star = star and Matrix.exact(m.apply(lam) for m in mats.c_hat_star) == g
+    view = sc.table._scaled
+    plain, star = (
+        all(_rows_equal(stack(family), view._replace(nums=sc.cube(axes).reshape(sc.n, -1))))
+        for family, axes in ((mats.c_hat, (1, 0, 2)), (mats.c_hat_star, (0, 1, 2))))
     return {
         "multiplier_rows_match_gram_transpose": plain,
         "star_rows_match_gram": star,

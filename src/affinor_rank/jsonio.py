@@ -23,7 +23,8 @@ Formats:
   matrices; n * m * m is at most ``MAX_ENTRIES``; a basis with n == m (an
   operator span acting on its own coefficient space) is accepted on
   load;
-* structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars;
+* structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars, with
+  1 <= n and n**4 at most ``linalg.MAX_PRODUCT_ENTRIES`` (n <= 32);
 * connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or ``{"m": m,
   "gamma": {"poly": [[[ [[coeff, [p_1, .., p_m]], ..] ]]]}}``, p_i >= 0 ints;
 * curve: ``{"kind": "closed", "m": m, "domain": [t0, t1], "coords":
@@ -46,7 +47,7 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, Matrix, _scale, _scale_sparse
+from .linalg import EXACT, Matrix, _scale, _scale_sparse, products_refused
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 
 #: Most entries a matrix, or a basis in all, may hold: the size of the
@@ -190,11 +191,15 @@ def basis_from_json(obj, path) -> AffinorBasis:
 
 def constants_from_json(obj, path) -> StructureConstants:
     n = _int(_need(obj, "n", path, ""), path, "n")
+    # the associativity check multiplies n operators of n x n pairwise
+    refused = f"an algebra with unity has n >= 1, got {n}" if n < 1 else products_refused(n, n)
+    if refused:
+        raise InputFormatError(path, "n", refused)
     mode = obj.get("mode", EXACT)
     if mode != EXACT:
         raise InputFormatError(path, "mode", "structure constants must be exact")
-    return StructureConstants(n, _cube(_need(obj, "C", path, ""), n, path, "C",
-                                       lambda v, at: exact_scalar_from_json(v, path, at)))
+    return StructureConstants.exact(_cube(_need(obj, "C", path, ""), n, path, "C",
+                                          lambda v, at: exact_scalar_from_json(v, path, at)))
 
 
 def _cube(value, n, path, field, leaf, depth=0) -> tuple:

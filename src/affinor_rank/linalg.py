@@ -466,6 +466,19 @@ def stack(mats: Sequence[Matrix]) -> _Scaled:
     ]), den)
 
 
+#: Most entries, n**2 * m**2, that the n**2 pairwise products of n m x m
+#: matrices may hold: closure, associativity and the projector identities
+#: each build that stack, so its size, not the input's, sets their memory.
+MAX_PRODUCT_ENTRIES = 1 << 20
+
+
+def products_refused(n: int, m: int) -> Optional[str]:
+    """Why the pairwise products of n m x m matrices are refused, or None."""
+    if n * n * m * m > MAX_PRODUCT_ENTRIES:
+        return f"the products of {n} matrices of {m}x{m} exceed {MAX_PRODUCT_ENTRIES} entries"
+    return None
+
+
 def pairwise_products(s: _Scaled, m: int) -> _Scaled:
     """Row i*n + j: the product of the m x m matrices in rows i and j of ``s``.
 

@@ -286,7 +286,7 @@ def matrix_algebra_2x2_constants() -> StructureConstants:
     mats = [e, e11, e12, e21]
     coords = SpanSolver(mats).coefficients(stack([a @ b for a in mats for b in mats]))
     assert None not in coords  # matrix products stay in the span
-    return StructureConstants(4, tuple(tuple(coords[4 * i:4 * i + 4]) for i in range(4)))
+    return StructureConstants.exact([coords[4 * i:4 * i + 4] for i in range(4)])
 
 
 @pytest.fixture

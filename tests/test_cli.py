@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from affinor_rank import cli, clifford, distributions
+from affinor_rank import algebra, cli, clifford, distributions
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -23,6 +23,7 @@ from affinor_rank.cli import (
 )
 from affinor_rank.errors import MissingCertificate
 from affinor_rank.jsonio import MAX_ENTRIES
+from affinor_rank.linalg import MAX_PRODUCT_ENTRIES, products_refused
 
 from conftest import densify
 
@@ -754,6 +755,65 @@ def test_search_and_sample_caps_refuse_before_reading_input(capsys, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("command", [["algebra", "verify"], ["frobenius"]])
+@pytest.mark.parametrize("n", [0, -1])
+def test_constants_without_unity_are_refused(capsys, tmp_path, command, n):
+    # an algebra with unity has n >= 1: smaller n is bad input, named by its field
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"n": n, "C": []}))
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and "field 'n'" in err and "n >= 1" in err
+
+
+# The pairwise-product cap: every input here is one step past it, and each
+# is refused before a product, a span solve or a projector is built.
+
+
+def test_product_cap_bounds():
+    assert products_refused(32, 32) is None  # 32**4 == MAX_PRODUCT_ENTRIES
+    assert products_refused(33, 33) is not None
+    assert products_refused(1, 1025) is not None
+
+
+def test_distributions_past_the_product_cap_is_a_usage_error(capsys):
+    # one block of 1025: 1025**2 product entries; the missing conjugate
+    # would exit 65, so the cap is checked before any input is read
+    code = main(["distributions", "--dims", "1025", "--conjugate", "missing.json"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and f"exceed {MAX_PRODUCT_ENTRIES} entries" in err
+
+
+def test_constants_past_the_product_cap_are_refused(capsys, tmp_path):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"n": 33, "C": []}))  # refused before C is read
+    for command in (["algebra", "verify"], ["frobenius"]):
+        assert main(command + [str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "field 'n'" in err and f"exceed {MAX_PRODUCT_ENTRIES} entries" in err
+
+
+def test_generic_rank_past_the_product_cap_is_refused(capsys, tmp_path, monkeypatch):
+    # {E, E_01} at m = 513 passes the basis cap but not the product cap
+    m = 513
+    identity = [[i, i, 1] for i in range(m)]
+    mats = [{"rows": m, "cols": m, "mode": "exact", "nonzeros": nz}
+            for nz in (identity, [[0, 1, 1]])]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"m": m, "n": 2, "mode": "exact", "mats": mats}))
+
+    def no_solve(*args):
+        raise AssertionError("the span solver was built past the cap")
+
+    monkeypatch.setattr(algebra, "SpanSolver", no_solve)
+    code = main(["rank", str(path), "--generic"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.count("\n") == 1 and f"exceed {MAX_PRODUCT_ENTRIES} entries" in err
 
 
 def test_verify_report_missing_certificate(tmp_path):

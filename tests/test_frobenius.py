@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affinor_rank import frobenius
+from affinor_rank import algebra, frobenius
 from affinor_rank.algebra import ChatMatrices
 from affinor_rank.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, main
 from affinor_rank.hullrank import _SYMBOLIC_MAX_ROWS
@@ -205,6 +205,30 @@ def test_equivalence_runs_one_search_and_one_validation(monkeypatch):
     assert calls == {"verify_associativity": 1, "weak_rank_witness": 1}
     assert report.agree is True
     assert report.frobenius.witness.lam == report.module_rank.witness
+
+
+def test_frobenius_command_builds_one_gram_and_applies_no_matrix(monkeypatch, tmp_path):
+    # counts, not times: the identification reads the table's cube, so the
+    # witness's is the only Gram matrix, and associativity is checked once
+    calls = {"gram": 0, "apply": 0, "verify_associativity": 0}
+
+    def counted(owner, name, *aliases):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for target in (owner, *aliases):
+            monkeypatch.setattr(target, name, wrapper)
+
+    counted(frobenius, "gram")
+    counted(Matrix, "apply")
+    counted(algebra, "verify_associativity", frobenius)
+    path = tmp_path / "quaternions.json"
+    path.write_text(json.dumps(quaternion_constants().to_json()))
+    assert main(["frobenius", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"gram": 1, "apply": 0, "verify_associativity": 1}
 
 
 def test_failed_identification_is_a_disagreement(monkeypatch, tmp_path, capsys):

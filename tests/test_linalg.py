@@ -356,14 +356,25 @@ def test_matrix_stores_only_its_view():
         assert copied.entries == m.entries
 
 
-def test_only_linalg_reads_matrix_entries():
-    # a matrix is its integer view; its Fraction entries are a reference for
-    # tests, and no other module of the package reads them
+def _attribute_readers(attr: str, owner: str) -> list[str]:
+    """Where a package module other than ``owner`` reads an attribute ``attr``."""
     readers = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
+        if path.name == owner:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "entries"]
-    assert readers == []
+                    if isinstance(node, ast.Attribute) and node.attr == attr]
+    return readers
+
+
+def test_only_linalg_reads_matrix_entries():
+    # a matrix is its integer view; its Fraction entries are a reference for
+    # tests, and no other module of the package reads them
+    assert _attribute_readers("entries", "linalg.py") == []
+
+
+def test_only_algebra_reads_structure_constants_as_fractions():
+    # structure constants are their table's integer view; the nested
+    # Fractions ``c`` are a reference for tests and the ``multiply`` oracle
+    assert _attribute_readers("c", "algebra.py") == []

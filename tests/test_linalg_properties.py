@@ -39,6 +39,7 @@ from affinor_rank import (
     chat,
     det,
     from_affinors,
+    gram,
     hullrank,
     inverse,
     inversion_probe,
@@ -48,12 +49,14 @@ from affinor_rank import (
     verify_associativity,
     verify_clifford_relations,
     verify_complete_system,
+    verify_unity,
     weak_rank_witness,
 )
-from affinor_rank import cli
+from affinor_rank import algebra, cli, frobenius
+from affinor_rank.algebra import ChatMatrices
 from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
 from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
-from affinor_rank.jsonio import matrix_from_json
+from affinor_rank.jsonio import constants_from_json, matrix_from_json
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
 from conftest import (
@@ -451,7 +454,7 @@ def _tampered_algebra(draw):
                for k in range(n)] for j in range(n)] for i in range(n)]
     i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
     table[i][j][k] += draw(_NUDGE)
-    return StructureConstants(n, tuple(tuple(tuple(row) for row in plane) for plane in table))
+    return StructureConstants.exact(table)
 
 
 @given(_tampered_algebra())
@@ -461,6 +464,99 @@ def test_associativity_matches_fraction_identities(sc):
     assert (got.violations, got.star_violations) == (plain, star)
     assert got.ok == (not plain and not star)
     assert got.families_agree == (bool(plain) == bool(star))
+
+
+# ---------------------------------------------------------------------------
+# Structure constants: the table's integer view against Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_unity(c):
+    """Unity violations as a loop over Fractions lists them: (0, i, k) before
+    (i, 0, k), each (0, 0, k) once."""
+    n, violations = len(c), []
+    for i in range(n):
+        for k in range(n):
+            expected = 1 if i == k else 0
+            if c[0][i][k] != expected:
+                violations.append((0, i, k))
+            if c[i][0][k] != expected:
+                violations.append((i, 0, k))
+    seen = set()
+    return tuple(v for v in violations if not (v in seen or seen.add(v)))
+
+
+@st.composite
+def _unity_tampered(draw):
+    """A tampered algebra with up to three more entries of e_0 e_i or e_i e_0 moved."""
+    sc = draw(_tampered_algebra())
+    table = [[list(row) for row in plane] for plane in sc.c]
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = draw(st.integers(0, sc.n - 1)), draw(st.integers(0, sc.n - 1))
+        plane, row = (0, i) if draw(st.booleans()) else (i, 0)
+        table[plane][row][k] += draw(_SCALARS)
+    return StructureConstants.exact(table)
+
+
+@given(_unity_tampered())
+def test_unity_violations_match_the_fraction_loop(sc):
+    got = verify_unity(sc)
+    assert got.violations == _reference_unity(sc.c)
+    assert got.ok == (not got.violations)
+
+
+@given(_tampered_algebra(), st.data())
+def test_gram_matches_the_fraction_sum(sc, data):
+    n, c = sc.n, sc.c
+    lam = data.draw(st.lists(_SCALARS, min_size=n, max_size=n))
+    expected = tuple(tuple(sum((c[i][j][s] * lam[s] for s in range(n)), Fraction(0))
+                           for j in range(n)) for i in range(n))
+    got = gram(sc, lam)
+    assert got.gram.entries == expected
+    assert got.det == cofactor_det(expected) and got.regular == (got.det != 0)
+
+
+@given(_tampered_algebra())
+@example(StructureConstants.exact([[["1", "1/2"], ["-3/4", 0]], [[0, "5/7"], [1, "2/3"]]]))
+def test_table_round_trips_through_json_and_fractions(sc):
+    c = sc.c
+    _assert_exact(v for plane in c for row in plane for v in row)
+    written = {"n": sc.n, "mode": "exact",
+               "C": [[[scalar_to_json(v) for v in row] for row in plane] for plane in c]}
+    text = json.dumps(sc.to_json(), sort_keys=True)
+    assert text == json.dumps(written, sort_keys=True)
+    back = constants_from_json(json.loads(text), "<mem>")
+    assert back == sc and back.c == c and StructureConstants.exact(c) == sc
+
+
+def _reference_identification(c, mats):
+    """The identification as a loop over the unit functionals e_s: the
+    images of e_s, column s of each operator, against the Gram matrix
+    [c[i][j][s]] and its transpose."""
+    n = len(c)
+    plain = star = True
+    for s in range(n):
+        g = [[c[i][j][s] for j in range(n)] for i in range(n)]
+        images = [[[m.entries[j][s] for j in range(n)] for m in family]
+                  for family in (mats.c_hat, mats.c_hat_star)]
+        plain = plain and images[0] == [list(col) for col in zip(*g)]
+        star = star and images[1] == g
+    return {"multiplier_rows_match_gram_transpose": plain, "star_rows_match_gram": star}
+
+
+@given(_tampered_algebra())
+@example(quaternion_constants())
+def test_identification_matches_the_unit_vector_loop(sc):
+    mats = algebra._chat_raw(sc)
+    got = frobenius._identification(sc, mats)
+    assert got == _reference_identification(sc.c, mats)
+    assert got["multiplier_rows_match_gram_transpose"] is True
+    swapped = ChatMatrices(mats.c_hat_star, mats.c_hat)
+    got = frobenius._identification(sc, swapped)
+    assert got == _reference_identification(sc.c, swapped)
+    # e_i e_k must have the e_0 coordinate of e_0 e_i for the swap to pass
+    if any(c_ik[0] != sc.c[0][i][k] for i, plane in enumerate(sc.c) for k, c_ik in enumerate(plane)):
+        assert got["multiplier_rows_match_gram_transpose"] is False
 
 
 _SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)), _SCALARS)
