@@ -210,24 +210,25 @@ def from_affinors(basis: "AffinorBasis") -> StructureConstants:
     """Structure constants of a matrix span, when it is closed under products.
 
     All n**2 products come from one stacked integer product of the basis
-    numerators.  A span element is fixed by its values on the pivot columns
-    of the stacked basis, so ``SpanSolver`` solves every product at once
-    against the inverse n x n pivot block and proves the result exactly,
-    coordinates x stack == D x products over the integers.  The first
-    product, in row-major (i, j) order, that fails the proof raises
-    NotClosed with that pair and its residual.  Closure failing is a
-    meaningful result for callers that only need weak-rank arguments, so
-    they catch NotClosed rather than treating it as a bug.  A basis whose
-    products would pass ``MAX_PRODUCT_ENTRIES`` raises InvalidBasis first.
+    stack.  A span element is fixed by its values on the pivot columns of
+    that stack, so ``SpanSolver`` solves every product at once against the
+    inverse n x n pivot block and proves the result exactly, coordinates x
+    stack == D x products over the integers; the proved coordinates, an
+    integer view, are the table.  The first product, in row-major (i, j)
+    order, that fails the proof raises NotClosed with that pair and its
+    residual.  Closure failing is a meaningful result for callers that only
+    need weak-rank arguments, so they catch NotClosed rather than treating
+    it as a bug.  A basis whose products would pass
+    ``MAX_PRODUCT_ENTRIES`` raises InvalidBasis first.
     """
     n = basis.n
     refused = products_refused(n, basis.m)
     if refused:
         raise InvalidBasis(refused)
-    solver = SpanSolver(basis.mats)
+    solver = SpanSolver(basis.stacked)
     products = pairwise_products(solver.generators, basis.m)
-    coords = solver.coefficients(products)
-    for t, c in enumerate(coords):
-        if c is None:
-            raise NotClosed(divmod(t, n), solver.residual_sq(products, t))
-    return StructureConstants.exact([coords[i * n:(i + 1) * n] for i in range(n)])
+    table, proved = solver.coordinates(products)
+    if not all(proved):
+        t = proved.index(False)
+        raise NotClosed(divmod(t, n), solver.residual_sq(products, t))
+    return StructureConstants(n, Matrix.from_view(table))

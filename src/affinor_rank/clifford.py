@@ -35,7 +35,7 @@ from .hullrank import (
 from .linalg import Matrix, _Scaled, _rows_equal, pairwise_products, stack
 
 # Cl(4,4), 8 generators, is the largest signature built: 256 blade matrices
-# of 256 x 256, one 128 MiB int64 stack, about 420 MB peak with validation;
+# of 256 x 256, one 128 MiB int64 stack, about 180 MB peak with validation;
 # one more generator multiplies the stack by 8.  ``CliffordSignature``
 # refuses a larger signature before anything is allocated.
 _MAX_BUILD = 8
@@ -159,15 +159,17 @@ def _blade_stack(sig: CliffordSignature, blades: tuple[int, ...]) -> np.ndarray:
 def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     """Left regular representation matrices for every basis blade.
 
-    Each matrix is its integer view, made straight from the blade stack
-    with no Fraction on the way.  Generator relations are verified before
-    the basis is returned, and the result is kept on it as ``relations``.
+    The blade stack is the basis stack, and each matrix is a view of its
+    row, with no Fraction and no copy on the way.  Generator relations are
+    verified before the basis is returned, and the result is kept on it as
+    ``relations``.
     """
     blades = _blade_order(sig.generators)
-    mats = tuple(Matrix.from_view(_Scaled(nums, 1, 1)) for nums in _blade_stack(sig, blades))
+    dim = sig.dim
+    nums = _blade_stack(sig, blades).reshape(dim, dim * dim)
     cb = CliffordBasis(
         signature=sig,
-        basis=AffinorBasis(mats),
+        basis=AffinorBasis.from_stack(_Scaled(nums, 1, 1), dim),
         blades=blades,
         labels=tuple(_blade_label(b) for b in blades),
     )
@@ -264,17 +266,13 @@ def clifford_rank_theorem_check(
     raise AssertionError("no witness found for a regular representation")
 
 
-def _block_double(mat: Matrix) -> Matrix:
-    """diag(mat, mat), made from the view."""
-    view, m = mat._scaled, mat.rows
-    nums = np.zeros((2 * m, 2 * m), dtype=view.nums.dtype)
-    nums[:m, :m] = nums[m:, m:] = view.nums
-    return Matrix.from_view(view._replace(nums=nums))
-
-
 def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:
     """The same blades acting diagonally on two copies of the module."""
-    return AffinorBasis(tuple(_block_double(m) for m in cb.basis.mats))
+    s, m = cb.basis.stacked, cb.basis.m
+    blades = s.nums.reshape(-1, m, m)
+    nums = np.zeros((len(blades), 2 * m, 2 * m), dtype=s.nums.dtype)
+    nums[:, :m, :m] = nums[:, m:, m:] = blades
+    return AffinorBasis.from_stack(s._replace(nums=nums.reshape(len(blades), -1)), 2 * m)
 
 
 def doubled_generic_rank_check(

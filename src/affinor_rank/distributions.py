@@ -192,13 +192,12 @@ def distribution_rank_check(
     searched: one nonzero coordinate per block (pushed through the change
     of basis when present) makes the hull matrix block-diagonal of full
     span rank.  A system without one is searched.  The generic pipeline
-    runs whenever 2n <= m; a second per-block indicator seeds its pair
-    search when every block has one.
+    runs whenever 2n <= m, on the same weak certificate; a second per-block
+    indicator seeds its pair search when every block has one.
     """
     basis = ps.affinor_basis()
     n, m = ps.n, ps.m
     sp = ps.splitting
-    extra_candidates: tuple[tuple[Fraction, ...], ...] = ()
     extra_pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] = ()
     if sp is None:
         weak = weak_rank_witness(basis, trials, seed)
@@ -214,7 +213,6 @@ def distribution_rank_check(
                 y0 = sp.change_of_basis.apply(y0)
         note = "witness constructed with one nonzero coordinate per block"
         weak = certificate_from_witness(basis, x0, notes=(note,))
-        extra_candidates = (x0,)
         if y0 is not None:
             extra_pairs = ((x0, y0),)
     if 2 * n > m:
@@ -226,7 +224,7 @@ def distribution_rank_check(
             basis,
             trials=trials,
             seed=seed,
-            extra_candidates=extra_candidates,
             extra_pairs=extra_pairs,
+            weak=weak,
         )
     return DistributionRankReport(weak=weak, generic=generic, witness_note=note)

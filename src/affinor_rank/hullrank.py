@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import algebra as _algebra
 from .errors import DimensionMismatch, InvalidBasis, NotClosed
@@ -110,6 +110,20 @@ class AffinorBasis:
             raise InvalidBasis(f"span rank {n} exceeds module dimension {m}")
         if not has_full_row_rank(self.stacked):
             raise InvalidBasis("basis elements are linearly dependent")
+
+    @staticmethod
+    def from_stack(s: _Scaled, m: int) -> "AffinorBasis":
+        """The basis of the m x m matrices in the rows of ``s``, validated
+        as any other; ``stacked`` is ``s`` itself, not a copy, and over
+        den 1 every matrix views its row."""
+        out = object.__new__(AffinorBasis)
+        object.__setattr__(out, "mats", tuple(
+            Matrix.from_view(_Scaled(nums, 1, s.bound) if s.den == 1
+                             else _lowest_terms(nums.ravel().tolist(), s.den, (m, m)))
+            for nums in s.nums.reshape(-1, m, m)))
+        out.__dict__["stacked"] = s  # what the cached property would hold
+        out.__post_init__()
+        return out
 
     @property
     def m(self) -> int:
@@ -308,8 +322,15 @@ class CounterexampleFound:
 # ---------------------------------------------------------------------------
 
 
-def _deterministic_candidates(m: int) -> list[tuple[int, ...]]:
-    return [tuple(int(j == i) for j in range(m)) for i in range(m)] + [(1,) * m]
+def _unit(m: int, i: int) -> tuple[int, ...]:
+    return (0,) * i + (1,) + (0,) * (m - i - 1)
+
+
+def _deterministic_candidates(m: int) -> Iterator[tuple[int, ...]]:
+    """The unit vectors, then the all-ones vector, each made when reached."""
+    for i in range(m):
+        yield _unit(m, i)
+    yield (1,) * m
 
 
 def _random_candidates(rng: random.Random, m: int, trials: int):
@@ -447,13 +468,15 @@ def certify_generic_rank(
     seed: int = DEFAULT_SEED,
     extra_candidates: Sequence[Sequence] = (),
     extra_pairs: Sequence[tuple[Sequence, Sequence]] = (),
+    weak: Optional[RankCertificate] = None,
 ) -> Union[RankCertificate, Inapplicable, NoWitnessFound]:
     """Full generic-rank pipeline.
 
     Steps: dimension inequality 2n <= m, closure of the span under
     composition, weak witness search, then a pair witness reaching
     dimension 2n.  The pair witness is required; without it no generic
-    certificate is produced.
+    certificate is produced.  A weak certificate of ``basis`` already in
+    hand is passed as ``weak``, and the search is skipped.
     """
     n, m = basis.n, basis.m
     if 2 * n > m:
@@ -464,18 +487,18 @@ def certify_generic_rank(
         closure = _algebra.from_affinors(basis)
     except NotClosed as exc:
         return Inapplicable("NotAnAlgebra", str(exc))
-    weak = weak_rank_witness(basis, trials, seed, extra_candidates)
-    if isinstance(weak, NoWitnessFound):
-        return weak
+    if weak is None:
+        weak = weak_rank_witness(basis, trials, seed, extra_candidates)
+        if isinstance(weak, NoWitnessFound):
+            return weak
 
-    unit = _deterministic_candidates(m)[:-1]
     # Both random streams draw from this one rng in turn (x_k, then y_k),
     # so the seed fixes every pair and the two bounds double in step.
     rng = random.Random(seed)
     pair_candidates = itertools.chain(
         ((exact_vector(a), exact_vector(b)) for a, b in extra_pairs),
-        ((unit[i], unit[j]) for i in range(m) for j in range(i + 1, m)),
-        ((weak.witness, unit[i]) for i in range(m)),
+        ((_unit(m, i), _unit(m, j)) for i in range(m) for j in range(i + 1, m)),
+        ((weak.witness, _unit(m, i)) for i in range(m)),
         zip(_random_candidates(rng, m, trials), _random_candidates(rng, m, trials)),
     )
     pair, _, tried, best_dim = _first_hit(

@@ -29,12 +29,18 @@ arithmetic on matrices.
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
 size and the reported pivots select a minor whose determinant is provably
-nonzero.  The linear-independence test stacks the numerators of several
-matrices' views, one matrix per row; rows with disjoint supports pass at
-sight, and other stacks are reduced mod p.
+nonzero.  A row with a zero in the pivot column is only rescaled by
+pivot / prev, which is skipped when pivot == prev and is a negation when
+pivot == -prev: on signed permutations and other sparse {-1, 0, 1} data
+most rows are left as they are.  The linear-independence test stacks the
+numerators of several matrices' views, one matrix per row; rows with
+disjoint supports pass at sight, and other stacks are reduced mod p.
 The same elimination, followed by fraction-free back substitution, gives
-the inverse; span coordinates of a whole batch of targets follow from the
-inverse pivot block of the stacked generators, proved by an integer product.
+the inverse.  ``SpanSolver`` takes the generators or their stack, so a
+caller that holds the stack already solves on it without a second copy;
+span coordinates of a whole batch of targets follow from the inverse pivot
+block, proved by an integer product, and come out as one integer view over
+a common denominator, scaled in Python ints, that is a matrix as it stands.
 """
 
 from __future__ import annotations
@@ -235,7 +241,8 @@ class _Scaled(NamedTuple):
 
     ``nums`` is an int64 array when every numerator fits, and an object
     array of Python ints otherwise; ``bound`` is the largest absolute
-    numerator, from which products decide whether int64 is safe.
+    numerator, or for the rows of a stack that of the whole stack, from
+    which products decide whether int64 is safe.
     """
 
     nums: np.ndarray
@@ -377,15 +384,22 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, i
             a[r], a[p] = a[p], a[r]
             row_of[r], row_of[p] = row_of[p], row_of[r]
             sign = -sign
-        pivot = a[r][c]
+        ar = a[r]
+        pivot = ar[c]
         pivot_rows.append(row_of[r])
         pivot_cols.append(c)
         for i in range(r + 1, nrows):
             ai = a[i]
-            ar = a[r]
             f = ai[c]
             if f == 0:
-                # Sylvester identity still demands the pivot scaling here.
+                # Sylvester identity still demands the pivot scaling here,
+                # which is the identity when pivot == prev and a negation
+                # when pivot == -prev, as on signed permutations.
+                if pivot == prev:
+                    continue
+                if pivot == -prev:
+                    ai[c + 1:] = [-v for v in ai[c + 1:]]
+                    continue
                 for j in range(c + 1, ncols):
                     ai[j] = ai[j] * pivot // prev
             else:
@@ -505,17 +519,21 @@ class SpanSolver:
 
     A span element is fixed by its values on the pivot columns of the
     stacked generators, the columns their reduced row echelon form picks.
-    ``__init__`` finds them and inverts the pivot block B once; the view of
-    B^-1 is an integer matrix over a denominator D.  A batch of targets
-    (see ``stack``) is solved by one integer product and proved by a
-    second one, coordinates x stack == D x targets, compared exactly.
+    ``__init__`` takes the matrices or their ``stack``, finds those columns
+    and inverts the pivot block B once; the view of B^-1 is an integer
+    matrix over a denominator D.  A batch of targets (a ``stack``) is solved
+    by one integer product and proved by a second one, coordinates x stack
+    == D x targets, compared exactly.
     """
 
-    def __init__(self, mats: Sequence[Matrix]):
-        if not mats or any((m.rows, m.cols) != (mats[0].rows, mats[0].cols) for m in mats):
+    def __init__(self, mats: Union[Sequence[Matrix], _Scaled]):
+        if isinstance(mats, _Scaled):
+            self.generators = mats
+        elif not mats or any((m.rows, m.cols) != (mats[0].rows, mats[0].cols) for m in mats):
             raise ShapeMismatch("span basis must be nonempty and equally shaped")
-        self.n = len(mats)
-        self.generators = stack(mats)
+        else:
+            self.generators = stack(mats)
+        self.n = self.generators.nums.shape[0]
         rk, _, self._pivots, _, _ = _bareiss_rank(self.generators.nums.tolist())
         if rk < self.n:
             raise InvalidBasis("span basis matrices are linearly dependent")
@@ -532,20 +550,30 @@ class SpanSolver:
         picked = _Scaled(targets.nums[:, self._pivots], 1, targets.bound)
         return _view(_int_product(picked, self._adj_t, self.n), 1)
 
-    def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
-        """Coordinates over the generators of each target row, or None for
-        a row outside the span."""
+    def coordinates(self, targets: _Scaled) -> tuple[_Scaled, list[bool]]:
+        """The coordinates over the generators of the span elements that
+        agree with each target row on the pivot columns, as one view in
+        lowest terms with a row per target, and whether each row is proved
+        to equal its target, which holds exactly for targets in the span."""
         ys = self._scaled_coordinates(targets)
         d = self._det
         # ys x stack == D x targets, numerator by numerator
         combos = _view(_int_product(ys, self.generators, self.n), d)
         proved = _rows_equal(combos, targets._replace(den=1))
         # target = sum_k (y_k / D) * stack row k / den_t, and stack row k
-        # is den_g times generator k
-        num, den = self.generators.den, d * targets.den
+        # is den_g times generator k; Python ints, as den_g * y_k may pass
+        # the int64 range
+        g = self.generators.den
+        return _lowest_terms([g * v for v in ys.nums.ravel().tolist()], d * targets.den,
+                             ys.nums.shape), proved
+
+    def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
+        """Coordinates over the generators of each target row, or None for
+        a row outside the span."""
+        view, proved = self.coordinates(targets)
         return [
-            tuple(_fractions([num * v for v in y], den)) if ok else None
-            for ok, y in zip(proved, ys.nums.tolist())
+            tuple(_fractions(y, view.den)) if ok else None
+            for ok, y in zip(proved, view.nums.tolist())
         ]
 
     def residual_sq(self, targets: _Scaled, t: int) -> Fraction:

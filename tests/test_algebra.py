@@ -15,6 +15,7 @@ from affinor_rank import (
     verify_associativity,
     verify_unity,
 )
+from affinor_rank import algebra, hullrank, linalg
 from affinor_rank.errors import InvalidAlgebra, NotClosed
 from affinor_rank.linalg import SpanSolver, stack
 
@@ -26,6 +27,7 @@ from conftest import (
     linear_combination,
     local3_constants,
     quaternion_constants,
+    quaternion_matrices,
     rotation_block,
 )
 
@@ -190,6 +192,20 @@ def test_from_affinors_round_trip_property(quaternions_r4, rng):
         mat_b = linear_combination(mats, b)
         (coeffs,) = SpanSolver(mats).coefficients(stack([mat_a @ mat_b]))
         assert coeffs == via_table.coeffs
+
+
+def test_from_affinors_stacks_the_basis_once(monkeypatch):
+    # the basis stack made for validation is the one the closure solves on
+    calls = []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return stack(mats)
+
+    for module in (linalg, hullrank, algebra):
+        monkeypatch.setattr(module, "stack", counted)
+    from_affinors(AffinorBasis(quaternion_matrices()))
+    assert calls == [4]
 
 
 def test_from_affinors_output_is_associative(quaternions_r4, complex_r4):

@@ -104,6 +104,19 @@ def test_basis_span_has_full_dimension():
         assert cb.basis.n == cb.signature.dim  # independence was validated
 
 
+def test_basis_stack_is_the_blade_stack():
+    # every blade matrix views its row of the one blade array, which is
+    # the basis stack itself, not an np.stack copy of it
+    cb = build_clifford(CliffordSignature(2, 1))
+    stacked = cb.basis.stacked
+    assert stacked.nums.shape == (8, 64) and stacked.nums.flags.owndata is False
+    for k, mat in enumerate(cb.basis.mats):
+        assert np.shares_memory(stacked.nums, mat._scaled.nums)
+        assert np.array_equal(stacked.nums[k], mat._scaled.nums.ravel())
+    doubled = doubled_module_basis(cb)
+    assert all(np.shares_memory(doubled.stacked.nums, mat._scaled.nums) for mat in doubled.mats)
+
+
 def test_tampered_generator_is_reported():
     cb = build_clifford(CliffordSignature(0, 2))
     bad = [list(row) for row in cb.basis.mats[1].entries]

@@ -17,6 +17,8 @@ from affinor_rank import (
     projectors_from_splitting,
     verify_complete_system,
 )
+from affinor_rank import hullrank
+from affinor_rank.cli import main
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
 from affinor_rank.linalg import SpanSolver, det, stack
 
@@ -106,6 +108,21 @@ def test_rank_check_two_blocks_generic():
     assert report.weak.claimed_rank == 2
     assert isinstance(report.generic, RankCertificate)
     assert report.generic.claimed_rank == 2
+
+
+def test_rank_check_evaluates_the_witness_hull_once(monkeypatch, tmp_path):
+    # the weak certificate's hull, then one pair batch: the generic
+    # pipeline reuses the weak certificate instead of searching again
+    calls = []
+    images = hullrank._images
+
+    def counted(basis, vectors):
+        calls.append(len(vectors))
+        return images(basis, vectors)
+
+    monkeypatch.setattr(hullrank, "_images", counted)
+    assert main(["distributions", "--dims", "2,2", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [1, 2]
 
 
 def test_rank_check_searches_without_a_splitting(rng):

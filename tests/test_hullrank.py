@@ -20,7 +20,7 @@ from affinor_rank import (
     scalar_multiple_check,
     weak_rank_witness,
 )
-from affinor_rank import clifford, linalg
+from affinor_rank import clifford, hullrank, linalg
 from affinor_rank.errors import DimensionMismatch, InvalidBasis
 from affinor_rank.cli import _verify_certificate_dict
 from affinor_rank.linalg import rank
@@ -254,6 +254,13 @@ def test_extra_candidates_take_priority(complex_r4):
     preferred = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
     cert = weak_rank_witness(complex_r4, extra_candidates=[preferred])
     assert cert.witness == preferred
+
+
+def test_deterministic_candidates_are_made_when_reached():
+    # an iterator, not a list of all m + 1 vectors built up front
+    candidates = hullrank._deterministic_candidates(3)
+    assert next(candidates) == (1, 0, 0)
+    assert list(candidates) == [(0, 1, 0), (0, 0, 1), (1, 1, 1)]
 
 
 # ---------------------------------------------------------------------------

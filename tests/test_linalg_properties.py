@@ -276,6 +276,74 @@ def test_product_that_wraps_in_int64_stays_exact():
     assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
 
 
+def _bareiss_reference(a):
+    """The fraction-free elimination as first written, in place: every row
+    below a pivot is rescaled by pivot // prev, identity or not."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    row_of = list(range(nrows))
+    sign, prev, r = 1, 1, 0
+    pivot_rows, pivot_cols = [], []
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c] != 0), nrows)
+        if p == nrows:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            row_of[r], row_of[p] = row_of[p], row_of[r]
+            sign = -sign
+        pivot = a[r][c]
+        pivot_rows.append(row_of[r])
+        pivot_cols.append(c)
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            if f == 0:
+                for j in range(c + 1, ncols):
+                    a[i][j] = a[i][j] * pivot // prev
+            else:
+                for j in range(c + 1, ncols):
+                    a[i][j] = (a[i][j] * pivot - f * a[r][j]) // prev
+                a[i][c] = 0
+        prev = pivot
+        r += 1
+    return r, sorted(pivot_rows), pivot_cols, sign, prev
+
+
+def _int_rows(entries, max_side: int):
+    shape = st.tuples(st.integers(0, max_side), st.integers(0, max_side))
+    return shape.flatmap(lambda s: st.lists(
+        st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]))
+
+
+# signed permutations, where every pivot is +-prev; sparse sign matrices,
+# where both pivot == prev and pivot == -prev meet rows with a zero in the
+# pivot column; and dense ones, where pivots grow past +-prev
+_SIGNED_PERMUTATIONS = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+)).map(lambda ps: [[s * (j == p) for j in range(len(ps[0]))] for p, s in zip(*ps)])
+_SPARSE_SIGNS = _int_rows(st.sampled_from((-1, 0, 0, 0, 1)), 8)
+_DENSE_INTS = st.one_of(_int_rows(st.integers(-9, 9), 6),
+                        _int_rows(_NUMERATORS.filter(lambda v: isinstance(v, int)), 4))
+
+
+@given(st.one_of(_SIGNED_PERMUTATIONS, _SPARSE_SIGNS, _DENSE_INTS))
+@example([[1, 0, 0], [0, -1, 0], [0, 0, -1]])  # skipped, then negated, rows
+@example([[2, 0, 1], [0, 3, 0], [4, 1, 2]])  # a zero in the pivot column, pivot 3 over 2
+@example([[0, 1], [1, 0], [1, 1]])  # a row swap, then a row that drops out
+def test_bareiss_matches_the_rescaling_loop(rows):
+    # same rank, pivots, sign and last pivot, and the same matrix left in
+    # place, which ``inverse`` reads for its back substitution
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert linalg._bareiss_rank(got) == _bareiss_reference(want)
+    assert got == want
+    if rows and len(rows) == len(rows[0]) and cofactor_det(rows) != 0:
+        expected = _naive_solve([[Fraction(v) for v in r] for r in rows],
+                                Matrix.identity(len(rows)).entries)
+        assert inverse(Matrix.exact(rows)).entries == tuple(map(tuple, expected))
+
+
 # ---------------------------------------------------------------------------
 # Fraction-free solves: closure tables and inverse
 # ---------------------------------------------------------------------------
@@ -385,6 +453,53 @@ def test_not_closed_matches_reference_pair_and_residual(mats):
         from_affinors(basis)
     assert (err.value.pair, err.value.residual) == expected
     _assert_exact([err.value.residual])
+
+
+def _fraction_route_table(basis):
+    """The closure table made as it first was: each proved coordinate
+    den_g * y / (D * den_t) as a Fraction, then scaled into a table."""
+    solver = linalg.SpanSolver(basis.mats)
+    products = linalg.pairwise_products(solver.generators, basis.m)
+    ys = solver._scaled_coordinates(products)
+    den = solver._det * products.den
+    coords = [tuple(Fraction(solver.generators.den * v, den) for v in row)
+              for row in ys.nums.tolist()]
+    n = basis.n
+    return StructureConstants.exact([coords[i * n:(i + 1) * n] for i in range(n)])
+
+
+# scales of the quaternion units: with 1/65537 on one of them the scaled
+# coordinates y fit int64 but den_g * y does not
+_UNIT_SCALES = st.sampled_from((1, 2**31 + 1, Fraction(1, 3), Fraction(1, 65537),
+                                Fraction(5, 1048583), Fraction(1, 2**31 + 1),
+                                Fraction(2**31 + 1, 3)))
+
+
+def _scaled_quaternions(scales, frame=None):
+    mats = [a if k == 0 else a.scale(scales[k - 1]) for k, a in enumerate(quaternion_matrices())]
+    if frame is not None:
+        q, q_inv = frame
+        mats = [Matrix(4, 4, _naive_matmul(Matrix(4, 4, _naive_matmul(q, a)), q_inv))
+                for a in mats]
+    return AffinorBasis(mats)
+
+
+@given(st.lists(_UNIT_SCALES, min_size=3, max_size=3), st.one_of(st.none(), _frame(4)))
+@example([1, 1, Fraction(1, 65537)], None)
+def test_closure_table_matches_the_fraction_route(scales, frame):
+    basis = _scaled_quaternions(scales, frame)
+    got, want = from_affinors(basis).table._scaled, _fraction_route_table(basis).table._scaled
+    assert (got.den, got.bound, got.nums.dtype) == (want.den, want.bound, want.nums.dtype)
+    assert np.array_equal(got.nums, want.nums)
+
+
+def test_closure_table_scales_past_int64_in_python_ints():
+    # y fits int64 and den_g * y does not: an int64 product would wrap
+    basis = _scaled_quaternions([1, 1, Fraction(1, 65537)])
+    solver = linalg.SpanSolver(basis.stacked)
+    ys = solver._scaled_coordinates(linalg.pairwise_products(solver.generators, 4))
+    assert ys.nums.dtype == np.int64 and solver.generators.den * ys.bound >= 2**63
+    assert from_affinors(basis).c == _reference_closure(basis.mats)
 
 
 @given(st.integers(0, 4).flatmap(lambda n: _matrix(n, n)))
