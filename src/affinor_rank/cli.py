@@ -268,6 +268,8 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError:
         raise _UsageError(f"--dims must be comma-separated integers, got {args.dims!r}")
+    if min(dims) < 1:
+        raise _UsageError(f"--dims {args.dims}: block dimensions must be positive")
     refused = jsonio.products_refused(len(dims), sum(dims))  # the projector identities' products
     if refused:
         raise _UsageError(f"--dims {args.dims}: {refused}")
@@ -289,7 +291,7 @@ def _cmd_distributions(args) -> tuple[int, dict]:
         "rank": rank_report.to_json(),
     }
     if args.emit:
-        _write(args.emit, "--emit", _encode(system.affinor_basis().to_json()))
+        _write(args.emit, "--emit", _encode(rank_report.weak.basis.to_json()))
         result["emitted"] = args.emit
     if not verification.ok:
         return EXIT_NEGATIVE, result

@@ -1,9 +1,12 @@
 """Projector systems from direct-sum splittings and their rank certificates.
 
 A splitting of R^m into blocks of sizes r_1..r_n induces projectors
-P_1..P_n (optionally conjugated by an exact change of basis) with the
+P_1..P_n (optionally conjugated by an exact change of basis Q) with the
 complete-system identities: each is idempotent, distinct ones annihilate,
-and they sum to the identity.
+and they sum to the identity.  Validating Q inverts it, in the one
+elimination of Q; P_i = Q D_i Q^-1, with D_i the 0/1 indicator of block i,
+so all n numerator arrays are one integer product, Q's columns in block i
+times Q^-1's rows.  Without a frame they are the indicator diagonals.
 
 The projector span contains the identity only as the sum of its elements,
 so for hull computations the basis is rewritten to {E, P_1, .., P_(n-1)},
@@ -15,12 +18,14 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .algebra import VerifyResult
-from .errors import DimensionMismatch, SingularChangeOfBasis
+from .errors import DimensionMismatch, NotInvertible, SingularChangeOfBasis
 from .hullrank import (
     AffinorBasis,
     DEFAULT_SEED,
@@ -32,7 +37,8 @@ from .hullrank import (
     certify_generic_rank,
     weak_rank_witness,
 )
-from .linalg import Matrix, _rows_equal, combine, det, inverse, pairwise_products, stack
+from .linalg import (Matrix, _int_product, _lowest_terms, _rows_equal, _Scaled, combine,
+                     inverse, pairwise_products, stack)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,6 +51,8 @@ class Splitting:
     m: int
     block_dims: tuple[int, ...]
     change_of_basis: Optional[Matrix] = None
+    # the frame's inverse, computed once by the validation below
+    change_of_basis_inverse: Optional[Matrix] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "block_dims", tuple(self.block_dims))
@@ -58,8 +66,10 @@ class Splitting:
         if q is not None:
             if not q.is_square or q.rows != self.m:
                 raise DimensionMismatch("change of basis must be m x m")
-            if det(q) == 0:
-                raise SingularChangeOfBasis("change of basis is singular")
+            try:
+                object.__setattr__(self, "change_of_basis_inverse", inverse(q))
+            except NotInvertible:
+                raise SingularChangeOfBasis("change of basis is singular") from None
 
     @property
     def n(self) -> int:
@@ -107,23 +117,20 @@ class ProjectorSystem:
         return AffinorBasis(mats)
 
 
-def _block_projector(m: int, start: int, size: int) -> Matrix:
-    return Matrix(m, m, [[int(i == j and start <= i < start + size) for j in range(m)]
-                         for i in range(m)])
-
-
 def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
-    """Conjugated block projectors; the complete-system identities are
-    verified exactly before the system is returned, and the result is kept
-    on it as ``verification``."""
-    blocks = [
-        _block_projector(sp.m, start, size)
-        for start, size in zip(sp.block_starts(), sp.block_dims)
-    ]
-    if sp.change_of_basis is not None:
-        q = sp.change_of_basis
-        q_inv = inverse(q)
-        blocks = [q @ b @ q_inv for b in blocks]
+    """Conjugated block projectors, built as one batched product; the
+    complete-system identities are verified exactly before the system is
+    returned, and the result is kept on it as ``verification``."""
+    ind = np.repeat(np.eye(sp.n, dtype=np.int64), sp.block_dims, axis=1)  # row i: block i
+    q = sp.change_of_basis
+    if q is None:  # no product: the views are the indicator diagonals
+        diagonals = np.eye(sp.m, dtype=np.int64) * ind[:, None, :]
+        blocks = [Matrix.from_view(_Scaled(d, 1, 1)) for d in diagonals]
+    else:
+        a, b = q._scaled, sp.change_of_basis_inverse._scaled
+        nums = _int_product(a._replace(nums=a.nums * ind[:, None, :]), b, sp.m)
+        blocks = [Matrix.from_view(_lowest_terms(p.ravel().tolist(), a.den * b.den, p.shape))
+                  for p in nums]
     system = ProjectorSystem(tuple(blocks), sp)
     check = verify_complete_system(system)
     if not check.ok:  # pragma: no cover - construction guarantees the identities

@@ -34,13 +34,15 @@ pivot / prev, which is skipped when pivot == prev and is a negation when
 pivot == -prev: on signed permutations and other sparse {-1, 0, 1} data
 most rows are left as they are.  The linear-independence test stacks the
 numerators of several matrices' views, one matrix per row; rows with
-disjoint supports pass at sight, and other stacks are reduced mod p.
-The same elimination, followed by fraction-free back substitution, gives
-the inverse.  ``SpanSolver`` takes the generators or their stack, so a
-caller that holds the stack already solves on it without a second copy;
-span coordinates of a whole batch of targets follow from the inverse pivot
-block, proved by an integer product, and come out as one integer view over
-a common denominator, scaled in Python ints, that is a matrix as it stands.
+disjoint supports pass at sight, and other stacks are reduced mod p,
+visiting only the columns that are nonzero somewhere in the stack.  The
+same elimination, then fraction-free back substitution over whole rows
+that skips zero coefficients, gives the inverse.  ``SpanSolver`` takes
+the generators or their stack, so a caller that holds the stack already
+solves on it without a second copy; span coordinates of a whole batch of
+targets follow from the inverse pivot block, proved by an integer
+product, and come out as one integer view over a common denominator,
+scaled in Python ints, that is a matrix as it stands.
 """
 
 from __future__ import annotations
@@ -443,8 +445,9 @@ def inverse(m: Matrix) -> Matrix:
 
     Bareiss elimination of [A | I], where A is the integer view den * m,
     then fraction-free back substitution (Nakos, Turner and Williams 1997)
-    of A @ x == D * I, with D = +-det(A) the last pivot.  Every division is
-    exact, because D * A^-1 is integral; m^-1 = den * x / D.
+    of A @ x == D * I, with D = +-det(A) the last pivot: row k of x is
+    (D * rhs_k - sum over j > k with a_kj != 0 of a_kj * x_j) // a_kk.
+    Every division is exact, because D * A^-1 is integral; m^-1 = den * x / D.
     """
     if not m.is_square:
         raise NotSquare("inverse of a non-square matrix")
@@ -453,11 +456,14 @@ def inverse(m: Matrix) -> Matrix:
     _, _, pivot_cols, _, d = _bareiss_rank(aug)
     if pivot_cols != list(range(n)):
         raise NotInvertible("matrix is singular")
-    x = [[0] * n for _ in range(n)]
-    for k in range(n - 1, -1, -1):
+    x: list[list[int]] = [[]] * n
+    for k in range(n - 1, -1, -1):  # row k of x from the rows below it
         row = aug[k]
-        for c in range(n):
-            x[k][c] = (d * row[n + c] - sum(row[j] * x[j][c] for j in range(k + 1, n))) // row[k]
+        acc = [d * v for v in row[n:]]
+        for c, xj in zip(row[k + 1:n], x[k + 1:]):
+            if c:
+                acc = [u - c * v for u, v in zip(acc, xj)]
+        x[k] = [u // row[k] for u in acc]
     return Matrix.from_view(_lowest_terms([view.den * v for row in x for v in row], d, (n, n)))
 
 
@@ -605,7 +611,7 @@ def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
         return False
     a = (rows % p).astype(np.int64, copy=False)
     r = 0
-    for c in range(width):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():  # a zero column stays zero
         if r >= n:
             break
         nz = np.nonzero(a[r:, c])[0]

@@ -249,6 +249,23 @@ def test_distributions_bad_dims_usage(capsys):
     assert main(["distributions", "--dims", "2,x"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("dims", ["0,2", "-1,3", "0"])
+def test_distributions_nonpositive_dims_usage(capsys, dims):
+    # a flag fault, refused before the missing conjugate would exit 65
+    code = main(["distributions", f"--dims={dims}", "--conjugate", "missing.json"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and f"--dims {dims}: block dimensions must be positive" in err
+
+
+def test_distributions_singular_conjugate_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "mode": "exact",
+                                "entries": [[1, 1], [1, 1]]}))
+    assert main(["distributions", "--dims", "1,1", "--conjugate", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == "affinor-rank: change of basis is singular\n"
+
+
 # ---------------------------------------------------------------------------
 # planar
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Projector systems and their rank certificates."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affinor_rank import (
@@ -17,7 +20,7 @@ from affinor_rank import (
     projectors_from_splitting,
     verify_complete_system,
 )
-from affinor_rank import hullrank
+from affinor_rank import hullrank, linalg
 from affinor_rank.cli import main
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
 from affinor_rank.linalg import SpanSolver, det, stack
@@ -123,6 +126,53 @@ def test_rank_check_evaluates_the_witness_hull_once(monkeypatch, tmp_path):
     monkeypatch.setattr(hullrank, "_images", counted)
     assert main(["distributions", "--dims", "2,2", "--out", str(tmp_path / "r.json")]) == 0
     assert calls == [1, 2]
+
+
+def test_emit_writes_the_basis_the_rank_check_validated(monkeypatch, tmp_path):
+    # --emit writes the weak certificate's basis, not a second copy
+    validated = []
+    post_init = hullrank.AffinorBasis.__post_init__
+
+    def counted(basis):
+        validated.append(basis)
+        return post_init(basis)
+
+    monkeypatch.setattr(hullrank.AffinorBasis, "__post_init__", counted)
+    emit = tmp_path / "basis.json"
+    conjugate = Path(__file__).parent.parent / "docs" / "fixtures" / "conjugation_q4.json"
+    assert main(["distributions", "--dims", "2,2", "--conjugate", str(conjugate),
+                 "--emit", str(emit), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(validated) == 1
+    assert json.loads(emit.read_text()) == validated[0].to_json()
+
+
+def _count_kernels(monkeypatch):
+    """Lists that record each Bareiss elimination (its row count) and
+    each Matrix product from now on."""
+    eliminations, products = [], []
+    bareiss, matmul = linalg._bareiss_rank, Matrix.__matmul__
+    monkeypatch.setattr(linalg, "_bareiss_rank",
+                        lambda a: eliminations.append(len(a)) or bareiss(a))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    return eliminations, products
+
+
+def test_conjugated_build_eliminates_the_frame_once_and_multiplies_no_matrices(rng, monkeypatch):
+    q = _random_invertible(rng, 6)
+    eliminations, products = _count_kernels(monkeypatch)
+    ps = projectors_from_splitting(Splitting(6, (2, 1, 3), q))
+    assert eliminations == [6] and products == []
+    assert ps.splitting.change_of_basis_inverse == linalg.inverse(q)
+
+
+def test_unconjugated_build_is_the_indicator_diagonals(monkeypatch):
+    eliminations, products = _count_kernels(monkeypatch)
+    ps = projectors_from_splitting(Splitting(5, (2, 1, 2)))
+    assert eliminations == [] and products == []
+    for p, ones in zip(ps.projectors, ([1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1])):
+        view = p._scaled
+        assert (view.den, view.bound, view.nums.dtype) == (1, 1, np.int64)
+        assert np.array_equal(view.nums, np.diag(ones))
 
 
 def test_rank_check_searches_without_a_splitting(rng):

@@ -709,6 +709,92 @@ def test_projector_identities_match_fraction_products(ps):
 
 
 @st.composite
+def _framed_splittings(draw):
+    """Block sizes, singletons included, and no frame or an invertible one
+    of small, near-2**31 or past-int64 entries, with its inverse."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    m = sum(dims)
+    ident = Matrix.identity(m).entries
+    q = draw(st.one_of(st.none(), _small_or_large(m, st.one_of(_NEAR_2_31, _SCALARS))))
+    if q is None:
+        return dims, None, ident, ident
+    q_inv = _naive_solve(q.entries, ident)
+    assume(q_inv is not None)
+    return dims, q, q.entries, q_inv
+
+
+def _assert_same_view(got: Matrix, want: Matrix):
+    g, w = got._scaled, want._scaled
+    assert (g.den, g.bound, g.nums.dtype) == (w.den, w.bound, w.nums.dtype)
+    assert g.nums.shape == w.nums.shape
+    assert np.array_equal(g.nums, w.nums)
+
+
+@given(_framed_splittings())
+def test_batched_projectors_match_fraction_conjugation(case):
+    # P_i = Q D_i Q^-1, the sum over block i of Q's columns times Q^-1's rows
+    dims, q, qe, qi = case
+    m = sum(dims)
+    got = projectors_from_splitting(Splitting(m, dims, q)).projectors
+    start = 0
+    for p, size in zip(got, dims):
+        block = range(start, start + size)
+        want = tuple(tuple(sum((qe[r][k] * qi[k][c] for k in block), Fraction(0))
+                           for c in range(m)) for r in range(m))
+        _assert_same_view(p, Matrix(m, m, want))
+        start += size
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.one_of(
+    _matrix(n, n, _SPARSE), _matrix(n, n, _SMALL), _matrix(n, n))))
+@example(Matrix.exact([[0, 2, 0], [1, 0, 0], [0, 0, -1]]))  # zeros above the diagonal skipped
+@example(Matrix.exact([[2**62, 1], [1, 2**62]]))  # D past 2**63
+def test_inverse_matches_gauss_jordan(m):
+    expected = _naive_solve(m.entries, Matrix.identity(m.rows).entries)
+    if expected is None:
+        with pytest.raises(NotInvertible):
+            inverse(m)
+    else:
+        _assert_same_view(inverse(m), Matrix(m.rows, m.rows, tuple(map(tuple, expected))))
+
+
+_STACK_ENTRIES = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2),
+                           st.just(linalg._PRIMES[0]), st.integers(2**62 - 4, 2**62 + 4))
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over GF(p) of integer rows, by plain Gaussian elimination."""
+    rows = [[v % p for v in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@given(_int_rows(_STACK_ENTRIES, 6))
+@example([[0, 1, 0], [0, 0, 2]])  # a zero column
+@example([[0, 1, 3], [0, 0, 0]])  # a zero row
+@example([[1, 0], [0, 1], [1, 1]])  # more rows than columns
+@example([[linalg._PRIMES[0], 0], [0, 1]])  # full rank, but not mod p
+def test_modp_full_row_rank_never_overclaims(rows):
+    width = len(rows[0]) if rows else 0
+    s = linalg._view(np.array(rows, dtype=object).reshape(len(rows), width), 1)
+    full = len(_naive_pivots([[Fraction(v) for v in r] for r in rows])) == len(rows)
+    verdict = linalg._full_row_rank_modp(s.nums, linalg._PRIMES[0])
+    assert type(verdict) is bool and (full or not verdict)
+    assert verdict == (_rank_mod(rows, linalg._PRIMES[0]) == len(rows))
+    assert has_full_row_rank(s) == full == (rank(Matrix.from_view(s)).rank == len(rows))
+
+
+@st.composite
 def _dense_clifford(draw):
     """A regular Clifford representation in a random frame, so that its
     generators are dense, with one generator entry moved by a drawn amount."""
