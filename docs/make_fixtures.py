@@ -45,18 +45,18 @@ def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
 
     e4 = Matrix.identity(4)
-    dump("complex_r4_basis.json", AffinorBasis((e4, rotation_block(4))).to_json())
+    dump("complex_r4_basis.json", AffinorBasis.of((e4, rotation_block(4))).to_json())
     dump(
         "complex_r2_basis.json",
-        AffinorBasis((Matrix.identity(2), rotation_block(2))).to_json(),
+        AffinorBasis.of((Matrix.identity(2), rotation_block(2))).to_json(),
     )
     dump(
         "quaternion_r8_basis.json",
-        AffinorBasis(tuple(double(m) for m in quaternions())).to_json(),
+        AffinorBasis.of(tuple(double(m) for m in quaternions())).to_json(),
     )
     dump(
         "quaternion_r4_basis.json",
-        AffinorBasis(quaternions()).to_json(),
+        AffinorBasis.of(quaternions()).to_json(),
     )
 
     dual = {"n": 2, "C": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}

@@ -10,13 +10,13 @@ Conventions, fixed once for the whole package:
   ``c`` are derived on each read, a reference and the ``multiply`` oracle.
 * Index 0 is the unity element; inputs whose first element fails the
   unity identities are reported, never silently permuted.
-* ``chat(sc).c_hat[i]`` has the left factor as its row index: entry
-  ``[j][k] = c[j][i][k]``.  This is the orientation under which the
-  multiplication-operator identity ``c_hat_j @ c_hat_k ==
-  sum_s c[j][k][s] * c_hat_s`` holds for noncommutative algebras; the
-  row-pinning unit test on the complex numbers documents it.
-* ``chat(sc).c_hat_star[i]`` has entry ``[j][k] = c[i][k][j]``; it is the
-  familiar left-multiplication operator on coefficient vectors.
+* ``chat(sc).c_hat`` is a stack: its row i, as an n x n matrix, has the
+  left factor as its row index, entry ``[j][k] = c[j][i][k]``.  This is the
+  orientation under which the multiplication-operator identity ``c_hat_j @
+  c_hat_k == sum_s c[j][k][s] * c_hat_s`` holds for noncommutative
+  algebras; the row-pinning unit test on the complex numbers documents it.
+* Row i of ``chat(sc).c_hat_star`` has entry ``[j][k] = c[i][k][j]``; it is
+  the familiar left-multiplication operator on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidAlgebra, InvalidBasis, NotClosed, ShapeMismatch
 from .linalg import (
-    EXACT, Matrix, SpanSolver, _fractions, _int_product, _json_rows, _lowest_terms, _rows_equal,
-    _view, as_fraction, pairwise_products, products_refused, stack,
+    EXACT, Matrix, SpanSolver, _Scaled, _fractions, _int_product, _is_identity_times, _json_rows,
+    _rows_equal, _view, as_fraction, pairwise_products, products_refused,
 )
 
 if TYPE_CHECKING:
@@ -83,12 +83,12 @@ class AlgebraElement:
         return AlgebraElement(tuple(as_fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChatMatrices:
-    """Multiplication-operator matrices derived from structure constants."""
+    """Multiplication-operator matrices of structure constants, one stack per family."""
 
-    c_hat: tuple[Matrix, ...]
-    c_hat_star: tuple[Matrix, ...]
+    c_hat: _Scaled
+    c_hat_star: _Scaled
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,9 @@ def verify_unity(sc: StructureConstants) -> VerifyResult:
 
 
 def _chat_raw(sc: StructureConstants) -> ChatMatrices:
-    def planes(axes):  # each in lowest terms: a plane may share a factor with den
-        den = sc.table._scaled.den
-        return tuple(Matrix.from_view(_lowest_terms(p.ravel().tolist(), den, p.shape))
-                     for p in sc.cube(axes))
-    return ChatMatrices(planes((1, 0, 2)), planes((0, 2, 1)))
+    view = sc.table._scaled  # the cube holds the table's values, so its den and bound
+    return ChatMatrices(*(view._replace(nums=sc.cube(axes).reshape(sc.n, -1))
+                          for axes in ((1, 0, 2), (0, 2, 1))))
 
 
 def chat(sc: StructureConstants) -> ChatMatrices:
@@ -157,20 +155,20 @@ def chat(sc: StructureConstants) -> ChatMatrices:
     identity, which is the matrix form of the unity identities.
     """
     mats = _chat_raw(sc)
-    if mats.c_hat[0] != Matrix.identity(sc.n):
+    if not _is_identity_times(mats.c_hat.nums[0], mats.c_hat.den, sc.n):
         raise InvalidAlgebra("first operator matrix is not the identity; unity fails")
     return mats
 
 
-def _violations(family: Sequence[Matrix], sc: StructureConstants) -> list[tuple[int, int]]:
+def _violations(family: _Scaled, sc: StructureConstants) -> list[tuple[int, int]]:
     """The (j, k), row-major, with family[j] @ family[k] != sum_s c[j][k][s] family[s].
 
     Both sides are integer views: the n**2 products as one stacked product,
     and the structure-constant table, n**2 x n, times the same stack.
     """
-    n, table, mats = sc.n, sc.table._scaled, stack(family)
-    combos = _view(_int_product(table, mats, n), table.den * mats.den)
-    same = _rows_equal(pairwise_products(mats, n), combos)
+    n, table = sc.n, sc.table._scaled
+    combos = _view(_int_product(table, family, n), table.den * family.den)
+    same = _rows_equal(pairwise_products(family, n), combos)
     return [divmod(t, n) for t, ok in enumerate(same) if not ok]
 
 

@@ -41,7 +41,7 @@ from . import frobenius as _frobenius
 from . import hullrank as _hullrank
 from . import jsonio
 from . import planarity as _planarity
-from .errors import AffinorRankError, InputFormatError, MissingCertificate
+from .errors import AffinorRankError, InputFormatError, MissingCertificate, SignatureTooLarge
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -239,7 +239,7 @@ def _cmd_frobenius(args) -> tuple[int, dict]:
 def _cmd_clifford(args) -> tuple[int, dict]:
     try:
         sig = _clifford.CliffordSignature(args.s, args.t)
-    except ValueError as exc:
+    except (ValueError, SignatureTooLarge) as exc:
         raise _UsageError(f"--s {args.s} --t {args.t}: {exc}")
     cb = _clifford.build_clifford(sig)
     relations = cb.relations

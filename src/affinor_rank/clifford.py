@@ -32,7 +32,7 @@ from .hullrank import (
     certify_generic_rank,
     weak_rank_witness,
 )
-from .linalg import Matrix, _Scaled, _rows_equal, pairwise_products, stack
+from .linalg import _Scaled, _is_identity_times, _rows_equal, pairwise_products
 
 # Cl(4,4), 8 generators, is the largest signature built: 256 blade matrices
 # of 256 x 256, one 128 MiB int64 stack, about 180 MB peak with validation;
@@ -169,7 +169,7 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     nums = _blade_stack(sig, blades).reshape(dim, dim * dim)
     cb = CliffordBasis(
         signature=sig,
-        basis=AffinorBasis.from_stack(_Scaled(nums, 1, 1), dim),
+        basis=AffinorBasis(_Scaled(nums, 1, 1), dim),
         blades=blades,
         labels=tuple(_blade_label(b) for b in blades),
     )
@@ -184,17 +184,18 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
 # ---------------------------------------------------------------------------
 
 
-def _signed_perm(mat: Matrix) -> Optional[list[int]]:
-    """Per column, +-(row + 1) of its one nonzero entry when the matrix is
-    a signed permutation (entries +-1), else None."""
-    view = mat._scaled
-    nums, nonzero = view.nums, view.nums != 0
-    if view.den != 1 or (nonzero.sum(axis=0) != 1).any() or (np.abs(nums) > 1).any():
+def _signed_perm(flat: np.ndarray, m: int) -> Optional[list[int]]:
+    """Per column, +-(row + 1) of its one nonzero entry when the m x m
+    numerators ``flat``, row-major, are a signed permutation (entries +-1),
+    else None."""
+    nums = flat.reshape(m, m)
+    nonzero = nums != 0
+    if (nonzero.sum(axis=0) != 1).any() or (np.abs(nums) > 1).any():
         return None
     rows = np.argmax(nonzero, axis=0)
-    if len(set(rows.tolist())) != mat.cols:
+    if len(set(rows.tolist())) != m:
         return None
-    return ((rows + 1) * nums[rows, np.arange(mat.cols)]).tolist()
+    return ((rows + 1) * nums[rows, np.arange(m)]).tolist()
 
 
 def _compose(f: list[int], g: list[int]) -> list[int]:
@@ -205,16 +206,20 @@ def _compose(f: list[int], g: list[int]) -> list[int]:
 def verify_clifford_relations(cb: CliffordBasis) -> VerifyResult:
     """Exact check of generator squares and pairwise anticommutation.
 
-    Generator matrices from the builder are signed permutations and are
-    checked structurally in linear time; anything else (tampered inputs)
-    falls back to one stacked integer product of all generator pairs.
+    The generators are rows 1..k of the basis stack, k from the signature;
+    each one the basis lacks is a violation ("missing", i), and the others
+    are checked among themselves.  Generator matrices from the builder are
+    signed permutations and are checked structurally in linear time;
+    anything else (tampered inputs) falls back to one stacked integer
+    product of all generator pairs.
     """
-    sig, m = cb.signature, cb.basis.m
-    gens = cb.basis.mats[1:1 + sig.generators]
-    k = len(gens)
+    sig, s, m = cb.signature, cb.basis.stacked, cb.basis.m
+    k = min(sig.generators, cb.basis.n - 1)
+    gens = s._replace(nums=s.nums[1:1 + k])
     wants = [1 if i < sig.s else -1 for i in range(k)]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    structural = [_signed_perm(g) for g in gens]
+    # a signed permutation has integer entries, so a stack over den > 1 has none
+    structural = [_signed_perm(g, m) for g in gens.nums] if s.den == 1 else [None]
     if None not in structural:
         squares = [
             _compose(sp, sp) == [w * (r + 1) for r in range(m)]
@@ -226,18 +231,17 @@ def verify_clifford_relations(cb: CliffordBasis) -> VerifyResult:
             for i, j in pairs
         ]
     else:
-        products = pairwise_products(stack(gens), m)
+        products = pairwise_products(gens, m)
         nums = products.nums
-        squares = _rows_equal(
-            products._replace(nums=nums[::k + 1]),
-            stack([Matrix.identity(m).scale(w) for w in wants]),
-        )
+        squares = [_is_identity_times(nums[i * (k + 1)], w * products.den, m)
+                   for i, w in enumerate(wants)]
         # row (i, j) against minus row (j, i)
         anticommute = _rows_equal(
             products._replace(nums=nums[[i * k + j for i, j in pairs]]),
             products._replace(nums=-nums[[j * k + i for i, j in pairs]]),
         )
-    violations = [("square", i + 1, w) for i, w in enumerate(wants) if not squares[i]]
+    violations = [("missing", i + 1) for i in range(k, sig.generators)]
+    violations += [("square", i + 1, w) for i, w in enumerate(wants) if not squares[i]]
     violations += [
         ("anticommute", i + 1, j + 1) for (i, j), ok in zip(pairs, anticommute) if not ok
     ]
@@ -272,7 +276,7 @@ def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:
     blades = s.nums.reshape(-1, m, m)
     nums = np.zeros((len(blades), 2 * m, 2 * m), dtype=s.nums.dtype)
     nums[:, :m, :m] = nums[:, m:, m:] = blades
-    return AffinorBasis.from_stack(s._replace(nums=nums.reshape(len(blades), -1)), 2 * m)
+    return AffinorBasis(s._replace(nums=nums.reshape(len(blades), -1)), 2 * m)
 
 
 def doubled_generic_rank_check(

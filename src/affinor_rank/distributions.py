@@ -6,10 +6,12 @@ complete-system identities: each is idempotent, distinct ones annihilate,
 and they sum to the identity.  Validating Q inverts it, in the one
 elimination of Q; P_i = Q D_i Q^-1, with D_i the 0/1 indicator of block i,
 so all n numerator arrays are one integer product, Q's columns in block i
-times Q^-1's rows.  Without a frame they are the indicator diagonals.
+times Q^-1's rows, reduced to lowest terms as a whole and held as one
+stack, a flattened matrix per row.  Without a frame they are the indicator
+diagonals.
 
 The projector span contains the identity only as the sum of its elements,
-so for hull computations the basis is rewritten to {E, P_1, .., P_(n-1)},
+so for hull computations the stack is rewritten to {E, P_1, .., P_(n-1)},
 which spans the same subspace; the rewrite is asserted by tests, not
 assumed.  Any vector with a nonzero component in every block is a hull
 witness, and such a vector is constructed outright rather than searched
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,8 +40,8 @@ from .hullrank import (
     certify_generic_rank,
     weak_rank_witness,
 )
-from .linalg import (Matrix, _int_product, _lowest_terms, _rows_equal, _Scaled, combine,
-                     inverse, pairwise_products, stack)
+from .linalg import (_INT64_LIMIT, Matrix, _int_product, _is_identity_times, _lowest_terms,
+                     _rows_equal, _Scaled, _view, combine, inverse, pairwise_products, unstack)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -84,37 +87,35 @@ class Splitting:
         return tuple(starts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSystem:
-    """The projectors themselves; identities are checked by the verifier op."""
+    """The projector stack, an m x m matrix per row; identities are checked by the verifier op."""
 
-    projectors: tuple[Matrix, ...]
+    stacked: _Scaled
+    m: int
     splitting: Optional[Splitting] = None
     # the identity check projectors_from_splitting ran; None otherwise
     verification: Optional[VerifyResult] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(self.projectors))
-        if not self.projectors:
+        if not len(self.stacked.nums):
             raise DimensionMismatch("empty projector system")
-        m = self.projectors[0].rows
-        for p in self.projectors:
-            if not p.is_square or p.rows != m:
-                raise DimensionMismatch("projectors differ in shape")
-
-    @property
-    def m(self) -> int:
-        return self.projectors[0].rows
+        if self.stacked.nums.shape[1] != self.m * self.m:
+            raise DimensionMismatch("projectors differ in shape")
 
     @property
     def n(self) -> int:
-        return len(self.projectors)
+        return len(self.stacked.nums)
+
+    @cached_property
+    def projectors(self) -> tuple[Matrix, ...]:
+        return unstack(self.stacked, self.m)
 
     def affinor_basis(self) -> AffinorBasis:
         """Hull basis {E, P_1, .., P_(n-1)} spanning the projector span."""
-        ident = Matrix.identity(self.m)
-        mats = (ident,) + self.projectors[:-1]
-        return AffinorBasis(mats)
+        s, m = self.stacked, self.m
+        eye = np.eye(m, dtype=s.nums.dtype if s.den < _INT64_LIMIT else object) * s.den
+        return AffinorBasis(_view(np.concatenate([eye.reshape(1, -1), s.nums[:-1]]), s.den), m)
 
 
 def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
@@ -123,41 +124,36 @@ def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
     returned, and the result is kept on it as ``verification``."""
     ind = np.repeat(np.eye(sp.n, dtype=np.int64), sp.block_dims, axis=1)  # row i: block i
     q = sp.change_of_basis
-    if q is None:  # no product: the views are the indicator diagonals
+    if q is None:  # no product: the projectors are the indicator diagonals
         diagonals = np.eye(sp.m, dtype=np.int64) * ind[:, None, :]
-        blocks = [Matrix.from_view(_Scaled(d, 1, 1)) for d in diagonals]
+        projectors = _Scaled(diagonals.reshape(sp.n, -1), 1, 1)
     else:
         a, b = q._scaled, sp.change_of_basis_inverse._scaled
         nums = _int_product(a._replace(nums=a.nums * ind[:, None, :]), b, sp.m)
-        blocks = [Matrix.from_view(_lowest_terms(p.ravel().tolist(), a.den * b.den, p.shape))
-                  for p in nums]
-    system = ProjectorSystem(tuple(blocks), sp)
+        projectors = _lowest_terms(nums.ravel().tolist(), a.den * b.den, (sp.n, sp.m * sp.m))
+    system = ProjectorSystem(projectors, sp.m, sp)
     check = verify_complete_system(system)
     if not check.ok:  # pragma: no cover - construction guarantees the identities
         raise AssertionError(f"constructed projectors violate identities: {check.violations}")
     return replace(system, verification=check)
 
 
-def verify_complete_system(
-    ps: Union[ProjectorSystem, Sequence[Matrix]],
-) -> VerifyResult:
+def verify_complete_system(ps: ProjectorSystem) -> VerifyResult:
     """Exact check of idempotence, mutual annihilation and sum-to-identity.
 
     One stacked integer product gives every P_i @ P_j: row (i, i) must
     equal P_i and every other row must vanish.  The column sum of the
-    stack, one more integer product, must equal the identity.
+    stack, one more integer product, must be den times the identity.
     """
-    projectors = ps.projectors if isinstance(ps, ProjectorSystem) else tuple(ps)
-    n, m = len(projectors), projectors[0].rows
-    mats = stack(projectors)
-    products = pairwise_products(mats, m)
-    idempotent = _rows_equal(products._replace(nums=products.nums[::n + 1]), mats)
+    s, n, m = ps.stacked, ps.n, ps.m
+    products = pairwise_products(s, m)
+    idempotent = _rows_equal(products._replace(nums=products.nums[::n + 1]), s)
     nonzero = products.nums.any(axis=1).tolist()
     violations: list[tuple] = [("idempotent", i) for i in range(n) if not idempotent[i]]
     violations += [
         ("annihilate", i, j) for i in range(n) for j in range(n) if i != j and nonzero[i * n + j]
     ]
-    if not _rows_equal(combine([[1] * n], mats), stack([Matrix.identity(m)]))[0]:
+    if not _is_identity_times(combine([[1] * n], s).nums[0], s.den, m):
         violations.append(("sum_to_identity",))
     return VerifyResult(not violations, tuple(violations))
 

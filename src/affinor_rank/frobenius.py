@@ -30,7 +30,7 @@ from .hullrank import (
     _SYMBOLIC_MAX_ROWS, AffinorBasis, DEFAULT_SEED, DEFAULT_TRIALS, NoWitnessFound,
     RankCertificate, weak_rank_witness,
 )
-from .linalg import ExactVector, Matrix, _rows_equal, det, exact_vector, scalar_to_json, stack
+from .linalg import ExactVector, Matrix, _rows_equal, det, exact_vector, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def find_frobenius_form(
     witnesses means the determinant of the pencil is the zero polynomial.
     """
     _require_valid(sc)
-    basis = AffinorBasis(chat(sc).c_hat)
+    basis = AffinorBasis(chat(sc).c_hat, sc.n)
     outcome = weak_rank_witness(basis, trials=trials, seed=seed)
     if isinstance(outcome, RankCertificate):
         cand = gram(sc, outcome.witness)
@@ -207,7 +207,7 @@ def _identification(sc: StructureConstants, mats: ChatMatrices) -> dict:
     """
     view = sc.table._scaled
     plain, star = (
-        all(_rows_equal(stack(family), view._replace(nums=sc.cube(axes).reshape(sc.n, -1))))
+        all(_rows_equal(family, view._replace(nums=sc.cube(axes).reshape(sc.n, -1))))
         for family, axes in ((mats.c_hat, (1, 0, 2)), (mats.c_hat_star, (0, 1, 2))))
     return {
         "multiplier_rows_match_gram_transpose": plain,

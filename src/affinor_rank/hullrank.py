@@ -1,9 +1,9 @@
 """Hulls of vectors under an affinor span, and rank certification.
 
-An affinor basis is an ordered list of square matrices whose first element
-is the identity.  The hull of a vector X is the subspace swept out by
-applying every element of the span to X; its dimension is the rank of the
-matrix whose rows are the basis images of X.
+An affinor basis is one stack of square matrices, a flattened matrix per
+row, whose first element is the identity.  The hull of a vector X is the
+subspace swept out by applying every element of the span to X; its
+dimension is the rank of the matrix whose rows are the basis images of X.
 
 Two levels of claim are certified:
 
@@ -50,6 +50,7 @@ from .linalg import (
     _Scaled,
     _bareiss_rank,
     _int_product,
+    _is_identity_times,
     _lowest_terms,
     _scale,
     combine,
@@ -59,6 +60,7 @@ from .linalg import (
     scalar_multiple_of_identity,
     scalar_to_json,
     stack,
+    unstack,
 )
 from .multipoly import Poly, determinant, find_nonzero_point
 
@@ -78,65 +80,59 @@ _SYMBOLIC_MAX_ROWS = 6
 _SYMBOLIC_MAX_MINORS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinorBasis:
     """Validated ordered span of affinors with the identity first.
 
-    Validation happens once, here: the first element must equal the
-    identity exactly, the elements must be linearly independent as vectors
-    in matrix space, and the span rank n must be at most the module
-    dimension m (n == m for multiplication-operator modules and full
-    matrix-algebra representations, which act on a space of their own
-    dimension).
+    ``stacked`` holds the m x m matrices flattened as its rows, and ``mats``
+    are made from it on first read.  Validation happens once, here: the
+    first row must be the identity exactly, the rows must be linearly
+    independent, and the span rank n must be at most the module dimension
+    m (n == m for multiplication-operator modules and full matrix-algebra
+    representations, which act on a space of their own dimension).
     """
 
-    mats: tuple[Matrix, ...]
+    stacked: _Scaled
+    m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(self.mats))
-        if not self.mats:
+        s, m = self.stacked, self.m
+        if not len(s.nums):
             raise InvalidBasis("empty affinor basis")
-        first = self.mats[0]
-        if not first.is_square:
-            raise InvalidBasis("affinors must be square")
-        m = first.rows
-        for mat in self.mats:
-            if mat.rows != m or mat.cols != m:
-                raise InvalidBasis("affinors differ in shape")
-        if first != Matrix.identity(m):
+        if s.nums.shape[1] != m * m:
+            raise InvalidBasis(f"stack rows are not {m}x{m} matrices")
+        if not _is_identity_times(s.nums[0], s.den, m):
             raise InvalidBasis("first basis element must be the identity")
-        n = len(self.mats)
-        if n > m:
-            raise InvalidBasis(f"span rank {n} exceeds module dimension {m}")
-        if not has_full_row_rank(self.stacked):
+        if self.n > m:
+            raise InvalidBasis(f"span rank {self.n} exceeds module dimension {m}")
+        if not has_full_row_rank(s):
             raise InvalidBasis("basis elements are linearly dependent")
 
     @staticmethod
-    def from_stack(s: _Scaled, m: int) -> "AffinorBasis":
-        """The basis of the m x m matrices in the rows of ``s``, validated
-        as any other; ``stacked`` is ``s`` itself, not a copy, and over
-        den 1 every matrix views its row."""
-        out = object.__new__(AffinorBasis)
-        object.__setattr__(out, "mats", tuple(
-            Matrix.from_view(_Scaled(nums, 1, s.bound) if s.den == 1
-                             else _lowest_terms(nums.ravel().tolist(), s.den, (m, m)))
-            for nums in s.nums.reshape(-1, m, m)))
-        out.__dict__["stacked"] = s  # what the cached property would hold
-        out.__post_init__()
-        return out
-
-    @property
-    def m(self) -> int:
-        return self.mats[0].rows
+    def of(mats: Sequence[Matrix]) -> "AffinorBasis":
+        """The basis of equally shaped square matrices, validated as any other."""
+        if not mats:
+            raise InvalidBasis("empty affinor basis")
+        m = mats[0].rows
+        if not mats[0].is_square:
+            raise InvalidBasis("affinors must be square")
+        if any((mat.rows, mat.cols) != (m, m) for mat in mats):
+            raise InvalidBasis("affinors differ in shape")
+        return AffinorBasis(stack(mats), m)
 
     @property
     def n(self) -> int:
-        return len(self.mats)
+        return len(self.stacked.nums)
 
     @cached_property
-    def stacked(self) -> _Scaled:
-        """The basis matrices, flattened, as the rows of one scaled view."""
-        return stack(self.mats)
+    def mats(self) -> tuple[Matrix, ...]:
+        return unstack(self.stacked, self.m)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AffinorBasis) and self.mats == other.mats
+
+    def __hash__(self) -> int:
+        return hash(self.mats)
 
     def to_json(self) -> dict:
         return {
@@ -369,16 +365,10 @@ def _first_hit(candidates, evaluate, rows: int, cost: int, full: bool):
 
 
 def _symbolic_hull_entries(basis: AffinorBasis) -> list[list[Poly]]:
-    m = basis.m
+    m, s = basis.m, basis.stacked
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
-    rows = []
-    for mat in basis.mats:
-        view = mat._scaled
-        rows.append([
-            Poly(m, {units[k]: Fraction(v, view.den) for k, v in enumerate(nums) if v != 0})
-            for nums in view.nums.tolist()
-        ])
-    return rows
+    return [[Poly(m, {units[k]: Fraction(v, s.den) for k, v in enumerate(nums) if v != 0})
+             for nums in mat.tolist()] for mat in s.nums.reshape(-1, m, m)]
 
 
 def _symbolic_minor_scan(basis: AffinorBasis):

@@ -186,7 +186,7 @@ def basis_from_json(obj, path) -> AffinorBasis:
     mode = obj.get("mode", EXACT)
     if mode != EXACT:
         raise InputFormatError(path, "mode", f"unsupported mode {mode!r}; bases are exact")
-    return AffinorBasis(tuple(mats))
+    return AffinorBasis.of(mats)
 
 
 def constants_from_json(obj, path) -> StructureConstants:

@@ -2,9 +2,9 @@
 
 A matrix is exact, and it is its scaled-integer view: integer numerators
 over the least common denominator d of its entries, in a numpy array, in
-lowest terms.  Producers that already hold integers (Clifford blades,
-doubled modules, products and inverses) make a matrix straight from that
-view with ``Matrix.from_view``; the constructor scales int or
+lowest terms.  Producers that already hold integers (products, inverses
+and ``unstack``) make a matrix straight from that view with
+``Matrix.from_view``; the constructor scales int or
 ``fractions.Fraction`` entries into it at once.  ``Matrix.entries``, the
 Fractions, are derived from the view on each read and serve only as a
 reference outside the kernels.  Floats are rejected on construction,
@@ -20,11 +20,14 @@ result is exact either way; a product is reduced to lowest terms, which
 makes its view canonical, and is kept as a view for the next product.
 
 Equally shaped matrices stack into one view, one flattened matrix per
-row.  Every exact product identity in the package reads such stacks: all
-pairwise products of a stack are one integer product, a row of linear
-combinations of a stack is another, and two views are compared row by row
-by cross-multiplying their denominators.  There is no entrywise Fraction
-arithmetic on matrices.
+row, and a family the package builds (a basis, the operators of an
+algebra, the projectors of a splitting) is stored as that stack alone;
+``unstack`` gives its matrices on demand, each in lowest terms and over
+den 1 a view of its row.  Every exact product identity in the package
+reads such stacks: all pairwise products of a stack are one integer
+product, a row of linear combinations of a stack is another, and two
+views are compared row by row by cross-multiplying their denominators.
+There is no entrywise Fraction arithmetic on matrices.
 
 Rank and determinant share one fraction-free (Bareiss) elimination run on
 the view's numerators, so intermediate values stay integers of bounded
@@ -32,17 +35,16 @@ size and the reported pivots select a minor whose determinant is provably
 nonzero.  A row with a zero in the pivot column is only rescaled by
 pivot / prev, which is skipped when pivot == prev and is a negation when
 pivot == -prev: on signed permutations and other sparse {-1, 0, 1} data
-most rows are left as they are.  The linear-independence test stacks the
-numerators of several matrices' views, one matrix per row; rows with
-disjoint supports pass at sight, and other stacks are reduced mod p,
-visiting only the columns that are nonzero somewhere in the stack.  The
-same elimination, then fraction-free back substitution over whole rows
-that skips zero coefficients, gives the inverse.  ``SpanSolver`` takes
-the generators or their stack, so a caller that holds the stack already
-solves on it without a second copy; span coordinates of a whole batch of
-targets follow from the inverse pivot block, proved by an integer
-product, and come out as one integer view over a common denominator,
-scaled in Python ints, that is a matrix as it stands.
+most rows are left as they are.  The linear-independence test reads the
+numerators of a stack: rows with disjoint supports pass at sight, and
+other stacks are reduced mod p, visiting only the columns that are nonzero
+somewhere in the stack.  The same elimination, then fraction-free back
+substitution over whole rows that skips zero coefficients, gives the
+inverse.  ``SpanSolver`` solves on the stack of its generators; span
+coordinates of a whole batch of targets follow from the inverse pivot
+block, proved by an integer product, and come out as one integer view
+over a common denominator, scaled in Python ints, that is a matrix as it
+stands.
 """
 
 from __future__ import annotations
@@ -486,6 +488,23 @@ def stack(mats: Sequence[Matrix]) -> _Scaled:
     ]), den)
 
 
+def unstack(s: _Scaled, m: int) -> tuple[Matrix, ...]:
+    """The m x m matrices in the rows of ``s``, each in lowest terms; over
+    den 1 each is a view of its row."""
+    blocks = s.nums.reshape(len(s.nums), m, m)
+    if s.den == 1:
+        return tuple(Matrix.from_view(_view(nums, 1)) for nums in blocks)
+    return tuple(Matrix.from_view(_lowest_terms(nums.ravel().tolist(), s.den, (m, m)))
+                 for nums in blocks)
+
+
+def _is_identity_times(nums: np.ndarray, q: int, m: int) -> bool:
+    """Whether the m x m numerators ``nums``, flattened, are q times the
+    identity, for q != 0."""
+    square = nums.reshape(m, m)
+    return np.count_nonzero(square) == m and square.diagonal().tolist() == [q] * m
+
+
 #: Most entries, n**2 * m**2, that the n**2 pairwise products of n m x m
 #: matrices may hold: closure, associativity and the projector identities
 #: each build that stack, so its size, not the input's, sets their memory.
@@ -525,20 +544,15 @@ class SpanSolver:
 
     A span element is fixed by its values on the pivot columns of the
     stacked generators, the columns their reduced row echelon form picks.
-    ``__init__`` takes the matrices or their ``stack``, finds those columns
-    and inverts the pivot block B once; the view of B^-1 is an integer
-    matrix over a denominator D.  A batch of targets (a ``stack``) is solved
-    by one integer product and proved by a second one, coordinates x stack
-    == D x targets, compared exactly.
+    ``__init__`` takes their ``stack``, finds those columns and inverts
+    the pivot block B once; the view of B^-1 is an integer matrix over a
+    denominator D.  A batch of targets (a ``stack``) is solved by one
+    integer product and proved by a second one, coordinates x stack == D x
+    targets, compared exactly.
     """
 
-    def __init__(self, mats: Union[Sequence[Matrix], _Scaled]):
-        if isinstance(mats, _Scaled):
-            self.generators = mats
-        elif not mats or any((m.rows, m.cols) != (mats[0].rows, mats[0].cols) for m in mats):
-            raise ShapeMismatch("span basis must be nonempty and equally shaped")
-        else:
-            self.generators = stack(mats)
+    def __init__(self, generators: _Scaled):
+        self.generators = generators
         self.n = self.generators.nums.shape[0]
         rk, _, self._pivots, _, _ = _bareiss_rank(self.generators.nums.tolist())
         if rk < self.n:
@@ -629,9 +643,9 @@ def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
     return r == n
 
 
-def has_full_row_rank(mats: Union[Sequence[Matrix], _Scaled]) -> bool:
-    """Whether equally shaped matrices, or the rows of their ``stack``,
-    are linearly independent.
+def has_full_row_rank(s: _Scaled) -> bool:
+    """Whether the rows of a stack, equally shaped matrices, are linearly
+    independent.
 
     The test reads the stack's numerators, the entries times one common
     nonzero denominator, which leaves the rank unchanged.  Nonzero rows
@@ -642,12 +656,7 @@ def has_full_row_rank(mats: Union[Sequence[Matrix], _Scaled]) -> bool:
     elimination.  Distinct permutation matrices are not enough: the six
     3 x 3 ones span only 5 dimensions, and their supports overlap.
     """
-    if isinstance(mats, _Scaled):
-        rows = mats.nums
-    elif not mats:
-        return True
-    else:
-        rows = stack(mats).nums
+    rows = s.nums
     support = rows != 0
     if support.any(axis=1).all() and (np.count_nonzero(support, axis=0) <= 1).all():
         return True

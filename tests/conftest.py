@@ -284,7 +284,7 @@ def matrix_algebra_2x2_constants() -> StructureConstants:
     e12 = Matrix.exact([[0, 1], [0, 0]])
     e21 = Matrix.exact([[0, 0], [1, 0]])
     mats = [e, e11, e12, e21]
-    coords = SpanSolver(mats).coefficients(stack([a @ b for a in mats for b in mats]))
+    coords = SpanSolver(stack(mats)).coefficients(stack([a @ b for a in mats for b in mats]))
     assert None not in coords  # matrix products stay in the span
     return StructureConstants.exact([coords[4 * i:4 * i + 4] for i in range(4)])
 
@@ -296,14 +296,14 @@ def rng():
 
 @pytest.fixture
 def quaternions_r4() -> AffinorBasis:
-    return AffinorBasis(quaternion_matrices())
+    return AffinorBasis.of(quaternion_matrices())
 
 
 @pytest.fixture
 def quaternions_r8() -> AffinorBasis:
-    return AffinorBasis(tuple(block_double(m) for m in quaternion_matrices()))
+    return AffinorBasis.of(tuple(block_double(m) for m in quaternion_matrices()))
 
 
 @pytest.fixture
 def complex_r4() -> AffinorBasis:
-    return AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    return AffinorBasis.of((Matrix.identity(4), rotation_block(4)))

@@ -71,7 +71,7 @@ def run_criterion_1(seed: int) -> dict:
         )
         if scalar_multiple_of_identity(f) is not None:
             continue
-        cert = weak_rank_witness(AffinorBasis((e, f)), trials=8, seed=seed)
+        cert = weak_rank_witness(AffinorBasis.of((e, f)), trials=8, seed=seed)
         assert isinstance(cert, RankCertificate) and cert.claimed_rank == 2
         certificates.append(cert.to_json())
     return {"cases": len(certificates), "all_rank_2": True, "certificates": certificates}
@@ -81,18 +81,18 @@ def run_criterion_2(seed: int) -> dict:
     """Generic-rank pipeline on the canonical complex/quaternion spans."""
     out: dict = {"certificates": []}
     for m in (4, 6):
-        basis = AffinorBasis((Matrix.identity(m), rotation_block(m)))
+        basis = AffinorBasis.of((Matrix.identity(m), rotation_block(m)))
         cert = certify_generic_rank(basis, seed=seed)
         assert isinstance(cert, RankCertificate) and cert.kind == "generic"
         out[f"complex_r{m}_rank"] = cert.claimed_rank
         out["certificates"].append(cert.to_json())
     quats = quaternion_matrices()
-    r8 = AffinorBasis(tuple(block_double(mat) for mat in quats))
+    r8 = AffinorBasis.of(tuple(block_double(mat) for mat in quats))
     cert8 = certify_generic_rank(r8, seed=seed)
     assert isinstance(cert8, RankCertificate)
     out["quaternion_r8_rank"] = cert8.claimed_rank
     out["certificates"].append(cert8.to_json())
-    r4 = AffinorBasis(quats)
+    r4 = AffinorBasis.of(quats)
     blocked = certify_generic_rank(r4, seed=seed)
     assert isinstance(blocked, Inapplicable)
     out["quaternion_r4"] = blocked.to_json()
@@ -224,7 +224,7 @@ def _random_basis(rng: random.Random, m: int) -> AffinorBasis:
                 Matrix.exact([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
             )
         try:
-            return AffinorBasis(tuple(mats))
+            return AffinorBasis.of(tuple(mats))
         except Exception:
             continue
 
@@ -255,7 +255,7 @@ def run_criterion_6(seed: int) -> dict:
     out["geodesic_max_residual"] = worst
 
     # (b) dimension two: every smooth closed-form curve passes
-    basis2 = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis2 = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     curves = [
         ClosedFormCurve(2, (0.0, 6.0), ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),))),
         ClosedFormCurve(2, (0.1, 3.0), ((("power", 1.0, 2.0),),
@@ -278,7 +278,7 @@ def run_criterion_6(seed: int) -> dict:
     out["dimension_two_curves"] = len(verdicts)
 
     # (c) the helix fails against the complex structure on R^4
-    basis4 = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis4 = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     helix = ClosedFormCurve(
         4, (0.0, 2 * math.pi),
         ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),),

@@ -4,13 +4,14 @@ import argparse
 import ast
 import json
 import math
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from affinor_rank import algebra, cli, clifford, distributions
+from affinor_rank import algebra, cli, clifford, distributions, linalg
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -215,6 +216,41 @@ def test_distributions_verifies_system_once(capsys, monkeypatch):
     assert code == EXIT_POSITIVE
     assert report["result"]["verification"]["ok"] is True
     assert len(checked) == 1
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``linalg.<name>``, under whatever name a package
+    module imported it."""
+    calls, real = [], getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("affinor_rank") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, code, stacks", [
+    # the operator family and the projectors are stored as stacks; only a
+    # basis read from JSON is stacked, once
+    (["frobenius", "local3_constants.json"], EXIT_NEGATIVE, 0),
+    (["distributions", "--dims", "2,2", "--conjugate", "conjugation_q4.json"], EXIT_POSITIVE, 0),
+    (["rank", "quaternion_r8_basis.json", "--generic"], EXIT_POSITIVE, 1),
+])
+def test_families_are_stacked_only_from_outside_matrices(capsys, monkeypatch, argv, code, stacks):
+    calls = _count_calls(monkeypatch, "stack")
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == code
+    assert len(calls) == stacks
+
+
+def test_frobenius_reduces_few_views_to_lowest_terms(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_lowest_terms")
+    assert main(["frobenius", str(FIXTURES / "local3_constants.json")]) == EXIT_NEGATIVE
+    assert 0 < len(calls) <= 15
 
 
 def test_distributions_generic(capsys):

@@ -1,11 +1,13 @@
 """Clifford representation construction and rank claims."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from affinor_rank import (
+    AffinorBasis,
     CliffordBasis,
     CliffordSignature,
     Matrix,
@@ -21,7 +23,7 @@ from affinor_rank import (
     verify_unity,
 )
 from affinor_rank import clifford, linalg
-from affinor_rank.cli import EXIT_DATA, main
+from affinor_rank.cli import EXIT_USAGE, main
 from affinor_rank.errors import SignatureTooLarge
 
 from conftest import quaternion_constants, quaternion_matrices
@@ -125,7 +127,7 @@ def test_tampered_generator_is_reported():
     mats[1] = Matrix.exact(bad)
     tampered = CliffordBasis(
         cb.signature,
-        type(cb.basis)(tuple(mats)),
+        type(cb.basis).of(tuple(mats)),
         cb.blades,
         cb.labels,
     )
@@ -142,11 +144,40 @@ def test_tampered_dense_matrix_falls_back():
     mats[1] = Matrix.exact(dense)
     tampered = CliffordBasis(
         cb.signature,
-        type(cb.basis)(tuple(mats)),
+        type(cb.basis).of(tuple(mats)),
         cb.blades,
         cb.labels,
     )
     assert not verify_clifford_relations(tampered).ok
+
+
+def test_missing_generators_are_violations():
+    # the generator count comes from the signature, not from the basis: a
+    # Cl(1,1) basis {E, e1} lacks e2, and {E} lacks both
+    cb = build_clifford(CliffordSignature(1, 1))
+    s, m = cb.basis.stacked, cb.basis.m
+    for rows, missing in ((2, (("missing", 2),)), (1, (("missing", 1), ("missing", 2)))):
+        short = CliffordBasis(cb.signature, AffinorBasis(s._replace(nums=s.nums[:rows]), m),
+                              cb.blades[:rows], cb.labels[:rows])
+        result = verify_clifford_relations(short)
+        assert not result.ok
+        assert result.violations == missing
+        assert result.to_json()["violations"] == [list(v) for v in missing]
+
+
+def test_missing_generators_are_violations_on_the_dense_fallback():
+    # in a frame with a half entry the stack is over den 2, so the relations
+    # go to the integer product: e1 still squares to E, e1 / 2 does not
+    cb = build_clifford(CliffordSignature(1, 1))
+    e, e1 = cb.basis.mats[:2]
+    q = Matrix.exact([[1, "1/2", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    framed = q @ e1 @ linalg.inverse(q)
+    for gen, violations in ((framed, (("missing", 2),)),
+                            (framed.scale(Fraction(1, 2)), (("missing", 2), ("square", 1, 1)))):
+        short = CliffordBasis(cb.signature, AffinorBasis.of((e, gen)),
+                              cb.blades[:2], cb.labels[:2])
+        assert short.basis.stacked.den > 1
+        assert verify_clifford_relations(short).violations == violations
 
 
 def test_rank_theorem_check_small():
@@ -160,7 +191,7 @@ def test_rank_theorem_check_small():
 
 def test_rank_theorem_check_gate(capsys, monkeypatch):
     # one generator past the cap is refused by the signature itself, before
-    # the blade stack (1 GiB for Cl(5,4)) is allocated, and the CLI exits 65
+    # the blade stack (1 GiB for Cl(5,4)) is allocated, and the CLI exits 64
     def never(*args):
         raise AssertionError("the blade stack was allocated")
 
@@ -168,7 +199,7 @@ def test_rank_theorem_check_gate(capsys, monkeypatch):
     assert CliffordSignature(4, 4).generators == 8
     with pytest.raises(SignatureTooLarge, match="exceeds the 8-generator cap"):
         CliffordSignature(5, 4)
-    assert main(["clifford", "--s", "5", "--t", "4", "--check-rank"]) == EXIT_DATA
+    assert main(["clifford", "--s", "5", "--t", "4", "--check-rank"]) == EXIT_USAGE
     assert "exceeds the 8-generator cap" in capsys.readouterr().err
 
 

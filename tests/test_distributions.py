@@ -83,7 +83,7 @@ def test_verify_rejects_overlapping_projectors():
     p3 = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # oracle: p1 @ p2 = p1 != 0
     assert (p1 @ p2).entries == p1.entries
-    result = verify_complete_system(ProjectorSystem((p1, p2, p3)))
+    result = verify_complete_system(ProjectorSystem(stack([p1, p2, p3]), 4))
     assert not result.ok
     assert ("annihilate", 0, 1) in result.violations
 
@@ -178,7 +178,7 @@ def test_unconjugated_build_is_the_indicator_diagonals(monkeypatch):
 def test_rank_check_searches_without_a_splitting(rng):
     # a hand-built system has no blocks to read a witness from
     q = _random_invertible(rng, 4)
-    ps = ProjectorSystem(projectors_from_splitting(Splitting(4, (2, 2), q)).projectors)
+    ps = ProjectorSystem(projectors_from_splitting(Splitting(4, (2, 2), q)).stacked, 4)
     report = distribution_rank_check(ps)
     assert report.witness_note == "witness found by search"
     assert report.weak.claimed_rank == 2
@@ -227,8 +227,8 @@ def test_rewritten_basis_spans_the_projectors(rng):
         basis = ps.affinor_basis()
         # every projector lies in the span of the rewritten basis and
         # every rewritten element lies in the projector span
-        assert None not in SpanSolver(basis.mats).coefficients(stack(ps.projectors))
-        assert None not in SpanSolver(ps.projectors).coefficients(stack(basis.mats))
+        assert None not in SpanSolver(basis.stacked).coefficients(stack(ps.projectors))
+        assert None not in SpanSolver(ps.stacked).coefficients(stack(basis.mats))
 
 
 def test_witness_optimality(rng):

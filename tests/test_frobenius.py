@@ -10,6 +10,7 @@ from affinor_rank import algebra, frobenius
 from affinor_rank.algebra import ChatMatrices
 from affinor_rank.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, main
 from affinor_rank.hullrank import _SYMBOLIC_MAX_ROWS
+from affinor_rank.linalg import unstack
 from affinor_rank import (
     AffinorBasis,
     Matrix,
@@ -143,7 +144,7 @@ def test_identification_property_exact(rng):
         for _ in range(10):
             lam = tuple(Fraction(rng.randint(-9, 9)) for _ in range(sc.n))
             g = gram(sc, lam).gram
-            rows = [m.apply(lam) for m in mats.c_hat]
+            rows = [m.apply(lam) for m in unstack(mats.c_hat, sc.n)]
             assert tuple(rows) == g.transpose().entries
 
 
@@ -181,7 +182,7 @@ def test_module_witness_transfers_to_functional():
     # a full-rank hull witness of the operator module is itself a regular
     # functional: the two searches decide one and the same pencil
     for sc in (dual_number_constants(), quaternion_constants()):
-        basis = AffinorBasis(chat(sc).c_hat)
+        basis = AffinorBasis(chat(sc).c_hat, sc.n)
         cert = weak_rank_witness(basis)
         assert isinstance(cert, RankCertificate)
         assert gram(sc, cert.witness).regular

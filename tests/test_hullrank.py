@@ -45,25 +45,25 @@ def _unit(m, i):
 def test_basis_requires_identity_first():
     f = rotation_block(4)
     with pytest.raises(InvalidBasis):
-        AffinorBasis((f, Matrix.identity(4)))
+        AffinorBasis.of((f, Matrix.identity(4)))
 
 
 def test_basis_rejects_dependent_elements():
     e = Matrix.identity(4)
     with pytest.raises(InvalidBasis):
-        AffinorBasis((e, e.scale(3)))
+        AffinorBasis.of((e, e.scale(3)))
 
 
 def test_basis_accepts_equal_dimension():
     # n == m: the span fills its own module dimension, as operator modules do
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     assert (basis.n, basis.m) == (2, 2)
 
 
 def test_basis_rejects_rank_above_dimension():
     e = Matrix.identity(2)
     with pytest.raises(InvalidBasis):
-        AffinorBasis((e, rotation_block(2), Matrix.exact([[1, 0], [0, 0]])))
+        AffinorBasis.of((e, rotation_block(2), Matrix.exact([[1, 0], [0, 0]])))
 
 
 def test_basis_validation_scales_each_matrix_once(monkeypatch):
@@ -81,7 +81,7 @@ def test_basis_validation_scales_each_matrix_once(monkeypatch):
     monkeypatch.setattr(linalg, "_scale", recording)
     fresh = [Matrix(m.rows, m.cols, m.entries) for m in built]
     assert shapes == [(16, 16)] * 16
-    AffinorBasis(tuple(fresh))
+    AffinorBasis.of(tuple(fresh))
     assert shapes == [(16, 16)] * 16
 
 
@@ -98,14 +98,14 @@ def test_basis_zero_mod_p_row_is_accepted_by_exact_fallback(monkeypatch):
     # its support meets the identity's at (0, 0), so the disjoint-support
     # shortcut does not apply and the mod-p test runs
     a = Matrix.exact([[p, p, 0], [0, 0, 0], [0, 0, 0]])
-    assert AffinorBasis((Matrix.identity(3), a)).n == 2
+    assert AffinorBasis.of((Matrix.identity(3), a)).n == 2
     assert results == [False]  # the second row is 0 mod p
 
 
 def test_basis_rejects_dependent_fractional_elements():
     e12 = Matrix.exact([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidBasis):
-        AffinorBasis((Matrix.identity(3), e12.scale(Fraction(1, 2)), e12.scale(Fraction(2, 3))))
+        AffinorBasis.of((Matrix.identity(3), e12.scale(Fraction(1, 2)), e12.scale(Fraction(2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_basis_rejects_dependent_fractional_elements():
 
 
 def test_hull_of_identity_span_is_a_line():
-    basis = AffinorBasis((Matrix.identity(2),))
+    basis = AffinorBasis.of((Matrix.identity(2),))
     h = hull(basis, (Fraction(1), Fraction(0)))
     assert h.dim == 1
     assert h.matrix.entries[0] == (Fraction(1), Fraction(0))
@@ -182,7 +182,7 @@ def test_hull_monotone_under_closure(quaternions_r8, rng):
 
 
 def test_weak_rank_two_element_rotation_basis():
-    basis = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     cert = weak_rank_witness(basis)
     assert isinstance(cert, RankCertificate)
     assert cert.claimed_rank == 2
@@ -193,7 +193,7 @@ def test_weak_rank_projector_style_basis():
     e = Matrix.identity(4)
     p1 = Matrix.exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     p2 = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-    basis = AffinorBasis((e, p1, p2))
+    basis = AffinorBasis.of((e, p1, p2))
     # oracle: the all-ones vector gives rows (1,1,1,1), (1,1,0,0), (0,0,1,0)
     ones = (Fraction(1),) * 4
     explicit = [m.apply(ones) for m in basis.mats]
@@ -205,7 +205,7 @@ def test_weak_rank_projector_style_basis():
 
 def test_weak_rank_nilpotent_chain():
     n = Matrix.exact([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    basis = AffinorBasis((Matrix.identity(4), n, n @ n))
+    basis = AffinorBasis.of((Matrix.identity(4), n, n @ n))
     # oracle: applying the chain to e4 walks down the Jordan chain
     e4 = _unit(4, 3)
     assert basis.mats[1].apply(e4) == _unit(4, 2)
@@ -227,7 +227,7 @@ def test_two_element_bases_witnessed_in_deterministic_phase(rng):
         f = random_exact_matrix(rng, 4, 4)
         if scalar_multiple_of_identity(f) is not None:
             continue
-        cert = weak_rank_witness(AffinorBasis((e, f)), trials=1)
+        cert = weak_rank_witness(AffinorBasis.of((e, f)), trials=1)
         assert isinstance(cert, RankCertificate)
         assert cert.witness in deterministic
 
@@ -243,7 +243,7 @@ def test_no_witness_is_definitive_for_small_degenerate_module():
     # three hull rows are always proportional, so no witness exists and
     # the symbolic scan proves it
     mats = chat(local3_constants())
-    basis = AffinorBasis(mats.c_hat)
+    basis = AffinorBasis(mats.c_hat, 3)
     result = weak_rank_witness(basis, trials=16)
     assert isinstance(result, NoWitnessFound)
     assert result.definitive
@@ -309,7 +309,7 @@ def test_generic_rank_quaternions_r4_too_small(quaternions_r4):
 
 def test_generic_rank_not_an_algebra():
     n = Matrix.exact([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    basis = AffinorBasis((Matrix.identity(4), n))
+    basis = AffinorBasis.of((Matrix.identity(4), n))
     result = certify_generic_rank(basis)
     assert isinstance(result, Inapplicable)
     assert result.reason == "NotAnAlgebra"
@@ -359,7 +359,7 @@ def test_scalar_multiple_check():
     from affinor_rank.linalg import scalar_multiple_of_identity
 
     e = Matrix.identity(4)
-    basis = AffinorBasis((e, rotation_block(4)))
+    basis = AffinorBasis.of((e, rotation_block(4)))
     assert scalar_multiple_check(basis) == ((False, None),)
     # a scalar multiple of the identity never survives basis validation
     # (it is dependent with E), so the truthy cases live on raw matrices
@@ -367,13 +367,13 @@ def test_scalar_multiple_check():
     assert scalar_multiple_of_identity(Matrix.exact([[2, 0], [0, 2]])) == Fraction(2)
     assert scalar_multiple_of_identity(rotation_block(2)) is None
     with pytest.raises(InvalidBasis):
-        AffinorBasis((Matrix.identity(2), Matrix.exact([[2, 0], [0, 2]])))
+        AffinorBasis.of((Matrix.identity(2), Matrix.exact([[2, 0], [0, 2]])))
     # entries of 2**63 and more leave the view as Python ints in an object array
     big = 2**63
     assert scalar_multiple_of_identity(Matrix.exact([[big, 0], [0, big]])) == Fraction(big)
     assert scalar_multiple_of_identity(Matrix.exact([[big, 0], [0, big + 1]])) is None
     assert scalar_multiple_of_identity(Matrix.exact([[big, 1], [0, big]])) is None
-    basis = AffinorBasis((Matrix.identity(3), Matrix.exact([[big, 0, 0], [0, 0, 0], [0, 0, 0]])))
+    basis = AffinorBasis.of((Matrix.identity(3), Matrix.exact([[big, 0, 0], [0, 0, 0], [0, 0, 0]])))
     assert scalar_multiple_check(basis) == ((False, None),)
 
 
@@ -385,7 +385,7 @@ def test_inversion_probe_quaternions(quaternions_r4):
 
 def test_inversion_probe_projector_counterexample():
     p = Matrix.exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    basis = AffinorBasis((Matrix.identity(4), p))
+    basis = AffinorBasis.of((Matrix.identity(4), p))
     result = inversion_probe(basis)
     assert isinstance(result, CounterexampleFound)
     # the projector itself is the counterexample found by the
@@ -395,7 +395,7 @@ def test_inversion_probe_projector_counterexample():
 
 
 def test_inversion_probe_identity_span():
-    basis = AffinorBasis((Matrix.identity(3),))
+    basis = AffinorBasis.of((Matrix.identity(3),))
     assert isinstance(inversion_probe(basis), AllSampledInvertible)
 
 
@@ -425,7 +425,7 @@ def test_searches_make_one_product_per_batch(monkeypatch, quaternions_r8):
     _counting(monkeypatch, linalg, "combine", counts, hullrank)
     _counting(monkeypatch, linalg, "rank", counts, hullrank)
     p = Matrix.exact([[int(i == j == 0) for j in range(6)] for i in range(6)])
-    basis = AffinorBasis((Matrix.identity(6), p))
+    basis = AffinorBasis.of((Matrix.identity(6), p))
     assert isinstance(weak_rank_witness(basis), RankCertificate)
     weak_products = counts.pop("_images")
     outcome = certify_generic_rank(basis)

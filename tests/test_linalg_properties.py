@@ -31,6 +31,7 @@ from affinor_rank import (
     Inapplicable,
     Matrix,
     NoWitnessFound,
+    ProjectorSystem,
     RankCertificate,
     Splitting,
     StructureConstants,
@@ -55,7 +56,7 @@ from affinor_rank import (
 from affinor_rank import algebra, cli, frobenius
 from affinor_rank.algebra import ChatMatrices
 from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
-from affinor_rank.errors import InvalidBasis, NotClosed, NotInvertible
+from affinor_rank.errors import InvalidAlgebra, InvalidBasis, NotClosed, NotInvertible
 from affinor_rank.jsonio import constants_from_json, matrix_from_json
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
@@ -169,6 +170,92 @@ def test_views_made_without_fractions_are_canonical(case):
     assert a.scale(1) == a and hash(a.scale(1)) == hash(a)
 
 
+_PAST_INT64 = st.builds(Fraction, st.integers(2**63 - 2, 2**63 + 2), _DENOMINATORS)
+
+
+def _family(scalars):
+    """One to four m x m matrices, m from 0 to 3, of the given scalars."""
+    return st.integers(0, 3).flatmap(
+        lambda m: st.lists(_matrix(m, m, scalars), min_size=1, max_size=4))
+
+
+@given(st.one_of(_family(st.builds(Fraction, _NUMERATORS)), _family(_SCALARS),
+                 _family(st.one_of(_SCALARS, _PAST_INT64))))
+@example([Matrix.exact([[2**63, 1], [0, 1]]), Matrix.identity(2)])  # den 1, one object row
+def test_unstack_inverts_stack(mats):
+    # each matrix comes back in lowest terms with its own bound and dtype,
+    # over den 1 as a view of its row
+    m = mats[0].rows
+    s = linalg.stack(mats)
+    got = linalg.unstack(s, m)
+    assert got == tuple(mats)
+    for mat, want in zip(got, mats):
+        _assert_canonical(mat)
+        assert mat._scaled.den == want._scaled.den
+        assert np.array_equal(mat._scaled.nums, want._scaled.nums)
+        if s.den == 1 and mat._scaled.nums.dtype == s.nums.dtype and m:
+            assert np.shares_memory(mat._scaled.nums, s.nums)
+
+
+@st.composite
+def _maybe_basis(draw):
+    """The identity, or in a quarter of the draws any matrix, then up to m - 1
+    matrices of mixed magnitude and denominator."""
+    m = draw(st.integers(1, 3))
+    first = draw(st.one_of(st.just(Matrix.identity(m)), st.just(Matrix.identity(m)),
+                           st.just(Matrix.identity(m)), _matrix(m, m)))
+    return [first] + draw(st.lists(_matrix(m, m), max_size=m))
+
+
+@given(_maybe_basis())
+@example([Matrix.exact([[2**63, 0], [0, 2**63]])])  # den * I past int64 is not I
+@example([Matrix.exact([["1/2", 0], [0, "1/2"]])])
+def test_basis_from_a_stack_is_the_basis_of_its_matrices(mats):
+    m = mats[0].rows
+    try:
+        want = AffinorBasis.of(mats)
+    except InvalidBasis as exc:
+        with pytest.raises(InvalidBasis) as err:
+            AffinorBasis(linalg.stack(mats), m)
+        assert str(err.value) == str(exc)
+        return
+    got = AffinorBasis(linalg.stack(mats), m)
+    assert mats[0] == Matrix.identity(m)
+    assert got == want and got.mats == tuple(mats) and hash(got) == hash(want)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@st.composite
+def _structure_constants(draw):
+    """An n x n x n table of mixed scalars, with the unity rows of e_0 set
+    in half the draws."""
+    n = draw(st.integers(1, 3))
+    flat = draw(st.lists(_SCALARS, min_size=n ** 3, max_size=n ** 3))
+    c = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            c[0][i] = c[i][0] = [Fraction(int(k == i)) for k in range(n)]
+    return StructureConstants.exact(c)
+
+
+@given(_structure_constants())
+@example(quaternion_constants())
+def test_chat_stacks_match_the_fraction_planes(sc):
+    n, c = sc.n, sc.c
+    want_hat = tuple(Matrix(n, n, tuple(tuple(c[j][i][k] for k in range(n)) for j in range(n)))
+                     for i in range(n))
+    want_star = tuple(Matrix(n, n, tuple(tuple(c[i][k][j] for k in range(n)) for j in range(n)))
+                      for i in range(n))
+    mats = algebra._chat_raw(sc)
+    assert linalg.unstack(mats.c_hat, n) == want_hat
+    assert linalg.unstack(mats.c_hat_star, n) == want_star
+    if want_hat[0] == Matrix.identity(n):
+        assert linalg.unstack(chat(sc).c_hat, n) == want_hat
+    else:
+        with pytest.raises(InvalidAlgebra):
+            chat(sc)
+
+
 @given(_chain(3))
 def test_product_of_a_product_matches_fraction_loop(mats):
     # the inner product hands its scaled view on to the outer one
@@ -201,7 +288,7 @@ def test_rank_and_full_row_rank_match_fraction_elimination(m):
     if expected:
         minor = [[m.entries[i][j] for j in got.pivot_cols] for i in got.pivot_rows]
         assert cofactor_det(minor) != 0
-    assert has_full_row_rank([Matrix(1, m.cols, (row,)) for row in m.entries]) == (
+    assert has_full_row_rank(m._scaled) == (
         expected == m.rows
     )
 
@@ -420,7 +507,7 @@ def test_from_affinors_matches_reference_on_conjugated_quaternions(frame):
             for a in quaternion_matrices()]
     expected = _reference_closure(mats)
     assert isinstance(expected[0][0], tuple)  # the reference finds it closed
-    got = from_affinors(AffinorBasis(mats))
+    got = from_affinors(AffinorBasis.of(mats))
     assert got.c == expected
     _assert_exact(v for plane in got.c for row in plane for v in row)
 
@@ -442,7 +529,7 @@ def _open_span(draw):
 @given(_open_span())
 def test_not_closed_matches_reference_pair_and_residual(mats):
     try:
-        basis = AffinorBasis(mats)
+        basis = AffinorBasis.of(mats)
     except InvalidBasis:
         assume(False)
     expected = _reference_closure(basis.mats)
@@ -458,7 +545,7 @@ def test_not_closed_matches_reference_pair_and_residual(mats):
 def _fraction_route_table(basis):
     """The closure table made as it first was: each proved coordinate
     den_g * y / (D * den_t) as a Fraction, then scaled into a table."""
-    solver = linalg.SpanSolver(basis.mats)
+    solver = linalg.SpanSolver(basis.stacked)
     products = linalg.pairwise_products(solver.generators, basis.m)
     ys = solver._scaled_coordinates(products)
     den = solver._det * products.den
@@ -481,7 +568,7 @@ def _scaled_quaternions(scales, frame=None):
         q, q_inv = frame
         mats = [Matrix(4, 4, _naive_matmul(Matrix(4, 4, _naive_matmul(q, a)), q_inv))
                 for a in mats]
-    return AffinorBasis(mats)
+    return AffinorBasis.of(mats)
 
 
 @given(st.lists(_UNIT_SCALES, min_size=3, max_size=3), st.one_of(st.none(), _frame(4)))
@@ -652,7 +739,7 @@ def _reference_identification(c, mats):
     plain = star = True
     for s in range(n):
         g = [[c[i][j][s] for j in range(n)] for i in range(n)]
-        images = [[[m.entries[j][s] for j in range(n)] for m in family]
+        images = [[[m.entries[j][s] for j in range(n)] for m in linalg.unstack(family, n)]
                   for family in (mats.c_hat, mats.c_hat_star)]
         plain = plain and images[0] == [list(col) for col in zip(*g)]
         star = star and images[1] == g
@@ -703,7 +790,7 @@ def test_projector_identities_match_fraction_products(ps):
                  if i != j and not is_zero_matrix(Matrix(m, m, _naive_matmul(ps[i], ps[j])))]
     if linear_combination(ps, [1] * n).entries != Matrix.identity(m).entries:
         expected.append(("sum_to_identity",))
-    got = verify_complete_system(ps)
+    got = verify_complete_system(ProjectorSystem(linalg.stack(ps), m))
     assert got.violations == tuple(expected)
     assert got.ok == (not expected)
 
@@ -809,7 +896,7 @@ def _dense_clifford(draw):
     rows[i][j] += draw(_NUDGE)
     mats[g] = Matrix(m, m, tuple(tuple(row) for row in rows))
     try:
-        basis = AffinorBasis(mats)
+        basis = AffinorBasis.of(mats)
     except InvalidBasis:
         assume(False)
     return replace(cb, basis=basis, relations=None)
@@ -850,7 +937,7 @@ def _conjugated_span(draw):
     mats = [Matrix.identity(m)] + [
         Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)) for a in others]
     try:
-        return AffinorBasis(mats)
+        return AffinorBasis.of(mats)
     except InvalidBasis:
         assume(False)
 
@@ -931,19 +1018,19 @@ def _search_span(draw):
     mats = [Matrix.identity(m)] + [
         Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)) for a in others]
     try:
-        return AffinorBasis(mats)
+        return AffinorBasis.of(mats)
     except InvalidBasis:
         assume(False)
 
 
-_RANK_ONE_PROJECTOR_SPAN = AffinorBasis((
+_RANK_ONE_PROJECTOR_SPAN = AffinorBasis.of((
     Matrix.identity(6), Matrix.exact([[int(i == j == 0) for j in range(6)] for i in range(6)])))
 
 
 @given(_search_span(), st.integers(1, 40), st.integers(0, 3))
 @example(_RANK_ONE_PROJECTOR_SPAN, 40, 1)
-@example(AffinorBasis(chat(local3_constants()).c_hat), 40, 2)  # no witness, proved
-@example(AffinorBasis(chat(local_constants(7)).c_hat), 33, 0)  # no witness, unproved
+@example(AffinorBasis(chat(local3_constants()).c_hat, 3), 40, 2)  # no witness, proved
+@example(AffinorBasis(chat(local_constants(7)).c_hat, 7), 33, 0)  # no witness, unproved
 def test_batched_searches_match_one_at_a_time(basis, trials, seed):
     # batch boundaries fall after candidates 1, 3, 7, 15, 31 and 63; the
     # first hit, its pivots, trials and the best dimension must not move
@@ -980,7 +1067,7 @@ def _basis_and_pair(draw):
     others = draw(st.lists(_matrix(m, m), max_size=m - 1))
     x, y = (draw(st.lists(_SCALARS, min_size=m, max_size=m)) for _ in range(2))
     try:
-        basis = AffinorBasis([Matrix.identity(m)] + others)
+        basis = AffinorBasis.of([Matrix.identity(m)] + others)
     except InvalidBasis:
         assume(False)
     return basis, tuple(x), tuple(y)
@@ -1065,7 +1152,7 @@ def _tampered_certificate(draw):
     scales = [Fraction(1)] + [draw(_SMALL.filter(bool)) for _ in span[1:]]
     mats = tuple(Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)).scale(c)
                  for a, c in zip(span, scales))
-    cert = certify_generic_rank(AffinorBasis(mats))
+    cert = certify_generic_rank(AffinorBasis.of(mats))
     assert isinstance(cert, RankCertificate) and cert.kind == "generic"
     cert = json.loads(json.dumps(cert.to_json()))
     site = draw(st.sampled_from(_TAMPER_SITES))

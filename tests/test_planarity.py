@@ -172,7 +172,7 @@ def test_non_finite_jets_raise():
     with pytest.raises(NonFiniteState):
         covariant_accel(ConnectionSpec.polynomial(2, table), line, 0.5)
     fast = _line(2, (0.0, 0.0), (1e300, 0.0))
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     with pytest.raises(NonFiniteState):
         planarity_check(basis, ConnectionSpec.flat(2), fast)
     with pytest.raises(ValueError):
@@ -210,7 +210,7 @@ def test_straight_lines_are_planar_for_every_basis(rng):
     for _ in range(5):
         f = random_exact_matrix(rng, 4, 4, bound=3)
         try:
-            basis = AffinorBasis((Matrix.identity(4), f))
+            basis = AffinorBasis.of((Matrix.identity(4), f))
         except Exception:
             continue
         report = planarity_check(basis, conn, line, samples=10)
@@ -219,7 +219,7 @@ def test_straight_lines_are_planar_for_every_basis(rng):
 
 
 def test_dimension_two_everything_is_planar(rng):
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     curves = [
         ClosedFormCurve(2, (0.0, 6.0), ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),))),
         ClosedFormCurve(2, (0.1, 3.0), ((("power", 1.0, 2.0),), (("power", 1.0, 1.0), ("power", -0.5, 3.0)))),
@@ -233,7 +233,7 @@ def test_dimension_two_everything_is_planar(rng):
 
 
 def test_helix_fails_with_counterexample():
-    basis = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     report = planarity_check(basis, ConnectionSpec.flat(4), _helix4(), samples=25)
     assert report.verdict == "not_planar"
     assert report.counterexample is not None
@@ -246,13 +246,13 @@ def test_helix_fails_with_counterexample():
 
 def test_circle_is_planar_for_complex_structure_on_r4():
     # acceleration is -position, which is the rotated tangent
-    basis = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     report = planarity_check(basis, ConnectionSpec.flat(4), _circle4(), samples=30)
     assert report.verdict == "planar"
 
 
 def test_residuals_stay_in_unit_interval(rng):
-    basis = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     conn = _random_constant_connection(rng, 4, scale=1.0)
     report = planarity_check(basis, conn, _helix4(), samples=20)
     for r in report.residuals:
@@ -267,14 +267,14 @@ def test_degenerate_tangent_flagged_indeterminate():
         2, (-0.0004, 0.0004),
         ((("power", 1.0, 2.0),), (("power", 1.0, 3.0),)),
     )
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     report = planarity_check(basis, ConnectionSpec.flat(2), curve, samples=5, tol=1e-3)
     assert report.degenerate_samples == 5
     assert report.verdict == "indeterminate"
 
 
 def test_planarity_dimension_checks():
-    basis = AffinorBasis((Matrix.identity(4), rotation_block(4)))
+    basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     with pytest.raises(DimensionMismatch):
         planarity_check(basis, ConnectionSpec.flat(2), _circle4())
     with pytest.raises(InsufficientSamples):
@@ -328,7 +328,7 @@ def test_geodesics_pass_planarity_for_random_bases(rng):
     for _ in range(5):
         f = random_exact_matrix(rng, 4, 4, bound=3)
         try:
-            basis = AffinorBasis((Matrix.identity(4), f))
+            basis = AffinorBasis.of((Matrix.identity(4), f))
         except Exception:
             continue
         report = planarity_check(basis, conn, curve, samples=15, tol=1e-6)
@@ -339,7 +339,7 @@ def test_geodesics_pass_planarity_for_random_bases(rng):
 def test_affine_reparameterization_preserves_geodesic_planarity():
     rng = random.Random(8)
     conn = _random_constant_connection(rng, 3, scale=0.3)
-    basis = AffinorBasis((Matrix.identity(3), random_exact_matrix(rng, 3, 3, bound=2)))
+    basis = AffinorBasis.of((Matrix.identity(3), random_exact_matrix(rng, 3, 3, bound=2)))
     base = geodesic_integrate(conn, [0.0, 0.1, 0.2], [1.0, 0.4, -0.3], 1.0, 1500)
     # t -> a t + b with a = 2: same trace, doubled velocity
     repar = geodesic_integrate(conn, [0.0, 0.1, 0.2], [2.0, 0.8, -0.6], 0.5, 1500)
@@ -362,13 +362,13 @@ def test_fplanar_curves_stay_planar_in_enclosing_span():
         return -np.einsum("kij,i,j->k", g, v, v) + alpha * v + beta * (f_np @ v)
 
     curve = _integrate_second_order(accel, [0.2, 0.0, 0.1, -0.1], [1.0, 0.3, -0.4, 0.6], 1.0, 2000)
-    small = AffinorBasis((Matrix.identity(4), f_mat))
+    small = AffinorBasis.of((Matrix.identity(4), f_mat))
     report_small = planarity_check(small, conn, curve, samples=15)
     assert report_small.verdict == "planar"
     # enclosing span: {E, F, F^2 = -E ...} needs an independent extension;
     # use a projector commutant-free third element containing span{E, F}
     third = Matrix.exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    big = AffinorBasis((Matrix.identity(4), f_mat, third))
+    big = AffinorBasis.of((Matrix.identity(4), f_mat, third))
     report_big = planarity_check(big, conn, curve, samples=15)
     assert report_big.verdict == "planar"
 
@@ -389,7 +389,7 @@ def test_polynomial_disguised_flat_connection():
         y1 = a + b * t
         y2 = (c + d * t) - y1 ** 3
         assert np.allclose(curve.points[i], [y1, y2], atol=1e-9), t
-    basis = AffinorBasis((Matrix.identity(2), rotation_block(2)))
+    basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     report = planarity_check(basis, conn, curve, samples=15)
     assert report.verdict == "planar"
 
@@ -412,8 +412,8 @@ def test_covariance_under_linear_change_of_frame():
     curve_new = SampledCurve.of(curve.ts, pts_new, vels_new)
 
     f = Matrix.exact([[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]])
-    basis = AffinorBasis((Matrix.identity(3), f))
-    basis_new = AffinorBasis((Matrix.identity(3), a_exact @ f @ a_inv_exact))
+    basis = AffinorBasis.of((Matrix.identity(3), f))
+    basis_new = AffinorBasis.of((Matrix.identity(3), a_exact @ f @ a_inv_exact))
 
     rep = planarity_check(basis, conn, curve, samples=10)
     rep_new = planarity_check(basis_new, conn_new, curve_new, samples=10)
