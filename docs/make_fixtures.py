@@ -18,19 +18,19 @@ def rotation_block(m):
     return Matrix.exact(entries)
 
 
-def quaternions():
-    e = Matrix.identity(4)
-    i = Matrix.exact([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    j = Matrix.exact([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-    k = Matrix.exact([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    return e, i, j, k
+# left multiplication by 1, i, j, k on the coefficients of (1, i, j, k)
+QUATERNIONS = (
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+)
 
 
-def double(mat):
-    m = mat.rows
-    rows = [list(r) + [0] * m for r in mat.entries]
-    rows += [[0] * m + list(r) for r in mat.entries]
-    return Matrix.exact(rows)
+def double(rows):
+    """diag(rows, rows) on the doubled space."""
+    m = len(rows)
+    return [row + [0] * m for row in rows] + [[0] * m + row for row in rows]
 
 
 def dump(name, payload):
@@ -52,11 +52,11 @@ def main():
     )
     dump(
         "quaternion_r8_basis.json",
-        AffinorBasis.of(tuple(double(m) for m in quaternions())).to_json(),
+        AffinorBasis.of(tuple(Matrix.exact(double(q)) for q in QUATERNIONS)).to_json(),
     )
     dump(
         "quaternion_r4_basis.json",
-        AffinorBasis.of(quaternions()).to_json(),
+        AffinorBasis.of(tuple(map(Matrix.exact, QUATERNIONS))).to_json(),
     )
 
     dual = {"n": 2, "C": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}

@@ -10,14 +10,12 @@ multiple threads.
 __version__ = "0.1.0"
 
 from .algebra import (
-    AlgebraElement,
     AssociativityResult,
     ChatMatrices,
     StructureConstants,
     VerifyResult,
     chat,
     from_affinors,
-    multiply,
     verify_associativity,
     verify_unity,
 )

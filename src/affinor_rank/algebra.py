@@ -6,8 +6,8 @@ Conventions, fixed once for the whole package:
   product of the i-th and j-th basis elements (in that order).
 * The constants are one exact ``Matrix``, ``table``, n**2 x n, whose row
   ``i*n + j`` holds e_i e_j; every check reads its integer view, or the
-  cube of its numerators, with the ``linalg`` kernels.  The Fractions
-  ``c`` are derived on each read, a reference and the ``multiply`` oracle.
+  cube of its numerators, with the ``linalg`` kernels; there is no
+  Fraction copy of them.
 * Index 0 is the unity element; inputs whose first element fails the
   unity identities are reported, never silently permuted.
 * ``chat(sc).c_hat`` is a stack: its row i, as an n x n matrix, has the
@@ -22,15 +22,14 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAlgebra, InvalidBasis, NotClosed, ShapeMismatch
+from .errors import InvalidAlgebra, InvalidBasis, NotClosed, ShapeMismatch
 from .linalg import (
-    EXACT, Matrix, SpanSolver, _Scaled, _fractions, _int_product, _is_identity_times, _json_rows,
-    _rows_equal, _view, as_fraction, pairwise_products, products_refused,
+    EXACT, Matrix, SpanSolver, _Scaled, _int_product, _is_identity_times, _json_rows, _rows_equal,
+    _view, pairwise_products, products_refused,
 )
 
 if TYPE_CHECKING:
@@ -56,13 +55,6 @@ class StructureConstants:
             raise ShapeMismatch("structure constant array is not n x n x n")
         return StructureConstants(n, Matrix.exact(row for plane in c for row in plane))
 
-    @property
-    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """The table as nested Fractions, built from the view on each read."""
-        view, n = self.table._scaled, self.n
-        rows = [tuple(_fractions(row, view.den)) for row in view.nums.tolist()]
-        return tuple(tuple(rows[i * n:(i + 1) * n]) for i in range(n))
-
     def cube(self, axes: tuple[int, int, int] = (0, 1, 2)) -> np.ndarray:
         """The numerators of ``table``, as an n x n x n array, axes in that order."""
         return self.table._scaled.nums.reshape((self.n,) * 3).transpose(axes)
@@ -70,17 +62,6 @@ class StructureConstants:
     def to_json(self) -> dict:
         rows, n = _json_rows(self.table._scaled), self.n
         return {"n": n, "mode": EXACT, "C": [rows[i * n:(i + 1) * n] for i in range(n)]}
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Coefficient vector over the algebra basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def exact(values: Sequence) -> "AlgebraElement":
-        return AlgebraElement(tuple(as_fraction(v) for v in values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,25 +164,6 @@ def verify_associativity(sc: StructureConstants) -> AssociativityResult:
     return AssociativityResult(
         not plain and not star, tuple(plain), tuple(star), families_agree=bool(plain) == bool(star)
     )
-
-
-def multiply(sc: StructureConstants, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product of two elements through the structure constants."""
-    if len(a.coeffs) != sc.n or len(b.coeffs) != sc.n:
-        raise DimensionMismatch("element length does not match algebra dimension")
-    c, out = sc.c, [Fraction(0)] * sc.n
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj == 0:
-                continue
-            f = ai * bj
-            row = c[i][j]
-            for s in range(sc.n):
-                if row[s] != 0:
-                    out[s] += f * row[s]
-    return AlgebraElement(tuple(out))
 
 
 def from_affinors(basis: "AffinorBasis") -> StructureConstants:

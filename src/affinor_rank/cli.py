@@ -495,10 +495,11 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     Recomputes the hull of the stored witness with fresh matrix-vector
     loops, ranks it by plain integer Gaussian elimination, rechecks the
     pivot minor, and for generic certificates also rechecks the closure
-    equations, the dimension inequality and the pair witness.  Everything
-    runs on integer numerators: the basis over one common denominator D,
-    and the witness and pair vectors scaled by their own, which changes no
-    rank and no minor's singularity.
+    equations, the dimension inequality and the pair witness; last, it
+    checks that basis element 0 is the identity.  Everything runs on
+    integer numerators: the basis over one common denominator D, and the
+    witness and pair vectors scaled by their own, which changes no rank and
+    no minor's singularity.
     """
     try:
         kind = cert["kind"]
@@ -589,6 +590,9 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         pair_rank = _fresh_rank(stacked)
         if pair_rank != 2 * n or pair_dim != 2 * n:
             return False, f"pair span rank is {pair_rank}, expected {2 * n}"
+    # checked last, so every earlier message stands: an affinor basis starts with E
+    if mats[0] != [[(i, den)] for i in range(m)]:
+        return False, "first basis element is not the identity"
     return True, "ok"
 
 

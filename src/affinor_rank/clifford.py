@@ -260,11 +260,10 @@ def clifford_rank_theorem_check(
 ) -> RankCertificate:
     """Witness that the blade images of one vector span the whole space.
 
-    The unit coefficient vector is tried first; the regular representation
-    acts freely on it, so its hull is everything.
+    The search tries the unit coefficient vector e_0 first; the regular
+    representation acts freely on it, so its hull is everything.
     """
-    unit = tuple(_ONE if i == 0 else _ZERO for i in range(cb.signature.dim))
-    result = weak_rank_witness(cb.basis, trials, seed, extra_candidates=(unit,))
+    result = weak_rank_witness(cb.basis, trials, seed)
     if isinstance(result, RankCertificate):
         return result
     raise AssertionError("no witness found for a regular representation")
@@ -287,8 +286,9 @@ def doubled_generic_rank_check(
     """Generic-rank pipeline for the blades on a doubled module.
 
     The doubled module restores the strict dimension inequality, and the
-    canonical witnesses are explicit: the unit on one copy, and the pair
-    (unit on the first copy, unit on the second).
+    canonical witnesses are the unit on the first copy, which the weak
+    search tries first, and the pair (unit on the first copy, unit on the
+    second).
     """
     cb = build_clifford(sig)
     dim = sig.dim
@@ -298,6 +298,5 @@ def doubled_generic_rank_check(
         doubled_module_basis(cb),
         trials=trials,
         seed=seed,
-        extra_candidates=(unit_first,),
         extra_pairs=((unit_first, unit_second),),
     )

@@ -195,11 +195,11 @@ def distribution_rank_check(
     searched: one nonzero coordinate per block (pushed through the change
     of basis when present) makes the hull matrix block-diagonal of full
     span rank.  A system without one is searched.  The generic pipeline
-    runs whenever 2n <= m, on the same weak certificate; a second per-block
-    indicator seeds its pair search when every block has one.
+    runs on the same weak certificate, and is inapplicable when 2n > m; a
+    second per-block indicator seeds its pair search when every block has
+    one.
     """
     basis = ps.affinor_basis()
-    n, m = ps.n, ps.m
     sp = ps.splitting
     extra_pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] = ()
     if sp is None:
@@ -218,16 +218,6 @@ def distribution_rank_check(
         weak = certificate_from_witness(basis, x0, notes=(note,))
         if y0 is not None:
             extra_pairs = ((x0, y0),)
-    if 2 * n > m:
-        generic: Union[RankCertificate, Inapplicable, NoWitnessFound] = Inapplicable(
-            "DimensionTooSmall", f"2*{n} = {2 * n} exceeds module dimension {m}"
-        )
-    else:
-        generic = certify_generic_rank(
-            basis,
-            trials=trials,
-            seed=seed,
-            extra_pairs=extra_pairs,
-            weak=weak,
-        )
+    generic = certify_generic_rank(basis, trials=trials, seed=seed, extra_pairs=extra_pairs,
+                                   weak=weak)
     return DistributionRankReport(weak=weak, generic=generic, witness_note=note)

@@ -411,7 +411,6 @@ def weak_rank_witness(
     basis: AffinorBasis,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    extra_candidates: Sequence[Sequence] = (),
 ) -> Union[RankCertificate, NoWitnessFound]:
     """Search for a vector whose hull has full span dimension.
 
@@ -425,10 +424,7 @@ def weak_rank_witness(
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
     candidates = itertools.chain(
-        (exact_vector(c) for c in extra_candidates),
-        _deterministic_candidates(m),
-        _random_candidates(random.Random(seed), m, trials),
-    )
+        _deterministic_candidates(m), _random_candidates(random.Random(seed), m, trials))
     x, pivots, tried, max_seen = _first_hit(
         candidates, lambda batch: _images(basis, batch)._scaled.nums.tolist(),
         n, n * m * m, True)
@@ -456,7 +452,6 @@ def certify_generic_rank(
     basis: AffinorBasis,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    extra_candidates: Sequence[Sequence] = (),
     extra_pairs: Sequence[tuple[Sequence, Sequence]] = (),
     weak: Optional[RankCertificate] = None,
 ) -> Union[RankCertificate, Inapplicable, NoWitnessFound]:
@@ -478,7 +473,7 @@ def certify_generic_rank(
     except NotClosed as exc:
         return Inapplicable("NotAnAlgebra", str(exc))
     if weak is None:
-        weak = weak_rank_witness(basis, trials, seed, extra_candidates)
+        weak = weak_rank_witness(basis, trials, seed)
         if isinstance(weak, NoWitnessFound):
             return weak
 

@@ -5,10 +5,11 @@ over the least common denominator d of its entries, in a numpy array, in
 lowest terms.  Producers that already hold integers (products, inverses
 and ``unstack``) make a matrix straight from that view with
 ``Matrix.from_view``; the constructor scales int or
-``fractions.Fraction`` entries into it at once.  ``Matrix.entries``, the
-Fractions, are derived from the view on each read and serve only as a
-reference outside the kernels.  Floats are rejected on construction,
-because a rounded entry would poison any certificate computed downstream.
+``fractions.Fraction`` entries into it at once.  A matrix keeps no
+Fraction entries: Fractions appear only in the scalars and vectors the
+kernels return (``det``, ``apply``, span coefficients and residuals).
+Floats are rejected on construction, because a rounded entry would poison
+any certificate computed downstream.
 Float numerics (curve planarity) run on numpy arrays obtained through
 ``Matrix.to_ndarray`` and never flow back.
 
@@ -98,8 +99,7 @@ class Matrix:
     """Immutable row-major matrix of exact rationals.
 
     A matrix holds one thing, its scaled-integer view in lowest terms; its
-    shape is the view's, and ``entries`` (a tuple of Fraction rows) is
-    derived from the view on each read.
+    shape is the view's.
     """
 
     __slots__ = ("_scaled",)
@@ -150,12 +150,6 @@ class Matrix:
     def cols(self) -> int:
         return self._scaled.nums.shape[1]
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fraction rows, built from the view on each read."""
-        view = self._scaled
-        return tuple(tuple(_fractions(row, view.den)) for row in view.nums.tolist())
-
     # -- basic structure ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -174,10 +168,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        view = self._scaled
-        return Matrix.from_view(view._replace(nums=view.nums.T))
 
     def to_ndarray(self) -> np.ndarray:
         # int / int rounds once, exactly like float(Fraction)
@@ -204,14 +194,6 @@ class Matrix:
         return out
 
     # -- arithmetic ----------------------------------------------------
-
-    def scale(self, c) -> "Matrix":
-        c = as_fraction(c)
-        view = self._scaled
-        return Matrix.from_view(_lowest_terms(
-            [c.numerator * v for v in view.nums.ravel().tolist()], c.denominator * view.den,
-            view.nums.shape,
-        ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -352,13 +334,6 @@ class RankResult:
     rank: int
     pivot_rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "pivot_rows": list(self.pivot_rows),
-            "pivot_cols": list(self.pivot_cols),
-        }
 
 
 def _bareiss_rank(a: list[list[int]]) -> tuple[int, list[int], list[int], int, int]:

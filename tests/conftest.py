@@ -45,9 +45,33 @@ def random_exact_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9
     )
 
 
+def fraction_rows(mat: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries of a matrix as Fraction rows, read from its integer view."""
+    view = mat._scaled
+    return tuple(tuple(Fraction(v, view.den) for v in row) for row in view.nums.tolist())
+
+
+def constants_cube(sc: StructureConstants) -> tuple:
+    """The structure constants as nested Fractions: [i][j][k] is the
+    coefficient of e_k in e_i e_j."""
+    rows, n = fraction_rows(sc.table), sc.n
+    return tuple(rows[i * n:(i + 1) * n] for i in range(n))
+
+
+def multiply(sc: StructureConstants, a, b) -> tuple[Fraction, ...]:
+    """The product of two coefficient vectors through the structure
+    constants, term by term in Fractions; the plain oracle."""
+    c, out = constants_cube(sc), [Fraction(0)] * sc.n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k, cijk in enumerate(c[i][j]):
+                out[k] += Fraction(ai) * bj * cijk
+    return tuple(out)
+
+
 def linear_combination(mats, coeffs) -> Matrix:
     """sum_k coeffs[k] * mats[k], entry by entry in Fractions; the plain oracle."""
-    entries = [m.entries for m in mats]  # each read builds the Fractions anew
+    entries = [fraction_rows(m) for m in mats]
     return Matrix.exact([
         [sum((Fraction(c) * e[i][j] for c, e in zip(coeffs, entries)), Fraction(0))
          for j in range(mats[0].cols)]
@@ -72,7 +96,7 @@ def densify(obj):
 
 
 def is_zero_matrix(m: Matrix) -> bool:
-    return all(v == 0 for row in m.entries for v in row)
+    return all(v == 0 for row in fraction_rows(m) for v in row)
 
 
 # The certificate verifier as it was written over Fractions, the reference
@@ -174,6 +198,8 @@ def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[b
         pair_rank = _fraction_rank(stacked)
         if pair_rank != 2 * n or pair_dim != 2 * n:
             return False, f"pair span rank is {pair_rank}, expected {2 * n}"
+    if mats[0] != [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]:
+        return False, "first basis element is not the identity"
     return True, "ok"
 
 
@@ -198,7 +224,7 @@ def quaternion_matrices() -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
 def block_double(mat: Matrix) -> Matrix:
     """diag(mat, mat) on the doubled space."""
-    m, entries = mat.rows, mat.entries
+    m, entries = mat.rows, fraction_rows(mat)
     z = (Fraction(0),) * m
     rows = [row + z for row in entries] + [z + row for row in entries]
     return Matrix(2 * m, 2 * m, tuple(rows))

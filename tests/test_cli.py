@@ -26,7 +26,7 @@ from affinor_rank.errors import MissingCertificate
 from affinor_rank.jsonio import MAX_ENTRIES
 from affinor_rank.linalg import MAX_PRODUCT_ENTRIES, products_refused
 
-from conftest import densify
+from conftest import densify, reference_verify_certificate
 
 FIXTURES = Path(__file__).parent.parent / "docs" / "fixtures"
 
@@ -373,6 +373,38 @@ def test_verify_report_bumped_rank(capsys, tmp_path):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     assert main(["verify-report", str(tampered)]) == EXIT_NEGATIVE
+
+
+_NOT_THE_IDENTITY = "first basis element is not the identity"
+
+
+@pytest.mark.parametrize("generic, unit, closure", [
+    pytest.param(False, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], None,
+                 id="weak_2I"),
+    pytest.param(False, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 5]], None,
+                 id="weak_diag_1115"),
+    # a closure table forged to fit {2I, J}: 2I 2I = 2 (2I) and J J = -1/2 (2I)
+    pytest.param(True, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+                 [[[2, 0], [0, 2]], [[0, 2], ["-1/2", 0]]], id="generic_2I_forged_closure"),
+])
+def test_verify_report_rejects_a_basis_not_starting_with_the_identity(
+        capsys, tmp_path, generic, unit, closure):
+    # every other check passes on these, but ``rank`` refuses such a basis
+    out = tmp_path / "report.json"
+    argv = ["rank", str(FIXTURES / "complex_r4_basis.json"), "--out", str(out)]
+    main(argv + ["--generic"] * generic)
+    report = json.loads(out.read_text())
+    cert = report["result"]["certificate"]
+    cert["basis"]["mats"][0]["entries"] = unit
+    if closure is not None:
+        cert["closure"]["C"] = closure
+    assert reference_verify_certificate(cert) == (False, _NOT_THE_IDENTITY)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    assert verdict["result"]["details"][0]["message"] == _NOT_THE_IDENTITY
 
 
 def _pivot_row(value):

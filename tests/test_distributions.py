@@ -25,7 +25,7 @@ from affinor_rank.cli import main
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
 from affinor_rank.linalg import SpanSolver, det, stack
 
-from conftest import is_zero_matrix, random_exact_matrix
+from conftest import constants_cube, is_zero_matrix, random_exact_matrix
 
 
 def _random_invertible(rng, m, bound=2):
@@ -47,15 +47,15 @@ def _random_splitting(rng, m):
 
 def test_coordinate_splitting_m2():
     ps = projectors_from_splitting(Splitting(2, (1, 1)))
-    assert ps.projectors[0].entries == Matrix.exact([[1, 0], [0, 0]]).entries
-    assert ps.projectors[1].entries == Matrix.exact([[0, 0], [0, 1]]).entries
+    assert ps.projectors[0] == Matrix.exact([[1, 0], [0, 0]])
+    assert ps.projectors[1] == Matrix.exact([[0, 0], [0, 1]])
 
 
 def test_coordinate_splitting_m4():
     ps = projectors_from_splitting(Splitting(4, (2, 2)))
-    assert ps.projectors[0].entries == Matrix.exact(
+    assert ps.projectors[0] == Matrix.exact(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    ).entries
+    )
 
 
 def test_conjugated_splitting_keeps_identities(rng):
@@ -65,7 +65,7 @@ def test_conjugated_splitting_keeps_identities(rng):
     # oracle: direct products for one pair
     p1, p2 = ps.projectors
     assert is_zero_matrix(p1 @ p2)
-    assert (p1 @ p1).entries == p1.entries
+    assert p1 @ p1 == p1
 
 
 def test_splitting_validation():
@@ -82,7 +82,7 @@ def test_verify_rejects_overlapping_projectors():
     p2 = Matrix.exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     p3 = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # oracle: p1 @ p2 = p1 != 0
-    assert (p1 @ p2).entries == p1.entries
+    assert p1 @ p2 == p1
     result = verify_complete_system(ProjectorSystem(stack([p1, p2, p3]), 4))
     assert not result.ok
     assert ("annihilate", 0, 1) in result.violations
@@ -91,7 +91,7 @@ def test_verify_rejects_overlapping_projectors():
 def test_single_block_system():
     ps = projectors_from_splitting(Splitting(3, (3,)))
     assert verify_complete_system(ps).ok
-    assert ps.projectors[0].entries == Matrix.identity(3).entries
+    assert ps.projectors[0] == Matrix.identity(3)
     report = distribution_rank_check(ps)
     assert report.weak.claimed_rank == 1
 
@@ -266,4 +266,4 @@ def test_closure_recovers_idempotent_constants():
     ps = projectors_from_splitting(Splitting(4, (2, 2)))
     sc = from_affinors(ps.affinor_basis())
     # with basis {E, P}: P * P = P exactly
-    assert sc.c[1][1] == (Fraction(0), Fraction(1))
+    assert constants_cube(sc)[1][1] == (Fraction(0), Fraction(1))

@@ -17,8 +17,6 @@ from affinor_rank.jsonio import (
     matrix_from_json,
 )
 
-from conftest import densify
-
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -30,7 +28,7 @@ def test_matrix_round_trip():
     m = Matrix.exact([["1/3", 2], [0, -5]])
     assert m.to_json()["mode"] == "exact"
     back = matrix_from_json(m.to_json(), "<mem>")
-    assert back.entries == m.entries
+    assert back == m
 
 
 def test_integer_rows_read_into_the_same_matrix():
@@ -44,7 +42,7 @@ def test_integer_rows_read_into_the_same_matrix():
              "entries": [[f"{v}/1" for v in row] for row in ints]}, "<mem>")
         assert via_ints == via_strings
         assert via_ints._scaled.nums.dtype == via_strings._scaled.nums.dtype
-        assert via_ints.entries == via_strings.entries
+        assert via_ints == via_strings
 
 
 @pytest.mark.parametrize("rows, field", [
@@ -186,7 +184,7 @@ def test_constants_round_trip():
 
     sc = quaternion_constants()
     back = constants_from_json(sc.to_json(), "<mem>")
-    assert back.c == sc.c
+    assert back == sc
 
 
 def test_constants_shape_errors():
@@ -254,8 +252,7 @@ def test_unknown_curve_kind():
 
 
 def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch):
-    # compared after densify: the writer now emits sparse matrices where the
-    # committed copies are dense, and the readers take either form
+    # byte for byte, as ``dump`` writes them
     docs = Path(__file__).parent.parent / "docs"
     spec = importlib.util.spec_from_file_location("make_fixtures", docs / "make_fixtures.py")
     make_fixtures = importlib.util.module_from_spec(spec)
@@ -266,5 +263,5 @@ def test_make_fixtures_reproduces_the_committed_fixtures(monkeypatch):
     committed = {p.name: p for p in (docs / "fixtures").glob("*.json")}
     assert payloads.keys() == committed.keys()
     for name, payload in payloads.items():
-        expected = densify(json.loads(committed[name].read_text()))
-        assert densify(json.loads(json.dumps(payload))) == expected, name
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert text == committed[name].read_text(encoding="utf-8"), name

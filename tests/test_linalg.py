@@ -2,20 +2,25 @@
 
 import ast
 import copy
+import inspect
 import itertools
 import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import affinor_rank
 from affinor_rank import (
     CliffordSignature,
     Matrix,
+    algebra,
     build_clifford,
     det,
+    hullrank,
     inverse,
     linalg,
     rank,
@@ -27,6 +32,7 @@ from affinor_rank.multipoly import Poly, determinant
 from conftest import (
     brute_force_rank,
     cofactor_det,
+    fraction_rows,
     linear_combination,
     quaternion_matrices,
     random_exact_matrix,
@@ -66,7 +72,7 @@ def test_exact_rank_matches_brute_force(rng):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = random_exact_matrix(rng, rows, cols, bound=3)
-        assert rank(m).rank == brute_force_rank(m.entries)
+        assert rank(m).rank == brute_force_rank(fraction_rows(m))
 
 
 def test_rank_permutation_invariance(rng):
@@ -76,16 +82,15 @@ def test_rank_permutation_invariance(rng):
         cperm = list(range(5))
         rng.shuffle(rperm)
         rng.shuffle(cperm)
-        permuted = Matrix.exact(
-            [[m.entries[i][j] for j in cperm] for i in rperm]
-        )
+        rows = fraction_rows(m)
+        permuted = Matrix.exact([[rows[i][j] for j in cperm] for i in rperm])
         assert rank(permuted).rank == rank(m).rank
 
 
 def test_rank_transpose_invariance(rng):
     for _ in range(40):
         m = random_exact_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank(m).rank == rank(m.transpose()).rank
+        assert rank(m).rank == rank(Matrix.exact(zip(*fraction_rows(m)))).rank
 
 
 def test_exact_rank_equals_float_rank_on_integer_matrices():
@@ -115,9 +120,8 @@ def test_pivot_minor_is_nonsingular(rng):
         res = rank(m)
         assert len(res.pivot_rows) == res.rank == len(res.pivot_cols)
         if res.rank:
-            minor = [
-                [m.entries[i][j] for j in res.pivot_cols] for i in res.pivot_rows
-            ]
+            rows = fraction_rows(m)
+            minor = [[rows[i][j] for j in res.pivot_cols] for i in res.pivot_rows]
             assert cofactor_det(minor) != 0
 
 
@@ -139,7 +143,7 @@ def test_empty_matrices_keep_their_shape():
 
 
 def test_repr_shows_entries_of_a_sparse_written_matrix():
-    m = Matrix.identity(8).scale(Fraction(1, 2))
+    m = linear_combination([Matrix.identity(8)], [Fraction(1, 2)])
     assert "nonzeros" in m.to_json()
     entries = [["1/2" if i == j else 0 for j in range(8)] for i in range(8)]
     assert repr(m) == f"Matrix(rows=8, cols=8, entries={entries!r})"
@@ -152,7 +156,8 @@ def test_repr_shows_entries_of_a_sparse_written_matrix():
 
 def test_solve_in_span_identity_target():
     e = Matrix.identity(2)
-    assert SpanSolver(stack([e])).coefficients(stack([e.scale(5)])) == [(Fraction(5),)]
+    target = linear_combination([e], [5])
+    assert SpanSolver(stack([e])).coefficients(stack([target])) == [(Fraction(5),)]
 
 
 def test_solve_in_span_rotation_square():
@@ -160,7 +165,7 @@ def test_solve_in_span_rotation_square():
     e = Matrix.identity(2)
     f = Matrix.exact([[0, -1], [1, 0]])
     ff = f @ f
-    assert ff.entries == e.scale(-1).entries
+    assert ff == linear_combination([e], [-1])
     coeffs = SpanSolver(stack([e, f])).coefficients(stack([ff]))
     assert coeffs == [(Fraction(-1), Fraction(0))]
 
@@ -170,7 +175,8 @@ def test_solve_in_span_infeasible():
     p = Matrix.exact([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     target = Matrix.exact([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     # a batch answers each target on its own
-    assert SpanSolver(stack([e, p])).coefficients(stack([target, e, p.scale("1/2")])) == [
+    half_p = linear_combination([p], ["1/2"])
+    assert SpanSolver(stack([e, p])).coefficients(stack([target, e, half_p])) == [
         None, (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)),
     ]
 
@@ -180,7 +186,7 @@ def test_solve_in_span_shape_checks():
     with pytest.raises(ShapeMismatch):
         SpanSolver(stack([e2])).coefficients(stack([e3]))
     with pytest.raises(InvalidBasis):
-        SpanSolver(stack([e2, e2.scale(3)]))
+        SpanSolver(stack([e2, linear_combination([e2], [3])]))
 
 
 def test_span_solver_residual():
@@ -222,8 +228,8 @@ def test_generic_quaternion_element_is_invertible():
         row = []
         for c in range(4):
             terms = {}
-            for v, mat in enumerate(mats):
-                coeff = mat.entries[r][c]
+            for v, mat in enumerate(map(fraction_rows, mats)):
+                coeff = mat[r][c]
                 if coeff != 0:
                     mono = tuple(1 if t == v else 0 for t in range(4))
                     terms[mono] = Fraction(coeff)
@@ -249,7 +255,7 @@ def test_det_matches_cofactor_oracle(rng):
     for _ in range(40):
         n = rng.randint(1, 4)
         m = random_exact_matrix(rng, n, n, bound=5)
-        assert det(m) == cofactor_det([list(r) for r in m.entries])
+        assert det(m) == cofactor_det([list(r) for r in fraction_rows(m)])
 
 
 def test_det_rational_scaling():
@@ -265,7 +271,7 @@ def test_inverse_round_trip(rng):
         if det(m) == 0:
             continue
         found += 1
-        assert (m @ inverse(m)).entries == ident.entries
+        assert m @ inverse(m) == ident
     with pytest.raises(NotInvertible):
         inverse(Matrix.exact([[1, 1], [1, 1]]))
 
@@ -287,9 +293,9 @@ def test_inverse_rows_are_span_coefficients(rng):
         if det(m) == 0:
             continue
         found += 1
-        solver = SpanSolver(stack([Matrix.exact([row]) for row in m.entries]))
-        units = stack([Matrix.exact([row]) for row in Matrix.identity(4).entries])
-        assert solver.coefficients(units) == list(inverse(m).entries)
+        solver = SpanSolver(stack([Matrix.exact([row]) for row in fraction_rows(m)]))
+        units = stack([Matrix.exact([row]) for row in fraction_rows(Matrix.identity(4))])
+        assert solver.coefficients(units) == list(fraction_rows(inverse(m)))
 
 
 def test_has_full_row_rank_agrees_with_rank(rng):
@@ -297,7 +303,7 @@ def test_has_full_row_rank_agrees_with_rank(rng):
         rows = rng.randint(1, 5)
         cols = rng.randint(rows, 7)
         m = random_exact_matrix(rng, rows, cols, bound=6)
-        rows_as_matrices = [Matrix.exact([row]) for row in m.entries]
+        rows_as_matrices = [Matrix.exact([row]) for row in fraction_rows(m)]
         assert has_full_row_rank(stack(rows_as_matrices)) == (rank(m).rank == rows)
 
 
@@ -313,9 +319,9 @@ def test_rank_drop_mod_p_falls_back_after_one_prime(monkeypatch):
 
     monkeypatch.setattr(linalg, "_full_row_rank_modp", counting)
     e = Matrix.identity(3)
-    assert has_full_row_rank(stack([e, e.scale(3)])) is False
+    assert has_full_row_rank(stack([e, linear_combination([e], [3])])) is False
     assert calls == [linalg._PRIMES[0]]
-    dependent = stack([e, e.scale(3)]).nums
+    dependent = stack([e, linear_combination([e], [3])]).nums
     assert modp(dependent, linalg._PRIMES[0]) is False
 
 
@@ -349,10 +355,9 @@ def test_matrix_stores_only_its_view():
         m.rows = 3
     for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert copied == m and hash(copied) == hash(m)
-        assert copied.entries == m.entries
 
 
-def _attribute_readers(attr: str, owner: str) -> list[str]:
+def _attribute_readers(attr: str, owner: Optional[str]) -> list[str]:
     """Where a package module other than ``owner`` reads an attribute ``attr``."""
     readers = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
@@ -379,13 +384,16 @@ def test_only_linalg_makes_objects_past_their_constructor():
     assert makers == []
 
 
-def test_only_linalg_reads_matrix_entries():
-    # a matrix is its integer view; its Fraction entries are a reference for
-    # tests, and no other module of the package reads them
-    assert _attribute_readers("entries", "linalg.py") == []
-
-
-def test_only_algebra_reads_structure_constants_as_fractions():
-    # structure constants are their table's integer view; the nested
-    # Fractions ``c`` are a reference for tests and the ``multiply`` oracle
-    assert _attribute_readers("c", "algebra.py") == []
+def test_exact_data_has_no_fraction_form():
+    # a matrix is its integer view and structure constants are their table:
+    # the Fraction copies, the Fraction algebra product and the matrix
+    # arithmetic nothing ran are gone, and no package module reads ``entries``
+    # or ``c`` off an object
+    assert not {"entries", "scale", "transpose"} & set(dir(Matrix))
+    assert not hasattr(linalg.RankResult, "to_json")
+    assert not hasattr(algebra.StructureConstants, "c")
+    for name in ("AlgebraElement", "multiply"):
+        assert not hasattr(algebra, name) and not hasattr(affinor_rank, name)
+    for fn in (hullrank.weak_rank_witness, hullrank.certify_generic_rank):
+        assert "extra_candidates" not in inspect.signature(fn).parameters
+    assert _attribute_readers("entries", None) == _attribute_readers("c", None) == []

@@ -63,8 +63,10 @@ from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 from conftest import (
     block_double,
     cofactor_det,
+    constants_cube,
     densify,
     dual_number_constants,
+    fraction_rows,
     is_zero_matrix,
     linear_combination,
     local3_constants,
@@ -107,7 +109,7 @@ def _chain(draw, length: int):
 
 
 def _naive_matmul(a: Matrix, b: Matrix):
-    x, y = a.entries, b.entries  # each read builds the Fractions anew
+    x, y = fraction_rows(a), fraction_rows(b)
     return tuple(
         tuple(sum((x[i][k] * y[k][j] for k in range(a.cols)), Fraction(0))
               for j in range(b.cols))
@@ -143,31 +145,28 @@ def test_matmul_matches_fraction_loop(mats):
     a, b = mats
     prod = a @ b
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
-    assert prod.entries == _naive_matmul(a, b)
-    _assert_exact(v for row in prod.entries for v in row)
+    assert fraction_rows(prod) == _naive_matmul(a, b)
     json.dumps(prod.to_json())
 
 
 def _assert_canonical(mat: Matrix):
     """The view ``mat`` was made with is the one its entries give: lowest
     terms, a positive denominator, int64 exactly when the bound fits."""
-    view, ref = mat._scaled, Matrix(mat.rows, mat.cols, mat.entries)._scaled
+    view, ref = mat._scaled, Matrix(mat.rows, mat.cols, fraction_rows(mat))._scaled
     assert (view.den, view.nums.dtype, view.bound) == (ref.den, ref.nums.dtype, ref.bound)
     assert np.array_equal(view.nums, ref.nums)
 
 
-@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_matrix(n, n), _matrix(n, n), _SCALARS)))
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_matrix(n, n), _matrix(n, n))))
 def test_views_made_without_fractions_are_canonical(case):
-    # products, inverses (whose determinant may be negative), scalings
-    # (by zero too) and transposes are made straight from views
-    a, b, c = case
-    made = [a @ b, a.scale(c), a.transpose()] + ([inverse(a)] if det(a) != 0 else [])
+    # products and inverses (whose determinant may be negative) are made
+    # straight from views
+    a, b = case
+    made = [a @ b] + ([inverse(a)] if det(a) != 0 else [])
     for mat in made:
         _assert_canonical(mat)
-    assert a.scale(c).entries == tuple(tuple(c * v for v in row) for row in a.entries)
-    assert a.transpose().entries == tuple(
-        tuple(row[j] for row in a.entries) for j in range(a.cols))
-    assert a.scale(1) == a and hash(a.scale(1)) == hash(a)
+    same = a @ Matrix.identity(a.cols)
+    assert same == a and hash(same) == hash(a)
 
 
 _PAST_INT64 = st.builds(Fraction, st.integers(2**63 - 2, 2**63 + 2), _DENOMINATORS)
@@ -241,7 +240,7 @@ def _structure_constants(draw):
 @given(_structure_constants())
 @example(quaternion_constants())
 def test_chat_stacks_match_the_fraction_planes(sc):
-    n, c = sc.n, sc.c
+    n, c = sc.n, constants_cube(sc)
     want_hat = tuple(Matrix(n, n, tuple(tuple(c[j][i][k] for k in range(n)) for j in range(n)))
                      for i in range(n))
     want_star = tuple(Matrix(n, n, tuple(tuple(c[i][k][j] for k in range(n)) for j in range(n)))
@@ -262,8 +261,8 @@ def test_product_of_a_product_matches_fraction_loop(mats):
     a, b, c = mats
     ab = a @ b
     expected = _naive_matmul(Matrix(ab.rows, ab.cols, _naive_matmul(a, b)), c)
-    assert (ab @ c).entries == expected
-    assert (a @ (b @ c)).entries == expected
+    assert fraction_rows(ab @ c) == expected
+    assert fraction_rows(a @ (b @ c)) == expected
 
 
 @given(_DIMS.flatmap(lambda cols: st.tuples(
@@ -275,18 +274,19 @@ def test_apply_matches_fraction_loop(case):
     out = m.apply(vec)
     assert type(out) is tuple
     assert out == tuple(
-        sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in m.entries
+        sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in fraction_rows(m)
     )
     _assert_exact(out)
 
 
 @given(st.tuples(_DIMS, _DIMS).flatmap(lambda shape: _matrix(*shape)))
 def test_rank_and_full_row_rank_match_fraction_elimination(m):
-    expected = len(_naive_pivots(m.entries))
+    rows = fraction_rows(m)
+    expected = len(_naive_pivots(rows))
     got = rank(m)
     assert got.rank == expected
     if expected:
-        minor = [[m.entries[i][j] for j in got.pivot_cols] for i in got.pivot_rows]
+        minor = [[rows[i][j] for j in got.pivot_cols] for i in got.pivot_rows]
         assert cofactor_det(minor) != 0
     assert has_full_row_rank(m._scaled) == (
         expected == m.rows
@@ -296,7 +296,7 @@ def test_rank_and_full_row_rank_match_fraction_elimination(m):
 @given(_DIMS.flatmap(lambda n: _matrix(n, n)))
 def test_det_matches_cofactor_expansion(m):
     got = det(m)
-    assert got == (cofactor_det(m.entries) if m.rows else 1)
+    assert got == (cofactor_det(fraction_rows(m)) if m.rows else 1)
     _assert_exact([got])
 
 
@@ -317,7 +317,8 @@ def _json_cases():
     big = shapes.flatmap(lambda shape: _matrix(*shape, _BEYOND_INT64))
     # scaling by the view's denominator leaves an integer product whose
     # view is reduced from denominator d to 1
-    cleared = plain.map(lambda m: m @ Matrix.identity(m.cols).scale(m._scaled.den))
+    cleared = plain.map(
+        lambda m: m @ linear_combination([Matrix.identity(m.cols)], [m._scaled.den]))
     products = _chain(3).map(lambda mats: (mats[0] @ mats[1]) @ mats[2])
     one_in_ten = st.integers(0, 9).flatmap(
         lambda k: _BEYOND_INT64 if k == 0 else st.just(Fraction(0)))
@@ -335,9 +336,9 @@ def test_to_json_matches_per_entry_form(m):
     got = m.to_json()
     dense = {
         "rows": m.rows, "cols": m.cols, "mode": "exact",
-        "entries": [[scalar_to_json(v) for v in row] for row in m.entries],
+        "entries": [[scalar_to_json(v) for v in row] for row in fraction_rows(m)],
     }
-    nonzero = sum(v != 0 for row in m.entries for v in row)
+    nonzero = sum(v != 0 for row in fraction_rows(m) for v in row)
     assert ("nonzeros" in got) == (0 < m.rows * m.cols >= 8 * nonzero)
     assert densify(got) == dense
     if "nonzeros" in got:
@@ -350,7 +351,7 @@ def test_to_json_matches_per_entry_form(m):
     assert json.loads(json.dumps(got)) == got
     assert matrix_from_json(got, "<mem>") == m == matrix_from_json(dense, "<mem>")
     # the float view rounds each exact entry once, as float(Fraction) does
-    assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in m.entries]
+    assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in fraction_rows(m)]
 
 
 def test_product_that_wraps_in_int64_stays_exact():
@@ -359,7 +360,7 @@ def test_product_that_wraps_in_int64_stays_exact():
     b = Matrix.exact([[1], [1]])
     wrapped = np.array([[big, big]], dtype=np.int64) @ np.array([[1], [1]], dtype=np.int64)
     assert int(wrapped[0, 0]) == -(2**63)  # what unchecked int64 would report
-    assert (a @ b).entries == ((Fraction(2**63),),)
+    assert fraction_rows(a @ b) == ((Fraction(2**63),),)
     assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
 
 
@@ -427,8 +428,8 @@ def test_bareiss_matches_the_rescaling_loop(rows):
     assert got == want
     if rows and len(rows) == len(rows[0]) and cofactor_det(rows) != 0:
         expected = _naive_solve([[Fraction(v) for v in r] for r in rows],
-                                Matrix.identity(len(rows)).entries)
-        assert inverse(Matrix.exact(rows)).entries == tuple(map(tuple, expected))
+                                fraction_rows(Matrix.identity(len(rows))))
+        assert fraction_rows(inverse(Matrix.exact(rows))) == tuple(map(tuple, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def _reference_closure(mats):
     the span element with those coordinates must equal the product, and
     the residual is their squared difference when it does not."""
     n = len(mats)
-    vecs = [[v for row in m.entries for v in row] for m in mats]
+    vecs = [[v for row in fraction_rows(m) for v in row] for m in mats]
     pivots = _naive_pivots(vecs)
     assert len(pivots) == n
     block = [[vecs[k][c] for k in range(n)] for c in pivots]
@@ -494,7 +495,7 @@ def _small_or_large(m: int, large):
 def _frame(draw, m: int):
     """A random invertible m x m frame and its inverse."""
     q = draw(_small_or_large(m, _NEAR_2_31))
-    q_inv = _naive_solve(q.entries, Matrix.identity(m).entries)
+    q_inv = _naive_solve(fraction_rows(q), fraction_rows(Matrix.identity(m)))
     assume(q_inv is not None)
     return q, Matrix(m, m, tuple(tuple(row) for row in q_inv))
 
@@ -508,8 +509,7 @@ def test_from_affinors_matches_reference_on_conjugated_quaternions(frame):
     expected = _reference_closure(mats)
     assert isinstance(expected[0][0], tuple)  # the reference finds it closed
     got = from_affinors(AffinorBasis.of(mats))
-    assert got.c == expected
-    _assert_exact(v for plane in got.c for row in plane for v in row)
+    assert constants_cube(got) == expected
 
 
 @st.composite
@@ -534,7 +534,7 @@ def test_not_closed_matches_reference_pair_and_residual(mats):
         assume(False)
     expected = _reference_closure(basis.mats)
     if isinstance(expected[0][0], tuple):
-        assert from_affinors(basis).c == expected
+        assert constants_cube(from_affinors(basis)) == expected
         return
     with pytest.raises(NotClosed) as err:
         from_affinors(basis)
@@ -563,7 +563,7 @@ _UNIT_SCALES = st.sampled_from((1, 2**31 + 1, Fraction(1, 3), Fraction(1, 65537)
 
 
 def _scaled_quaternions(scales, frame=None):
-    mats = [a if k == 0 else a.scale(scales[k - 1]) for k, a in enumerate(quaternion_matrices())]
+    mats = [linear_combination([a], [c]) for a, c in zip(quaternion_matrices(), (1, *scales))]
     if frame is not None:
         q, q_inv = frame
         mats = [Matrix(4, 4, _naive_matmul(Matrix(4, 4, _naive_matmul(q, a)), q_inv))
@@ -586,15 +586,14 @@ def test_closure_table_scales_past_int64_in_python_ints():
     solver = linalg.SpanSolver(basis.stacked)
     ys = solver._scaled_coordinates(linalg.pairwise_products(solver.generators, 4))
     assert ys.nums.dtype == np.int64 and solver.generators.den * ys.bound >= 2**63
-    assert from_affinors(basis).c == _reference_closure(basis.mats)
+    assert constants_cube(from_affinors(basis)) == _reference_closure(basis.mats)
 
 
 @given(st.integers(0, 4).flatmap(lambda n: _matrix(n, n)))
 def test_inverse_is_exact_on_fractional_matrices(m):
     assume(det(m) != 0)
     inv = inverse(m)
-    assert (m @ inv).entries == Matrix.identity(m.rows).entries
-    _assert_exact(v for row in inv.entries for v in row)
+    assert m @ inv == Matrix.identity(m.rows)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -602,7 +601,7 @@ def test_inverse_is_exact_on_fractional_matrices(m):
 def test_inverse_rejects_singular_matrices(case):
     # row ``dup`` is replaced by a combination of the other rows
     m, dup, weights = case
-    rows = [list(r) for r in m.entries]
+    rows = [list(r) for r in fraction_rows(m)]
     rows[dup] = [sum((w * rows[i][c] for i, w in enumerate(weights) if i != dup), Fraction(0))
                  for c in range(m.cols)]
     with pytest.raises(NotInvertible):
@@ -625,7 +624,7 @@ def _failing_operator_pairs(family, c):
     n = len(c)
     return tuple((j, k) for j in range(n) for k in range(n)
                  if _naive_matmul(family[j], family[k])
-                 != linear_combination(family, c[j][k]).entries)
+                 != fraction_rows(linear_combination(family, c[j][k])))
 
 
 def _reference_associativity(c):
@@ -642,12 +641,13 @@ def _tampered_algebra(draw):
     """A known associative algebra in a random basis that keeps the unity
     first (row 0 of the frame is e_0), with one entry of its table moved
     by a drawn amount."""
-    c = draw(st.sampled_from((dual_number_constants, local3_constants,
-                              matrix_algebra_2x2_constants, quaternion_constants)))().c
+    make = draw(st.sampled_from((dual_number_constants, local3_constants,
+                                 matrix_algebra_2x2_constants, quaternion_constants)))
+    c = constants_cube(make())
     n = len(c)
     rest = draw(st.one_of(_matrix(n - 1, n, _SMALL), _matrix(n - 1, n, st.one_of(_SMALL, _NEAR_2_31))))
-    q = (tuple(Fraction(int(j == 0)) for j in range(n)),) + rest.entries
-    q_inv = _naive_solve(q, Matrix.identity(n).entries)
+    q = (tuple(Fraction(int(j == 0)) for j in range(n)),) + fraction_rows(rest)
+    q_inv = _naive_solve(q, fraction_rows(Matrix.identity(n)))
     assume(q_inv is not None)
     # f_i = sum_a q[i][a] e_a, so f_i f_j = sum q[i][a] q[j][b] c[a][b][s] q_inv[s][k] f_k
     terms = [(a, b, s, c[a][b][s]) for a in range(n) for b in range(n) for s in range(n)
@@ -661,7 +661,7 @@ def _tampered_algebra(draw):
 
 @given(_tampered_algebra())
 def test_associativity_matches_fraction_identities(sc):
-    plain, star = _reference_associativity(sc.c)
+    plain, star = _reference_associativity(constants_cube(sc))
     got = verify_associativity(sc)
     assert (got.violations, got.star_violations) == (plain, star)
     assert got.ok == (not plain and not star)
@@ -692,7 +692,7 @@ def _reference_unity(c):
 def _unity_tampered(draw):
     """A tampered algebra with up to three more entries of e_0 e_i or e_i e_0 moved."""
     sc = draw(_tampered_algebra())
-    table = [[list(row) for row in plane] for plane in sc.c]
+    table = [[list(row) for row in plane] for plane in constants_cube(sc)]
     for _ in range(draw(st.integers(0, 3))):
         i, k = draw(st.integers(0, sc.n - 1)), draw(st.integers(0, sc.n - 1))
         plane, row = (0, i) if draw(st.booleans()) else (i, 0)
@@ -703,32 +703,31 @@ def _unity_tampered(draw):
 @given(_unity_tampered())
 def test_unity_violations_match_the_fraction_loop(sc):
     got = verify_unity(sc)
-    assert got.violations == _reference_unity(sc.c)
+    assert got.violations == _reference_unity(constants_cube(sc))
     assert got.ok == (not got.violations)
 
 
 @given(_tampered_algebra(), st.data())
 def test_gram_matches_the_fraction_sum(sc, data):
-    n, c = sc.n, sc.c
+    n, c = sc.n, constants_cube(sc)
     lam = data.draw(st.lists(_SCALARS, min_size=n, max_size=n))
     expected = tuple(tuple(sum((c[i][j][s] * lam[s] for s in range(n)), Fraction(0))
                            for j in range(n)) for i in range(n))
     got = gram(sc, lam)
-    assert got.gram.entries == expected
+    assert fraction_rows(got.gram) == expected
     assert got.det == cofactor_det(expected) and got.regular == (got.det != 0)
 
 
 @given(_tampered_algebra())
 @example(StructureConstants.exact([[["1", "1/2"], ["-3/4", 0]], [[0, "5/7"], [1, "2/3"]]]))
 def test_table_round_trips_through_json_and_fractions(sc):
-    c = sc.c
-    _assert_exact(v for plane in c for row in plane for v in row)
+    c = constants_cube(sc)
     written = {"n": sc.n, "mode": "exact",
                "C": [[[scalar_to_json(v) for v in row] for row in plane] for plane in c]}
     text = json.dumps(sc.to_json(), sort_keys=True)
     assert text == json.dumps(written, sort_keys=True)
     back = constants_from_json(json.loads(text), "<mem>")
-    assert back == sc and back.c == c and StructureConstants.exact(c) == sc
+    assert back == sc and StructureConstants.exact(c) == sc
 
 
 def _reference_identification(c, mats):
@@ -736,11 +735,12 @@ def _reference_identification(c, mats):
     images of e_s, column s of each operator, against the Gram matrix
     [c[i][j][s]] and its transpose."""
     n = len(c)
+    families = [linalg.unstack(family, n) for family in (mats.c_hat, mats.c_hat_star)]
     plain = star = True
     for s in range(n):
         g = [[c[i][j][s] for j in range(n)] for i in range(n)]
-        images = [[[m.entries[j][s] for j in range(n)] for m in linalg.unstack(family, n)]
-                  for family in (mats.c_hat, mats.c_hat_star)]
+        images = [[[rows[j][s] for j in range(n)] for rows in map(fraction_rows, family)]
+                  for family in families]
         plain = plain and images[0] == [list(col) for col in zip(*g)]
         star = star and images[1] == g
     return {"multiplier_rows_match_gram_transpose": plain, "star_rows_match_gram": star}
@@ -749,15 +749,15 @@ def _reference_identification(c, mats):
 @given(_tampered_algebra())
 @example(quaternion_constants())
 def test_identification_matches_the_unit_vector_loop(sc):
-    mats = algebra._chat_raw(sc)
+    mats, c = algebra._chat_raw(sc), constants_cube(sc)
     got = frobenius._identification(sc, mats)
-    assert got == _reference_identification(sc.c, mats)
+    assert got == _reference_identification(c, mats)
     assert got["multiplier_rows_match_gram_transpose"] is True
     swapped = ChatMatrices(mats.c_hat_star, mats.c_hat)
     got = frobenius._identification(sc, swapped)
-    assert got == _reference_identification(sc.c, swapped)
+    assert got == _reference_identification(c, swapped)
     # e_i e_k must have the e_0 coordinate of e_0 e_i for the swap to pass
-    if any(c_ik[0] != sc.c[0][i][k] for i, plane in enumerate(sc.c) for k, c_ik in enumerate(plane)):
+    if any(c_ik[0] != c[0][i][k] for i, plane in enumerate(c) for k, c_ik in enumerate(plane)):
         assert got["multiplier_rows_match_gram_transpose"] is False
 
 
@@ -776,7 +776,7 @@ def _projector_candidates(draw):
     q, _ = draw(_frame(m))
     mats = list(projectors_from_splitting(Splitting(m, tuple(dims), q)).projectors)
     t, i, j = draw(st.integers(0, len(mats) - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-    rows = [list(row) for row in mats[t].entries]
+    rows = [list(row) for row in fraction_rows(mats[t])]
     rows[i][j] += draw(_NUDGE)
     mats[t] = Matrix(m, m, tuple(tuple(row) for row in rows))
     return mats
@@ -785,10 +785,11 @@ def _projector_candidates(draw):
 @given(_projector_candidates())
 def test_projector_identities_match_fraction_products(ps):
     n, m = len(ps), ps[0].rows
-    expected = [("idempotent", i) for i, p in enumerate(ps) if _naive_matmul(p, p) != p.entries]
+    expected = [("idempotent", i) for i, p in enumerate(ps)
+                if _naive_matmul(p, p) != fraction_rows(p)]
     expected += [("annihilate", i, j) for i in range(n) for j in range(n)
                  if i != j and not is_zero_matrix(Matrix(m, m, _naive_matmul(ps[i], ps[j])))]
-    if linear_combination(ps, [1] * n).entries != Matrix.identity(m).entries:
+    if linear_combination(ps, [1] * n) != Matrix.identity(m):
         expected.append(("sum_to_identity",))
     got = verify_complete_system(ProjectorSystem(linalg.stack(ps), m))
     assert got.violations == tuple(expected)
@@ -801,13 +802,13 @@ def _framed_splittings(draw):
     of small, near-2**31 or past-int64 entries, with its inverse."""
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     m = sum(dims)
-    ident = Matrix.identity(m).entries
+    ident = fraction_rows(Matrix.identity(m))
     q = draw(st.one_of(st.none(), _small_or_large(m, st.one_of(_NEAR_2_31, _SCALARS))))
     if q is None:
         return dims, None, ident, ident
-    q_inv = _naive_solve(q.entries, ident)
+    q_inv = _naive_solve(fraction_rows(q), ident)
     assume(q_inv is not None)
-    return dims, q, q.entries, q_inv
+    return dims, q, fraction_rows(q), q_inv
 
 
 def _assert_same_view(got: Matrix, want: Matrix):
@@ -837,7 +838,7 @@ def test_batched_projectors_match_fraction_conjugation(case):
 @example(Matrix.exact([[0, 2, 0], [1, 0, 0], [0, 0, -1]]))  # zeros above the diagonal skipped
 @example(Matrix.exact([[2**62, 1], [1, 2**62]]))  # D past 2**63
 def test_inverse_matches_gauss_jordan(m):
-    expected = _naive_solve(m.entries, Matrix.identity(m.rows).entries)
+    expected = _naive_solve(fraction_rows(m), fraction_rows(Matrix.identity(m.rows)))
     if expected is None:
         with pytest.raises(NotInvertible):
             inverse(m)
@@ -892,7 +893,7 @@ def _dense_clifford(draw):
     mats = [Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv))
             for a in cb.basis.mats]
     g, i, j = draw(st.integers(1, s + t)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-    rows = [list(row) for row in mats[g].entries]
+    rows = [list(row) for row in fraction_rows(mats[g])]
     rows[i][j] += draw(_NUDGE)
     mats[g] = Matrix(m, m, tuple(tuple(row) for row in rows))
     try:
@@ -909,7 +910,7 @@ def test_clifford_fallback_matches_fraction_products(cb):
     expected = []
     for i, g in enumerate(gens):
         want = 1 if i < sig.s else -1
-        if _naive_matmul(g, g) != Matrix.identity(m).scale(want).entries:
+        if _naive_matmul(g, g) != fraction_rows(linear_combination([Matrix.identity(m)], [want])):
             expected.append(("square", i + 1, want))
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -929,9 +930,9 @@ def _conjugated_span(draw):
     m = draw(st.integers(2, 4))
     others = draw(st.lists(_matrix(m, m, _SPARSE), min_size=1, max_size=m - 1))
     q, _ = draw(_frame(m))
-    rows = [list(row) for row in q.entries]
+    rows = [list(row) for row in fraction_rows(q)]
     rows[0][0] = draw(_NEAR_2_31)
-    q_inv = _naive_solve(rows, Matrix.identity(m).entries)
+    q_inv = _naive_solve(rows, fraction_rows(Matrix.identity(m)))
     assume(q_inv is not None)
     q, q_inv = Matrix(m, m, tuple(map(tuple, rows))), Matrix(m, m, tuple(map(tuple, q_inv)))
     mats = [Matrix.identity(m)] + [
@@ -952,7 +953,7 @@ def test_inversion_probe_finds_the_first_singular_candidate(basis, seed, trials)
     expected, tried = None, 0
     for coeffs in candidates:
         tried += 1
-        if cofactor_det(linear_combination(basis.mats, coeffs).entries) == 0:
+        if cofactor_det(fraction_rows(linear_combination(basis.mats, coeffs))) == 0:
             expected = coeffs
             break
     got = inversion_probe(basis, trials, seed)
@@ -1082,7 +1083,7 @@ def test_hull_and_pair_rows_match_per_matrix_apply(case):
     pair = rows + [a.apply(y) for a in basis.mats]
     h = hullrank.hull(basis, x)
     assert h.matrix == Matrix.exact(rows)
-    assert h.matrix.entries == tuple(rows)
+    assert fraction_rows(h.matrix) == tuple(rows)
     assert h.rank_result == rank(Matrix.exact(rows))
     assert hullrank._images(basis, [x, y]) == Matrix.exact(pair)
     assert hullrank.pair_span_dim(basis, x, y) == rank(Matrix.exact(pair)).rank
@@ -1150,8 +1151,9 @@ def _tampered_certificate(draw):
     q, q_inv = draw(_frame(m))
     # rescaling all but the unity makes the closure constants fractional
     scales = [Fraction(1)] + [draw(_SMALL.filter(bool)) for _ in span[1:]]
-    mats = tuple(Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv)).scale(c)
-                 for a, c in zip(span, scales))
+    mats = tuple(Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv))
+                 for a in span)
+    mats = tuple(linear_combination([a], [c]) for a, c in zip(mats, scales))
     cert = certify_generic_rank(AffinorBasis.of(mats))
     assert isinstance(cert, RankCertificate) and cert.kind == "generic"
     cert = json.loads(json.dumps(cert.to_json()))
