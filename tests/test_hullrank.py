@@ -1,5 +1,6 @@
 """Hull computation, witness search and the generic-rank pipeline."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,13 @@ def test_hull_dimension_mismatch(quaternions_r4):
         hull(quaternions_r4, short)
     with pytest.raises(DimensionMismatch):
         pair_span_dim(quaternions_r4, _unit(4, 0), short)
+
+
+def test_witness_searches_take_no_extra_candidates():
+    # the candidate order is fixed: unit vectors, the all-ones vector, then
+    # seeded random vectors; no caller can put its own candidates first
+    for fn in (weak_rank_witness, certify_generic_rank):
+        assert "extra_candidates" not in inspect.signature(fn).parameters
 
 
 def test_hull_contains_base_vector(complex_r4, rng):

@@ -2,7 +2,6 @@
 
 import ast
 import copy
-import inspect
 import itertools
 import pickle
 import random
@@ -20,7 +19,6 @@ from affinor_rank import (
     algebra,
     build_clifford,
     det,
-    hullrank,
     inverse,
     linalg,
     rank,
@@ -384,16 +382,20 @@ def test_only_linalg_makes_objects_past_their_constructor():
     assert makers == []
 
 
-def test_exact_data_has_no_fraction_form():
-    # a matrix is its integer view and structure constants are their table:
-    # the Fraction copies, the Fraction algebra product and the matrix
-    # arithmetic nothing ran are gone, and no package module reads ``entries``
-    # or ``c`` off an object
+def test_only_linalg_reads_matrix_entries():
+    # a matrix is its integer view: the Fraction copy ``entries`` and the
+    # matrix arithmetic nothing ran are gone, and no package module reads an
+    # attribute ``entries`` off an object
     assert not {"entries", "scale", "transpose"} & set(dir(Matrix))
     assert not hasattr(linalg.RankResult, "to_json")
+    assert _attribute_readers("entries", None) == []
+
+
+def test_only_algebra_reads_structure_constants_as_fractions():
+    # structure constants are their table's integer view: the nested
+    # Fractions ``c`` and the Fraction algebra product are gone, and no
+    # package module reads an attribute ``c`` off an object
     assert not hasattr(algebra.StructureConstants, "c")
     for name in ("AlgebraElement", "multiply"):
         assert not hasattr(algebra, name) and not hasattr(affinor_rank, name)
-    for fn in (hullrank.weak_rank_witness, hullrank.certify_generic_rank):
-        assert "extra_candidates" not in inspect.signature(fn).parameters
-    assert _attribute_readers("entries", None) == _attribute_readers("c", None) == []
+    assert _attribute_readers("c", None) == []
