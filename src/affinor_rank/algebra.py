@@ -60,7 +60,7 @@ class StructureConstants:
         return self.table._scaled.nums.reshape((self.n,) * 3).transpose(axes)
 
     def to_json(self) -> dict:
-        rows, n = _json_rows(self.table._scaled), self.n
+        rows, n = _json_rows(self.table._scaled.nums, self.table._scaled.den), self.n
         return {"n": n, "mode": EXACT, "C": [rows[i * n:(i + 1) * n] for i in range(n)]}
 
 

@@ -130,7 +130,7 @@ def projectors_from_splitting(sp: Splitting) -> ProjectorSystem:
     else:
         a, b = q._scaled, sp.change_of_basis_inverse._scaled
         nums = _int_product(a._replace(nums=a.nums * ind[:, None, :]), b, sp.m)
-        projectors = _lowest_terms(nums.ravel().tolist(), a.den * b.den, (sp.n, sp.m * sp.m))
+        projectors = _lowest_terms(nums.reshape(sp.n, sp.m * sp.m), a.den * b.den)
     system = ProjectorSystem(projectors, sp.m, sp)
     check = verify_complete_system(system)
     if not check.ok:  # pragma: no cover - construction guarantees the identities

@@ -56,6 +56,7 @@ from .linalg import (
     combine,
     exact_vector,
     has_full_row_rank,
+    matrices_json,
     rank,
     scalar_multiple_of_identity,
     scalar_to_json,
@@ -139,7 +140,7 @@ class AffinorBasis:
             "m": self.m,
             "n": self.n,
             "mode": EXACT,
-            "mats": [mat.to_json() for mat in self.mats],
+            "mats": matrices_json(self.stacked, self.m, self.m),
         }
 
 
@@ -170,8 +171,8 @@ def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matri
     x = _scale([v for vec in vectors for v in vec], (len(vectors), m))
     prod = _int_product(_Scaled(s.nums.reshape(n * m, m), s.den, s.bound),
                         x._replace(nums=x.nums.T), m)
-    rows = prod.reshape(n, m, len(vectors)).transpose(2, 0, 1).ravel().tolist()
-    return Matrix.from_view(_lowest_terms(rows, s.den * x.den, (len(vectors) * n, m)))
+    rows = prod.reshape(n, m, len(vectors)).transpose(2, 0, 1).reshape(len(vectors) * n, m)
+    return Matrix.from_view(_lowest_terms(rows, s.den * x.den))
 
 
 def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:

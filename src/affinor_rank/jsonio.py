@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -55,6 +56,11 @@ from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 #: sparse form leaves its zeros out, so without a cap a few bytes of input
 #: could ask for any amount of memory.
 MAX_ENTRIES = 1 << 24
+
+#: Most digits a scalar's numerator or denominator may have: Python's
+#: default limit on writing an int as text, which a report would hit.
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 def load_json(path: Union[str, Path]) -> dict:
@@ -84,15 +90,24 @@ def _int(value, path, field) -> int:
 
 
 def exact_scalar_from_json(value, path, field) -> Fraction:
+    """An int, or a string ``Fraction`` reads, of at most ``MAX_DIGITS``
+    digits in its numerator and in its denominator."""
     if isinstance(value, bool):
         raise InputFormatError(path, field, "booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            # past 2 * MAX_DIGITS an exponent puts any nonzero mantissa past
+            # the limit: "1e10000000" is refused before 10**exponent is built
+            too_long = ("e" in value or "E" in value) and abs(
+                int(value.lower().partition("e")[2])) > 2 * MAX_DIGITS
+            out = None if too_long else Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InputFormatError(path, field, f"not a valid rational: {value!r}")
+        if out is None or max(abs(out.numerator), out.denominator) >= _TOO_LONG:
+            raise InputFormatError(path, field, f"more than {MAX_DIGITS} digits")
+        return out
     if isinstance(value, float):
         raise InputFormatError(
             path, field, "floats are not accepted as exact scalars; write p/q or an integer"

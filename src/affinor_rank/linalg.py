@@ -14,17 +14,19 @@ Float numerics (curve planarity) run on numpy arrays obtained through
 ``Matrix.to_ndarray`` and never flow back.
 
 Products and matrix-vector products multiply the numerator arrays and
-divide by the product of the denominators.  They use int64 when an
-a-priori bound proves that no partial sum overflows (max|A| * max|B| *
-inner dimension < 2**63) and object arrays of Python ints otherwise, so the
-result is exact either way; a product is reduced to lowest terms, which
-makes its view canonical, and is kept as a view for the next product.
+divide by the product of the denominators.  An a-priori bound on every
+partial sum, max|A| * max|B| * inner dimension, picks exact arithmetic:
+float64 BLAS below 2**53 (matrix x matrix only), int64 below 2**63, and
+object arrays of Python ints otherwise.  A product is reduced to lowest
+terms on its array, which makes its view canonical, and is kept as a view
+for the next product.
 
 Equally shaped matrices stack into one view, one flattened matrix per
 row, and a family the package builds (a basis, the operators of an
 algebra, the projectors of a splitting) is stored as that stack alone;
 ``unstack`` gives its matrices on demand, each in lowest terms and over
-den 1 a view of its row.  Every exact product identity in the package
+den 1 a view of its row; a stack is written as JSON in one pass over its
+rows, without unstacking.  Every exact product identity in the package
 reads such stacks: all pairwise products of a stack are one integer
 product, a row of linear combinations of a stack is another, and two
 views are compared row by row by cross-multiplying their denominators.
@@ -38,11 +40,12 @@ pivot / prev, which is skipped when pivot == prev and is a negation when
 pivot == -prev: on signed permutations and other sparse {-1, 0, 1} data
 most rows are left as they are.  The linear-independence test reads the
 numerators of a stack: rows with disjoint supports pass at sight, and
-other stacks are reduced mod p, visiting only the columns that are nonzero
-somewhere in the stack.  The same elimination, then fraction-free back
-substitution over whole rows that skips zero coefficients, gives the
-inverse.  ``SpanSolver`` solves on the stack of its generators; span
-coordinates of a whole batch of targets follow from the inverse pivot
+other stacks are reduced mod p, then if need be eliminated exactly, on the
+columns that are nonzero somewhere in the stack.  The same elimination,
+then fraction-free back substitution over whole rows that skips zero
+coefficients, gives the inverse.  ``SpanSolver`` finds its pivot columns
+on those nonzero columns too, and solves on the stack of its generators;
+span coordinates of a whole batch of targets follow from the inverse pivot
 block, proved by an integer product, and come out as one integer view
 over a common denominator, scaled in Python ints, that is a matrix as it
 stands.
@@ -163,7 +166,8 @@ class Matrix:
         return hash((view.nums.shape, view.den, tuple(view.nums.ravel().tolist())))
 
     def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={_json_rows(self._scaled)!r})"
+        entries = _json_rows(self._scaled.nums, self._scaled.den)
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={entries!r})"
 
     @property
     def is_square(self) -> bool:
@@ -176,22 +180,10 @@ class Matrix:
                         dtype=float).reshape(view.nums.shape)
 
     def to_json(self) -> dict:
-        """The matrix JSON: ``"entries"`` row by row, or, when the matrix is
-        not empty and at most one entry in eight is nonzero, ``"nonzeros"``,
-        the triples [i, j, v] of its nonzero entries in row-major order.  At
-        that density the sparse text is never the longer one while both
-        dimensions stay below 10**5."""
+        """The matrix JSON, as ``matrices_json`` writes a one-row stack."""
         view = self._scaled
-        out = {"rows": self.rows, "cols": self.cols, "mode": EXACT}
-        if view.nums.size == 0 or 8 * np.count_nonzero(view.nums) > view.nums.size:
-            out["entries"] = _json_rows(view)
-            return out
-        i, j = np.nonzero(view.nums)  # row-major order
-        values = view.nums[i, j].tolist()
-        if view.den != 1:
-            values = [_ratio_json(v, view.den) for v in values]
-        out["nonzeros"] = [list(t) for t in zip(i.tolist(), j.tolist(), values)]
-        return out
+        return matrices_json(_Scaled(view.nums.reshape(1, -1), view.den, view.bound),
+                             self.rows, self.cols)[0]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -201,10 +193,7 @@ class Matrix:
                 f"inner dimensions {self.cols} and {other.rows} differ"
             )
         a, b = self._scaled, other._scaled
-        return Matrix.from_view(_lowest_terms(
-            _int_product(a, b, self.cols).ravel().tolist(), a.den * b.den,
-            (self.rows, other.cols),
-        ))
+        return Matrix.from_view(_lowest_terms(_int_product(a, b, self.cols), a.den * b.den))
 
     def apply(self, vec: Sequence[Fraction]) -> ExactVector:
         """Matrix-vector product."""
@@ -218,8 +207,9 @@ class Matrix:
 # Scaled-integer view: numerators over one common denominator
 # ---------------------------------------------------------------------------
 
-# int64 arithmetic is exact while every partial sum stays below this.
+# int64, and float64, arithmetic is exact while every partial sum stays below these.
 _INT64_LIMIT = 1 << 63
+_FLOAT_EXACT = 1 << 53
 
 
 class _Scaled(NamedTuple):
@@ -236,30 +226,34 @@ class _Scaled(NamedTuple):
     bound: int
 
 
-def _lowest_terms(nums: list[int], den: int, shape: tuple[int, ...]) -> _Scaled:
-    """Scaled view of ``nums / den``, reduced so ``den`` is the least common
-    denominator; this form is canonical, equal values give equal views."""
+def _lowest_terms(nums: np.ndarray, den: int) -> _Scaled:
+    """Scaled view of the integer array ``nums / den``, reduced so ``den``
+    is the least common denominator; this form is canonical, equal values
+    give equal views."""
     if den < 0:
-        nums, den = [-v for v in nums], -den
+        nums, den = -nums, -den
     if den != 1:
-        g = math.gcd(den, *nums)
+        flat = nums.ravel()
+        g = int(np.gcd.reduce(flat)) if nums.dtype == np.int64 else math.gcd(*flat.tolist())
+        if g == 0:  # every numerator is zero
+            return _view(nums, 1)
+        g = math.gcd(den, g)
         if g != 1:
-            nums = [v // g for v in nums]
-            den //= g
-    bound = max(map(abs, nums), default=0)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    return _Scaled(np.array(nums, dtype=dtype).reshape(shape), den, bound)
+            nums, den = nums // g, den // g
+    return _view(nums, den)
 
 
 def _scale(values: Sequence[Union[int, Fraction]], shape: tuple[int, ...]) -> _Scaled:
     """Scaled view of exact values, ints or Fractions, laid out in ``shape``
-    (row-major)."""
+    (row-major); no prime of the lcm divides every numerator."""
     den = math.lcm(*{v.denominator for v in values})
     if den == 1:
         nums = [v.numerator for v in values]
     else:
         nums = [v.numerator * (den // v.denominator) for v in values]
-    return _lowest_terms(nums, den, shape)
+    bound = max(map(abs, nums), default=0)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return _Scaled(np.array(nums, dtype=dtype).reshape(shape), den, bound)
 
 
 def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[int],
@@ -272,15 +266,27 @@ def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[in
     return _Scaled(nums.reshape(shape), nonzero.den, nonzero.bound)
 
 
-def _int_product(a: _Scaled, b: _Scaled, inner: int) -> np.ndarray:
-    """Exact product of the numerator arrays.
+def _product_dtype(a: _Scaled, b: _Scaled, inner: int):
+    """The dtype ``_int_product`` multiplies in, by the bound max|a| * max|b|
+    * inner on every partial sum of int64 arrays: float64 (BLAS) below 2**53
+    for matrix x matrix, as every partial sum in any order is then an integer
+    a double holds; int64 below 2**63, and for matrix x vector, whose
+    conversion costs what BLAS saves; Python ints otherwise."""
+    x, y = a.nums, b.nums
+    if x.dtype == y.dtype == np.int64:
+        bound = a.bound * b.bound * inner
+        if bound < _FLOAT_EXACT and x.shape[-2] > 1 and y.ndim > 1 and y.shape[-1] > 1:
+            return np.float64
+        if bound < _INT64_LIMIT:
+            return np.int64
+    return object
 
-    int64 when both arrays are int64 and max|a| * max|b| * inner < 2**63
-    bounds every partial sum, Python ints in an object array otherwise.
-    """
-    if a.nums.dtype == b.nums.dtype == np.int64 and a.bound * b.bound * inner < _INT64_LIMIT:
-        return a.nums @ b.nums
-    return a.nums.astype(object) @ b.nums.astype(object)
+
+def _int_product(a: _Scaled, b: _Scaled, inner: int) -> np.ndarray:
+    """Exact product of the numerator arrays, int64 or object."""
+    dtype = _product_dtype(a, b, inner)
+    out = a.nums.astype(dtype, copy=False) @ b.nums.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _rows_equal(a: _Scaled, b: _Scaled) -> list[bool]:
@@ -303,12 +309,49 @@ def _ratio_json(num: int, den: int):
     return num // g if g == den else f"{num // g}/{den // g}"
 
 
-def _json_rows(view: _Scaled) -> list[list]:
-    """The rows of a 2-d view as JSON scalars, ints and "p/q" strings."""
-    rows = view.nums.tolist()
-    if view.den == 1:
+#: Entries of a stack that ``matrices_json`` reads at once, so that its
+#: support mask never takes the memory of the whole stack.
+_JSON_BLOCK = 1 << 20
+
+
+def matrices_json(s: _Scaled, rows: int, cols: int) -> list[dict]:
+    """The matrix JSON of each row of a stack of flattened rows x cols
+    matrices: ``"entries"`` row by row, or, when the matrix is not empty and
+    at most one entry in eight is nonzero, ``"nonzeros"``, the triples
+    [i, j, v] of its nonzero entries in row-major order (at that density
+    never the longer text while both dimensions stay below 10**5).  Each
+    value is written in its own lowest terms, as the row's own matrix is."""
+    size, den, out = rows * cols, s.den, []
+    step = max(1, _JSON_BLOCK // max(size, 1))
+    for start in range(0, len(s.nums), step):
+        block = s.nums[start:start + step]
+        support = block != 0
+        counts = [np.count_nonzero(row) for row in support]
+        sparse = [size > 0 and 8 * count <= size for count in counts]
+        triples, first = [], 0
+        if any(sparse):
+            picked = np.flatnonzero(sparse)
+            k, at = np.divmod(np.flatnonzero(support[picked]), size)  # row-major
+            values = block[picked[k], at]
+            if den != 1:
+                values = np.array([_ratio_json(v, den) for v in values.tolist()], dtype=object)
+            triples = np.array((*np.divmod(at, cols), values)).T.tolist()
+        for nums, is_sparse, count in zip(block, sparse, counts):
+            mat = {"rows": rows, "cols": cols, "mode": EXACT}
+            if is_sparse:
+                mat["nonzeros"], first = triples[first:first + count], first + count
+            else:
+                mat["entries"] = _json_rows(nums.reshape(rows, cols), den)
+            out.append(mat)
+    return out
+
+
+def _json_rows(nums: np.ndarray, den: int) -> list[list]:
+    """The rows of 2-d numerators over ``den`` as JSON scalars, ints and "p/q" strings."""
+    rows = nums.tolist()
+    if den == 1:
         return rows
-    return [[_ratio_json(v, view.den) for v in row] for row in rows]
+    return [[_ratio_json(v, den) for v in row] for row in rows]
 
 
 def _fractions(nums: list[int], den: int) -> list[Fraction]:
@@ -441,7 +484,7 @@ def inverse(m: Matrix) -> Matrix:
             if c:
                 acc = [u - c * v for u, v in zip(acc, xj)]
         x[k] = [u // row[k] for u in acc]
-    return Matrix.from_view(_lowest_terms([view.den * v for row in x for v in row], d, (n, n)))
+    return Matrix.from_view(_lowest_terms(np.array(x, dtype=object).reshape(n, n) * view.den, d))
 
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
@@ -466,11 +509,8 @@ def stack(mats: Sequence[Matrix]) -> _Scaled:
 def unstack(s: _Scaled, m: int) -> tuple[Matrix, ...]:
     """The m x m matrices in the rows of ``s``, each in lowest terms; over
     den 1 each is a view of its row."""
-    blocks = s.nums.reshape(len(s.nums), m, m)
-    if s.den == 1:
-        return tuple(Matrix.from_view(_view(nums, 1)) for nums in blocks)
-    return tuple(Matrix.from_view(_lowest_terms(nums.ravel().tolist(), s.den, (m, m)))
-                 for nums in blocks)
+    return tuple(Matrix.from_view(_lowest_terms(nums, s.den))
+                 for nums in s.nums.reshape(len(s.nums), m, m))
 
 
 def _is_identity_times(nums: np.ndarray, q: int, m: int) -> bool:
@@ -529,7 +569,10 @@ class SpanSolver:
     def __init__(self, generators: _Scaled):
         self.generators = generators
         self.n = self.generators.nums.shape[0]
-        rk, _, self._pivots, _, _ = _bareiss_rank(self.generators.nums.tolist())
+        # a column that is zero in every row never holds a pivot
+        cols = np.flatnonzero((generators.nums != 0).any(axis=0))
+        rk, _, pivots, _, _ = _bareiss_rank(generators.nums[:, cols].tolist())
+        self._pivots = cols[pivots].tolist()
         if rk < self.n:
             raise InvalidBasis("span basis matrices are linearly dependent")
         # column k of the block is generator k on the pivot columns
@@ -556,11 +599,11 @@ class SpanSolver:
         combos = _view(_int_product(ys, self.generators, self.n), d)
         proved = _rows_equal(combos, targets._replace(den=1))
         # target = sum_k (y_k / D) * stack row k / den_t, and stack row k
-        # is den_g times generator k; Python ints, as den_g * y_k may pass
+        # is den_g times generator k; Python ints where den_g * y_k may pass
         # the int64 range
         g = self.generators.den
-        return _lowest_terms([g * v for v in ys.nums.ravel().tolist()], d * targets.den,
-                             ys.nums.shape), proved
+        nums = ys.nums if ys.bound * g < _INT64_LIMIT else ys.nums.astype(object)
+        return _lowest_terms(nums * g, d * targets.den), proved
 
     def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
         """Coordinates over the generators of each target row, or None for
@@ -593,14 +636,15 @@ def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
     """One-sided full-row-rank test of an integer array over GF(p).
 
     Full rank mod p implies full rank over the rationals; False means the
-    rank dropped mod p, which is inconclusive for the rationals.
+    rank dropped mod p, which is inconclusive for the rationals.  Every
+    column is visited, so callers pass the nonzero ones only.
     """
     n, width = rows.shape
     if n > width:
         return False
     a = (rows % p).astype(np.int64, copy=False)
     r = 0
-    for c in np.flatnonzero(a.any(axis=0)).tolist():  # a zero column stays zero
+    for c in range(width):
         if r >= n:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -628,13 +672,15 @@ def has_full_row_rank(s: _Scaled) -> bool:
     Clifford blades) are independent, which one boolean mask shows.  Other
     stacks are tested modulo a large prime, where full rank certifies
     independence; a rank drop falls back to exact fraction-free
-    elimination.  Distinct permutation matrices are not enough: the six
-    3 x 3 ones span only 5 dimensions, and their supports overlap.
+    elimination, both on the columns that hold a nonzero, and so any pivot.
+    Distinct permutation matrices are not enough: the six 3 x 3 ones span
+    only 5 dimensions, and their supports overlap.
     """
-    rows = s.nums
-    support = rows != 0
-    if support.any(axis=1).all() and (np.count_nonzero(support, axis=0) <= 1).all():
+    support = s.nums != 0
+    per_column = np.count_nonzero(support, axis=0)
+    if support.any(axis=1).all() and (per_column <= 1).all():
         return True
+    rows = s.nums[:, per_column > 0]
     if _full_row_rank_modp(rows, _PRIMES[0]):
         return True
     return _bareiss_rank(rows.tolist())[0] == len(rows)

@@ -84,6 +84,31 @@ def test_rank_reads_entries_past_int64(capsys, tmp_path):
     assert basis["mats"][1]["entries"][0][0] == big
 
 
+@pytest.mark.parametrize("scalar", ["1e5000", "1e-5000", "1e10000000"])
+def test_exponent_scalars_past_the_digit_limit_are_refused(capsys, tmp_path, scalar):
+    # a few bytes of exponent name an integer of 5001 digits or more; it is
+    # refused as input before the power of ten is built, where it once
+    # ended in exit 70 when the report was written, after seconds for 1e10000000
+    basis = json.loads((FIXTURES / "complex_r4_basis.json").read_text())
+    basis["mats"][1]["entries"][0][0] = scalar
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    start = time.perf_counter()
+    assert main(["rank", str(path)]) == EXIT_DATA
+    assert "more than 4300 digits" in capsys.readouterr().err
+    # the verifier shares the parser: such a witness is rejected at once
+    out = tmp_path / "report.json"
+    main(["rank", str(FIXTURES / "complex_r4_basis.json"), "--out", str(out)])
+    report = json.loads(out.read_text())
+    report["result"]["certificate"]["witness"][0] = scalar
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    assert time.perf_counter() - start < 1.0
+
+
 def test_rank_generic_dimension_too_small(capsys):
     code, report = _run(
         capsys, "rank", str(FIXTURES / "quaternion_r4_basis.json"), "--generic"

@@ -88,6 +88,25 @@ def test_basis_validation_scales_each_matrix_once(monkeypatch):
     assert shapes == [(16, 16)] * 16
 
 
+def test_certificate_writes_its_basis_without_unstacking(monkeypatch):
+    # the embedded basis is written from its stack in one pass, not as one
+    # view per blade of Cl(3,3)
+    cb = clifford.build_clifford(clifford.CliffordSignature(3, 3))
+    cert = clifford.clifford_rank_theorem_check(cb)
+    calls = []
+    unstack = linalg.unstack
+
+    def recording(s, m):
+        calls.append(m)
+        return unstack(s, m)
+
+    monkeypatch.setattr(linalg, "unstack", recording)
+    monkeypatch.setattr(hullrank, "unstack", recording)
+    mats = cert.to_json()["basis"]["mats"]
+    assert calls == []
+    assert mats == [mat.to_json() for mat in unstack(cb.basis.stacked, cb.basis.m)]
+
+
 def test_basis_zero_mod_p_row_is_accepted_by_exact_fallback(monkeypatch):
     p = linalg._PRIMES[0]
     results = []

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from affinor_rank.jsonio import (
     connection_from_json,
     constants_from_json,
     curve_from_json,
+    exact_scalar_from_json,
     load_json,
     matrix_from_json,
 )
@@ -151,6 +153,27 @@ def test_malformed_rational_is_located():
     with pytest.raises(InputFormatError) as err:
         matrix_from_json(bad, "m.json")
     assert "entries[0][1]" in str(err.value)
+
+
+@pytest.mark.parametrize("scalar, value", [
+    ("1e4299", 10**4299),  # 4300 digits, the most accepted
+    ("1e-4299", Fraction(1, 10**4299)),
+    ("2e-4300", Fraction(1, 5 * 10**4299)),  # 10**4300 / 2 has 4300 digits
+    ("1" * 4300, int("1" * 4300)),
+    ("1e4300", None),
+    ("1e-4300", None),
+    ("1e8601", None),  # refused before 10**8601 is built
+    ("1e-8601", None),
+    ("1/1e5000", None),
+    ("1" * 4301, None),
+])
+def test_scalars_are_held_to_the_digit_limit(scalar, value):
+    if value is not None:
+        assert exact_scalar_from_json(scalar, "m.json", "x") == value
+        return
+    with pytest.raises(InputFormatError) as err:
+        exact_scalar_from_json(scalar, "m.json", "x")
+    assert "'x'" in str(err.value)
 
 
 def test_missing_field_is_located(tmp_path):

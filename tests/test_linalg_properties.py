@@ -18,6 +18,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,6 +156,25 @@ def _assert_canonical(mat: Matrix):
     view, ref = mat._scaled, Matrix(mat.rows, mat.cols, fraction_rows(mat))._scaled
     assert (view.den, view.nums.dtype, view.bound) == (ref.den, ref.nums.dtype, ref.bound)
     assert np.array_equal(view.nums, ref.nums)
+
+
+@given(st.lists(st.one_of(_NUMERATORS, st.integers(2**63, 2**70)), max_size=12),
+       st.sampled_from((1, 2, 6, 2**40, 2**70)),
+       st.one_of(st.integers(1, 10**6), st.integers(-(10**6), -1), st.integers(2**63, 2**70)))
+@example([6, -12, 0], 1, 3)  # the gcd clears the denominator
+@example([2**64, 3 * 2**64], 1, 2**64)  # object numerators that reduce into int64
+@example([1, 2], 1, -4)
+@example([], 1, 5)
+@example([0, 0], 1, 2**70)
+def test_lowest_terms_of_an_array_matches_scale(nums, factor, den):
+    # reduced on the array, int64 where it fits, nums * factor / (den *
+    # factor) is the view _scale makes of the same Fractions, dtype and
+    # bound included
+    scaled = linalg._view(np.array([v * factor for v in nums], dtype=object), 1).nums
+    got = linalg._lowest_terms(scaled, den * factor)
+    want = linalg._scale([Fraction(v, den) for v in nums], (len(nums),))
+    assert (got.den, got.nums.dtype, got.bound) == (want.den, want.nums.dtype, want.bound)
+    assert got.nums.tolist() == want.nums.tolist()
 
 
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(_matrix(n, n), _matrix(n, n))))
@@ -328,12 +348,10 @@ def _json_cases():
     return st.one_of(plain, big, cleared, products, sparse, identities)
 
 
-@given(_json_cases())
-def test_to_json_matches_per_entry_form(m):
+def _assert_matrix_json(got, m):
     # the dense form entry by entry; a sparse form densifies to it, is
     # chosen by the one density rule and is never the longer text; both
     # forms read back into the same matrix
-    got = m.to_json()
     dense = {
         "rows": m.rows, "cols": m.cols, "mode": "exact",
         "entries": [[scalar_to_json(v) for v in row] for row in fraction_rows(m)],
@@ -350,18 +368,90 @@ def test_to_json_matches_per_entry_form(m):
         assert type(v) is int or (type(v) is str and "/" in v)
     assert json.loads(json.dumps(got)) == got
     assert matrix_from_json(got, "<mem>") == m == matrix_from_json(dense, "<mem>")
+
+
+@given(_json_cases())
+def test_to_json_matches_per_entry_form(m):
+    _assert_matrix_json(m.to_json(), m)
     # the float view rounds each exact entry once, as float(Fraction) does
     assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in fraction_rows(m)]
 
 
-def test_product_that_wraps_in_int64_stays_exact():
+@st.composite
+def _json_stacks(draw):
+    """Equally shaped matrices, each dense, sparse, past int64, integral or
+    fractional on its own, so that one stack mixes sparse and dense rows
+    and, over its common denominator, rows whose own lowest terms differ."""
+    rows, cols = draw(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    sparse = st.integers(0, 9).flatmap(lambda k: _SCALARS if k == 0 else st.just(Fraction(0)))
+    kinds = st.one_of(_matrix(rows, cols), _matrix(rows, cols, _BEYOND_INT64),
+                      _matrix(rows, cols, sparse), _matrix(rows, cols, st.integers(-3, 3)))
+    return draw(st.lists(kinds, min_size=1, max_size=5))
+
+
+@given(_json_stacks())
+@example([Matrix.exact([[Fraction(1, 2)]]), Matrix.exact([[3]]), Matrix.exact([[0]])])
+@example([Matrix(0, 3, ()), Matrix(0, 3, ())])
+@example([Matrix(2, 0, ((), ()))])
+def test_stack_json_matches_per_entry_form(mats):
+    # each row of a stack is written as its own matrix, whatever block of
+    # rows the writer scans it in
+    rows, cols = mats[0].rows, mats[0].cols
+    s = linalg.stack(mats)
+    got = linalg.matrices_json(s, rows, cols)
+    assert len(got) == len(mats)
+    for g, m in zip(got, mats):
+        _assert_matrix_json(g, m)
+    for block in (1, 2 * rows * cols + 1):
+        with mock.patch.object(linalg, "_JSON_BLOCK", block):
+            assert linalg.matrices_json(s, rows, cols) == got
+    if rows == cols > len(mats):  # a basis writes its stack the same way
+        try:
+            basis = AffinorBasis.of((Matrix.identity(rows), *mats))
+        except InvalidBasis:
+            return
+        assert basis.to_json()["mats"] == [Matrix.identity(rows).to_json(), *got]
+
+
+def _int_view(rows):
+    return linalg._view(np.array(rows, dtype=np.int64).reshape(len(rows), -1), 1)
+
+
+@st.composite
+def _products_near_2_53(draw):
+    """Integer matrix products whose bound max|a| * max|b| * inner falls on
+    either side of 2**53, in every shape from vector to matrix."""
+    rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    top = draw(st.sampled_from((2**25, 2**26 - 1, 2**26, 2**26 + 1, 2**27)))
+    cells = st.integers(-top, top)
+    a = draw(st.lists(st.lists(cells, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    return a, b
+
+
+@given(_products_near_2_53())
+@example(([[2**26 - 1] * 2] * 2, [[2**26 - 1] * 2] * 2))  # 2**53 - 2**28 + 2: float64
+@example(([[2**52 + 1, 2**52]], [[1], [1]]))  # 2**53 + 1, one row: int64
+@example(([[2**52 + 1, 2**52], [0, 0]], [[1, 0], [1, 0]]))  # past 2**53: int64
+@example(([[2**62, 2**62]], [[1], [1]]))  # 2**63: Python ints
+def test_product_that_wraps_in_int64_stays_exact(case):
+    a, b = map(_int_view, case)
+    inner = a.nums.shape[1]
+    want = (np.array(case[0], dtype=object) @ np.array(case[1], dtype=object)).tolist()
+    assert linalg._int_product(a, b, inner).tolist() == want
+    bound = a.bound * b.bound * inner
+    on_float = bound < 2**53 and a.nums.shape[0] > 1 and b.nums.shape[1] > 1
+    assert (linalg._product_dtype(a, b, inner) is np.float64) == on_float
+    # a matrix x vector product never takes the float path
+    x = linalg._view(b.nums[:, 0], 1)
+    assert linalg._product_dtype(a, x, inner) is (np.int64 if bound < 2**63 else object)
+    assert linalg._int_product(a, x, inner).tolist() == [row[0] for row in want]
     big = 2**62
-    a = Matrix.exact([[big, big]])
-    b = Matrix.exact([[1], [1]])
     wrapped = np.array([[big, big]], dtype=np.int64) @ np.array([[1], [1]], dtype=np.int64)
     assert int(wrapped[0, 0]) == -(2**63)  # what unchecked int64 would report
-    assert fraction_rows(a @ b) == ((Fraction(2**63),),)
-    assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
+    assert fraction_rows(Matrix.exact([[big, big]]) @ Matrix.exact([[1], [1]])) == (
+        (Fraction(2**63),),)
+    assert (Matrix.exact(case[0]) @ Matrix.exact(case[1])) == Matrix.exact(want)
 
 
 def _bareiss_reference(a):
