@@ -58,7 +58,6 @@ from .linalg import (
     has_full_row_rank,
     matrices_json,
     rank,
-    scalar_multiple_of_identity,
     scalar_to_json,
     stack,
     unstack,
@@ -522,11 +521,13 @@ def certify_generic_rank(
 
 
 def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fraction]], ...]:
-    """For each non-identity element, whether it is a scalar multiple of E."""
-    out = []
-    for mat in basis.mats[1:]:
-        q = scalar_multiple_of_identity(mat)
-        out.append((q is not None, q))
+    """For each non-identity element, whether it is a scalar multiple of E,
+    read off its row of the stack (a basis row is never zero)."""
+    s, out = basis.stacked, []
+    for nums in s.nums[1:]:
+        q = int(nums[0])
+        ok = q != 0 and bool(_is_identity_times(nums, q, basis.m))
+        out.append((ok, Fraction(q, s.den) if ok else None))
     return tuple(out)
 
 

@@ -69,10 +69,10 @@ def load_json(path: Union[str, Path]) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise InputFormatError(path, "<file>", "file not found")
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(path, "<root>", f"invalid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise InputFormatError(path, "<root>", f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except ValueError as exc:  # malformed, or an integer past MAX_DIGITS
+        raise InputFormatError(path, "<root>", f"invalid JSON: {exc}")
     except RecursionError:
         raise InputFormatError(path, "<root>", "JSON nested too deeply")
 
@@ -97,15 +97,16 @@ def exact_scalar_from_json(value, path, field) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # only an exponent or a string past the limit can name a number past
+        # it; an exponent past 2 * MAX_DIGITS puts any nonzero mantissa past
+        # it, so "1e10000000" is refused before 10**exponent is built
+        exponent = value.lower().partition("e")[2] if "e" in value or "E" in value else None
         try:
-            # past 2 * MAX_DIGITS an exponent puts any nonzero mantissa past
-            # the limit: "1e10000000" is refused before 10**exponent is built
-            too_long = ("e" in value or "E" in value) and abs(
-                int(value.lower().partition("e")[2])) > 2 * MAX_DIGITS
-            out = None if too_long else Fraction(value)
+            out = None if exponent and abs(int(exponent)) > 2 * MAX_DIGITS else Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InputFormatError(path, field, f"not a valid rational: {value!r}")
-        if out is None or max(abs(out.numerator), out.denominator) >= _TOO_LONG:
+        if out is None or (exponent is not None or len(value) > MAX_DIGITS) and max(
+                abs(out.numerator), out.denominator) >= _TOO_LONG:
             raise InputFormatError(path, field, f"more than {MAX_DIGITS} digits")
         return out
     if isinstance(value, float):

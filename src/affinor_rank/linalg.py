@@ -210,6 +210,9 @@ class Matrix:
 # int64, and float64, arithmetic is exact while every partial sum stays below these.
 _INT64_LIMIT = 1 << 63
 _FLOAT_EXACT = 1 << 53
+# Fewest multiplications at which a float64 product, with its conversions,
+# beats numpy's int64 one (about 2 us each at 2**11 on a 2-core Xeon).
+_FLOAT_MIN_MULTS = 1 << 11
 
 
 class _Scaled(NamedTuple):
@@ -269,13 +272,15 @@ def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[in
 def _product_dtype(a: _Scaled, b: _Scaled, inner: int):
     """The dtype ``_int_product`` multiplies in, by the bound max|a| * max|b|
     * inner on every partial sum of int64 arrays: float64 (BLAS) below 2**53
-    for matrix x matrix, as every partial sum in any order is then an integer
-    a double holds; int64 below 2**63, and for matrix x vector, whose
-    conversion costs what BLAS saves; Python ints otherwise."""
+    for a matrix x matrix product of at least ``_FLOAT_MIN_MULTS``
+    multiplications, as every partial sum in any order is then an integer
+    a double holds; int64 below 2**63, and for smaller products and matrix
+    x vector, whose conversions cost what BLAS saves; Python ints otherwise."""
     x, y = a.nums, b.nums
     if x.dtype == y.dtype == np.int64:
         bound = a.bound * b.bound * inner
-        if bound < _FLOAT_EXACT and x.shape[-2] > 1 and y.ndim > 1 and y.shape[-1] > 1:
+        if (bound < _FLOAT_EXACT and x.shape[-2] > 1 and y.ndim > 1 and y.shape[-1] > 1
+                and x.size * y.shape[-1] >= _FLOAT_MIN_MULTS):
             return np.float64
         if bound < _INT64_LIMIT:
             return np.int64
@@ -311,7 +316,7 @@ def _ratio_json(num: int, den: int):
 
 #: Entries of a stack that ``matrices_json`` reads at once, so that its
 #: support mask never takes the memory of the whole stack.
-_JSON_BLOCK = 1 << 20
+_JSON_BLOCK = 1 << 18
 
 
 def matrices_json(s: _Scaled, rows: int, cols: int) -> list[dict]:
@@ -325,13 +330,12 @@ def matrices_json(s: _Scaled, rows: int, cols: int) -> list[dict]:
     step = max(1, _JSON_BLOCK // max(size, 1))
     for start in range(0, len(s.nums), step):
         block = s.nums[start:start + step]
-        support = block != 0
-        counts = [np.count_nonzero(row) for row in support]
+        counts = [np.count_nonzero(row) for row in block]
         sparse = [size > 0 and 8 * count <= size for count in counts]
         triples, first = [], 0
         if any(sparse):
             picked = np.flatnonzero(sparse)
-            k, at = np.divmod(np.flatnonzero(support[picked]), size)  # row-major
+            k, at = np.divmod(np.flatnonzero((block != 0)[picked]), size)  # row-major
             values = block[picked[k], at]
             if den != 1:
                 values = np.array([_ratio_json(v, den) for v in values.tolist()], dtype=object)
@@ -348,6 +352,8 @@ def matrices_json(s: _Scaled, rows: int, cols: int) -> list[dict]:
 
 def _json_rows(nums: np.ndarray, den: int) -> list[list]:
     """The rows of 2-d numerators over ``den`` as JSON scalars, ints and "p/q" strings."""
+    if den != 1 and not (nums % den).any():  # integers, written as ints
+        nums, den = nums // den, 1
     rows = nums.tolist()
     if den == 1:
         return rows
@@ -489,8 +495,10 @@ def inverse(m: Matrix) -> Matrix:
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
     """Scaled view of an exact integer array, as int64 when its bound fits."""
-    # max and min, not abs: np.abs would copy the whole array
-    bound = max(int(nums.max()), -int(nums.min())) if nums.size else 0
+    if nums.size <= 64:  # two numpy reductions cost more than Python ints here
+        bound = max(map(abs, nums.ravel().tolist()), default=0)
+    else:  # max and min, not abs: np.abs would copy the whole array
+        bound = max(int(nums.max()), -int(nums.min()))
     if nums.dtype == object and bound < _INT64_LIMIT:
         nums = nums.astype(np.int64)
     return _Scaled(nums, den, bound)
@@ -570,7 +578,7 @@ class SpanSolver:
         self.generators = generators
         self.n = self.generators.nums.shape[0]
         # a column that is zero in every row never holds a pivot
-        cols = np.flatnonzero((generators.nums != 0).any(axis=0))
+        cols = np.flatnonzero(generators.nums.any(axis=0))
         rk, _, pivots, _, _ = _bareiss_rank(generators.nums[:, cols].tolist())
         self._pivots = cols[pivots].tolist()
         if rk < self.n:

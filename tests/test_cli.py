@@ -109,6 +109,15 @@ def test_exponent_scalars_past_the_digit_limit_are_refused(capsys, tmp_path, sca
     assert time.perf_counter() - start < 1.0
 
 
+def test_integer_literals_past_the_digit_limit_are_refused(capsys, tmp_path):
+    # json refuses to read a 5000-digit integer literal; that once ended in exit 70
+    text = json.dumps(json.loads((FIXTURES / "complex_r4_basis.json").read_text()))
+    path = tmp_path / "basis.json"
+    path.write_text(text.replace("[[0, -1, 0, 0]", "[[" + "1" * 5000 + ", -1, 0, 0]", 1))
+    assert main(["rank", str(path)]) == EXIT_DATA
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_rank_generic_dimension_too_small(capsys):
     code, report = _run(
         capsys, "rank", str(FIXTURES / "quaternion_r4_basis.json"), "--generic"

@@ -420,19 +420,22 @@ def _int_view(rows):
 @st.composite
 def _products_near_2_53(draw):
     """Integer matrix products whose bound max|a| * max|b| * inner falls on
-    either side of 2**53, in every shape from vector to matrix."""
-    rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    either side of 2**53, in every shape from vector to matrix, and on both
+    sides of the float path's floor on the multiplications."""
+    rows, cols = draw(st.sampled_from((1, 2, 8, 64))), draw(st.sampled_from((1, 2, 8, 64)))
+    inner = draw(st.integers(1, 4))
     top = draw(st.sampled_from((2**25, 2**26 - 1, 2**26, 2**26 + 1, 2**27)))
-    cells = st.integers(-top, top)
-    a = draw(st.lists(st.lists(cells, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
-    b = draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
-    return a, b
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    a = rng.integers(-top, top, (rows, inner), endpoint=True)
+    b = rng.integers(-top, top, (inner, cols), endpoint=True)
+    a[0, 0], b[0, 0] = top, -top  # the bound is reached
+    return a.tolist(), b.tolist()
 
 
 @given(_products_near_2_53())
-@example(([[2**26 - 1] * 2] * 2, [[2**26 - 1] * 2] * 2))  # 2**53 - 2**28 + 2: float64
+@example(([[2**26 - 1] * 2] * 64, [[2**26 - 1] * 64] * 2))  # 2**53 - 2**28 + 2: float64
 @example(([[2**52 + 1, 2**52]], [[1], [1]]))  # 2**53 + 1, one row: int64
-@example(([[2**52 + 1, 2**52], [0, 0]], [[1, 0], [1, 0]]))  # past 2**53: int64
+@example(([[2**52 + 1, 2**52]] * 64, [[1] * 64] * 2))  # past 2**53: int64
 @example(([[2**62, 2**62]], [[1], [1]]))  # 2**63: Python ints
 def test_product_that_wraps_in_int64_stays_exact(case):
     a, b = map(_int_view, case)
@@ -440,11 +443,14 @@ def test_product_that_wraps_in_int64_stays_exact(case):
     want = (np.array(case[0], dtype=object) @ np.array(case[1], dtype=object)).tolist()
     assert linalg._int_product(a, b, inner).tolist() == want
     bound = a.bound * b.bound * inner
-    on_float = bound < 2**53 and a.nums.shape[0] > 1 and b.nums.shape[1] > 1
+    rows, cols = a.nums.shape[0], b.nums.shape[1]
+    on_float = (bound < 2**53 and rows > 1 and cols > 1
+                and rows * inner * cols >= linalg._FLOAT_MIN_MULTS)
     assert (linalg._product_dtype(a, b, inner) is np.float64) == on_float
     # a matrix x vector product never takes the float path
     x = linalg._view(b.nums[:, 0], 1)
-    assert linalg._product_dtype(a, x, inner) is (np.int64 if bound < 2**63 else object)
+    on_int64 = a.bound * x.bound * inner < 2**63
+    assert linalg._product_dtype(a, x, inner) is (np.int64 if on_int64 else object)
     assert linalg._int_product(a, x, inner).tolist() == [row[0] for row in want]
     big = 2**62
     wrapped = np.array([[big, big]], dtype=np.int64) @ np.array([[1], [1]], dtype=np.int64)
