@@ -490,12 +490,14 @@ def inverse(m: Matrix) -> Matrix:
             if c:
                 acc = [u - c * v for u, v in zip(acc, xj)]
         x[k] = [u // row[k] for u in acc]
-    return Matrix.from_view(_lowest_terms(np.array(x, dtype=object).reshape(n, n) * view.den, d))
+    nums = [view.den * v for row in x for v in row]
+    dtype = np.int64 if max(map(abs, nums), default=0) < _INT64_LIMIT else object
+    return Matrix.from_view(_lowest_terms(np.array(nums, dtype=dtype).reshape(n, n), d))
 
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
     """Scaled view of an exact integer array, as int64 when its bound fits."""
-    if nums.size <= 64:  # two numpy reductions cost more than Python ints here
+    if nums.size <= 64 or nums.dtype == object:  # cheaper in Python ints
         bound = max(map(abs, nums.ravel().tolist()), default=0)
     else:  # max and min, not abs: np.abs would copy the whole array
         bound = max(int(nums.max()), -int(nums.min()))
