@@ -16,10 +16,10 @@ Float numerics (curve planarity) run on numpy arrays obtained through
 Products and matrix-vector products multiply the numerator arrays and
 divide by the product of the denominators.  An a-priori bound on every
 partial sum, max|A| * max|B| * inner dimension, picks exact arithmetic:
-float64 BLAS below 2**53 (matrix x matrix only), int64 below 2**63, and
-object arrays of Python ints otherwise.  A product is reduced to lowest
-terms on its array, which makes its view canonical, and is kept as a view
-for the next product.
+float64 BLAS below 2**53 (matrix x matrix, from 2**11 multiplications),
+int64 below 2**63, and object arrays of Python ints otherwise.  A product
+is reduced to lowest terms on its array, which makes its view canonical,
+and is kept as a view for the next product.
 
 Equally shaped matrices stack into one view, one flattened matrix per
 row, and a family the package builds (a basis, the operators of an
