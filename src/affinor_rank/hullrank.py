@@ -521,8 +521,7 @@ def certify_generic_rank(
 
 
 def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fraction]], ...]:
-    """For each non-identity element, whether it is a scalar multiple of E,
-    read off its row of the stack (a basis row is never zero)."""
+    """For each non-identity element, whether it is a scalar multiple of E."""
     s, out = basis.stacked, []
     for nums in s.nums[1:]:
         q = int(nums[0])

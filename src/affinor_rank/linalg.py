@@ -25,8 +25,7 @@ Equally shaped matrices stack into one view, one flattened matrix per
 row, and a family the package builds (a basis, the operators of an
 algebra, the projectors of a splitting) is stored as that stack alone;
 ``unstack`` gives its matrices on demand, each in lowest terms and over
-den 1 a view of its row; a stack is written as JSON in one pass over its
-rows, without unstacking.  Every exact product identity in the package
+den 1 a view of its row.  Every exact product identity in the package
 reads such stacks: all pairwise products of a stack are one integer
 product, a row of linear combinations of a stack is another, and two
 views are compared row by row by cross-multiplying their denominators.
@@ -40,15 +39,14 @@ pivot / prev, which is skipped when pivot == prev and is a negation when
 pivot == -prev: on signed permutations and other sparse {-1, 0, 1} data
 most rows are left as they are.  The linear-independence test reads the
 numerators of a stack: rows with disjoint supports pass at sight, and
-other stacks are reduced mod p, then if need be eliminated exactly, on the
-columns that are nonzero somewhere in the stack.  The same elimination,
-then fraction-free back substitution over whole rows that skips zero
-coefficients, gives the inverse.  ``SpanSolver`` finds its pivot columns
-on those nonzero columns too, and solves on the stack of its generators;
-span coordinates of a whole batch of targets follow from the inverse pivot
-block, proved by an integer product, and come out as one integer view
-over a common denominator, scaled in Python ints, that is a matrix as it
-stands.
+other stacks are reduced mod p, and if need be exactly, on the columns
+that are nonzero somewhere in the stack, where ``SpanSolver`` finds its
+pivots too.  The same elimination, then fraction-free back substitution
+over whole rows that skips zero coefficients, gives the inverse.
+``SpanSolver`` solves on the stack of its generators; span coordinates of
+a whole batch of targets follow from the inverse pivot block, proved by
+an integer product, and come out as one integer view over a common
+denominator, that is a matrix as it stands.
 """
 
 from __future__ import annotations
@@ -180,10 +178,8 @@ class Matrix:
                         dtype=float).reshape(view.nums.shape)
 
     def to_json(self) -> dict:
-        """The matrix JSON, as ``matrices_json`` writes a one-row stack."""
-        view = self._scaled
-        return matrices_json(_Scaled(view.nums.reshape(1, -1), view.den, view.bound),
-                             self.rows, self.cols)[0]
+        """The matrix JSON, as ``matrices_json`` writes each row of a stack."""
+        return _matrix_json(self._scaled.nums.ravel(), self.rows, self.cols, self._scaled.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -210,8 +206,7 @@ class Matrix:
 # int64, and float64, arithmetic is exact while every partial sum stays below these.
 _INT64_LIMIT = 1 << 63
 _FLOAT_EXACT = 1 << 53
-# Fewest multiplications at which a float64 product, with its conversions,
-# beats numpy's int64 one (about 2 us each at 2**11 on a 2-core Xeon).
+# Fewest multiplications for which float64, conversions included, beats int64.
 _FLOAT_MIN_MULTS = 1 << 11
 
 
@@ -230,9 +225,8 @@ class _Scaled(NamedTuple):
 
 
 def _lowest_terms(nums: np.ndarray, den: int) -> _Scaled:
-    """Scaled view of the integer array ``nums / den``, reduced so ``den``
-    is the least common denominator; this form is canonical, equal values
-    give equal views."""
+    """Scaled view of the integer array ``nums / den``, reduced so ``den`` is
+    the least common denominator; canonical, equal values give equal views."""
     if den < 0:
         nums, den = -nums, -den
     if den != 1:
@@ -270,12 +264,9 @@ def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[in
 
 
 def _product_dtype(a: _Scaled, b: _Scaled, inner: int):
-    """The dtype ``_int_product`` multiplies in, by the bound max|a| * max|b|
-    * inner on every partial sum of int64 arrays: float64 (BLAS) below 2**53
-    for a matrix x matrix product of at least ``_FLOAT_MIN_MULTS``
-    multiplications, as every partial sum in any order is then an integer
-    a double holds; int64 below 2**63, and for smaller products and matrix
-    x vector, whose conversions cost what BLAS saves; Python ints otherwise."""
+    """The dtype ``_int_product`` multiplies in, by the bound max|a| * max|b| *
+    inner on every partial sum: float64 (BLAS) below 2**53 for a large enough
+    matrix x matrix product, int64 below 2**63, Python ints otherwise."""
     x, y = a.nums, b.nums
     if x.dtype == y.dtype == np.int64:
         bound = a.bound * b.bound * inner
@@ -314,46 +305,31 @@ def _ratio_json(num: int, den: int):
     return num // g if g == den else f"{num // g}/{den // g}"
 
 
-#: Entries of a stack that ``matrices_json`` reads at once, so that its
-#: support mask never takes the memory of the whole stack.
-_JSON_BLOCK = 1 << 18
-
-
 def matrices_json(s: _Scaled, rows: int, cols: int) -> list[dict]:
-    """The matrix JSON of each row of a stack of flattened rows x cols
-    matrices: ``"entries"`` row by row, or, when the matrix is not empty and
-    at most one entry in eight is nonzero, ``"nonzeros"``, the triples
-    [i, j, v] of its nonzero entries in row-major order (at that density
-    never the longer text while both dimensions stay below 10**5).  Each
-    value is written in its own lowest terms, as the row's own matrix is."""
-    size, den, out = rows * cols, s.den, []
-    step = max(1, _JSON_BLOCK // max(size, 1))
-    for start in range(0, len(s.nums), step):
-        block = s.nums[start:start + step]
-        counts = [np.count_nonzero(row) for row in block]
-        sparse = [size > 0 and 8 * count <= size for count in counts]
-        triples, first = [], 0
-        if any(sparse):
-            picked = np.flatnonzero(sparse)
-            k, at = np.divmod(np.flatnonzero((block != 0)[picked]), size)  # row-major
-            values = block[picked[k], at]
-            if den != 1:
-                values = np.array([_ratio_json(v, den) for v in values.tolist()], dtype=object)
-            triples = np.array((*np.divmod(at, cols), values)).T.tolist()
-        for nums, is_sparse, count in zip(block, sparse, counts):
-            mat = {"rows": rows, "cols": cols, "mode": EXACT}
-            if is_sparse:
-                mat["nonzeros"], first = triples[first:first + count], first + count
-            else:
-                mat["entries"] = _json_rows(nums.reshape(rows, cols), den)
-            out.append(mat)
+    """The matrix JSON of each row of a stack of flattened rows x cols matrices."""
+    return [_matrix_json(nums, rows, cols, s.den) for nums in s.nums]
+
+
+def _matrix_json(nums: np.ndarray, rows: int, cols: int, den: int) -> dict:
+    """The matrix JSON of flattened rows x cols numerators over ``den``:
+    ``"entries"`` row by row, or, when the matrix is not empty and at most
+    one entry in eight is nonzero, ``"nonzeros"``, the triples [i, j, v] of
+    its nonzero entries in row-major order (at that density never the longer
+    text while both dimensions stay below 10**5), each value in lowest terms."""
+    out = {"rows": rows, "cols": cols, "mode": EXACT}
+    if nums.size == 0 or 8 * np.count_nonzero(nums) > nums.size:
+        out["entries"] = _json_rows(nums.reshape(rows, cols), den)
+        return out
+    at = np.flatnonzero(nums != 0)  # row-major; faster on a bool array
+    values = nums[at].tolist()
+    if den != 1:
+        values = [_ratio_json(v, den) for v in values]
+    out["nonzeros"] = [[k // cols, k % cols, v] for k, v in zip(at.tolist(), values)]
     return out
 
 
 def _json_rows(nums: np.ndarray, den: int) -> list[list]:
     """The rows of 2-d numerators over ``den`` as JSON scalars, ints and "p/q" strings."""
-    if den != 1 and not (nums % den).any():  # integers, written as ints
-        nums, den = nums // den, 1
     rows = nums.tolist()
     if den == 1:
         return rows
@@ -490,17 +466,13 @@ def inverse(m: Matrix) -> Matrix:
             if c:
                 acc = [u - c * v for u, v in zip(acc, xj)]
         x[k] = [u // row[k] for u in acc]
-    nums = [view.den * v for row in x for v in row]
-    dtype = np.int64 if max(map(abs, nums), default=0) < _INT64_LIMIT else object
-    return Matrix.from_view(_lowest_terms(np.array(nums, dtype=dtype).reshape(n, n), d))
+    return Matrix.from_view(_lowest_terms(np.array(x, dtype=object).reshape(n, n) * view.den, d))
 
 
 def _view(nums: np.ndarray, den: int) -> _Scaled:
     """Scaled view of an exact integer array, as int64 when its bound fits."""
-    if nums.size <= 64 or nums.dtype == object:  # cheaper in Python ints
-        bound = max(map(abs, nums.ravel().tolist()), default=0)
-    else:  # max and min, not abs: np.abs would copy the whole array
-        bound = max(int(nums.max()), -int(nums.min()))
+    # max and min, not abs: np.abs would copy the whole array
+    bound = max(int(nums.max()), -int(nums.min())) if nums.size else 0
     if nums.dtype == object and bound < _INT64_LIMIT:
         nums = nums.astype(np.int64)
     return _Scaled(nums, den, bound)
@@ -579,8 +551,7 @@ class SpanSolver:
     def __init__(self, generators: _Scaled):
         self.generators = generators
         self.n = self.generators.nums.shape[0]
-        # a column that is zero in every row never holds a pivot
-        cols = np.flatnonzero(generators.nums.any(axis=0))
+        cols = np.flatnonzero(generators.nums.any(axis=0))  # the rest hold no pivot
         rk, _, pivots, _, _ = _bareiss_rank(generators.nums[:, cols].tolist())
         self._pivots = cols[pivots].tolist()
         if rk < self.n:
@@ -612,7 +583,7 @@ class SpanSolver:
         # is den_g times generator k; Python ints where den_g * y_k may pass
         # the int64 range
         g = self.generators.den
-        nums = ys.nums if ys.bound * g < _INT64_LIMIT else ys.nums.astype(object)
+        nums = ys.nums if max(ys.bound, 1) * g < _INT64_LIMIT else ys.nums.astype(object)
         return _lowest_terms(nums * g, d * targets.den), proved
 
     def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
@@ -646,8 +617,8 @@ def _full_row_rank_modp(rows: np.ndarray, p: int) -> bool:
     """One-sided full-row-rank test of an integer array over GF(p).
 
     Full rank mod p implies full rank over the rationals; False means the
-    rank dropped mod p, which is inconclusive for the rationals.  Every
-    column is visited, so callers pass the nonzero ones only.
+    rank dropped mod p, which is inconclusive for the rationals.  Callers
+    pass the nonzero columns only.
     """
     n, width = rows.shape
     if n > width:
@@ -682,9 +653,8 @@ def has_full_row_rank(s: _Scaled) -> bool:
     Clifford blades) are independent, which one boolean mask shows.  Other
     stacks are tested modulo a large prime, where full rank certifies
     independence; a rank drop falls back to exact fraction-free
-    elimination, both on the columns that hold a nonzero, and so any pivot.
-    Distinct permutation matrices are not enough: the six 3 x 3 ones span
-    only 5 dimensions, and their supports overlap.
+    elimination, both on the nonzero columns.  Distinct permutation matrices
+    are not enough: the six 3 x 3 ones overlap and span only 5 dimensions.
     """
     support = s.nums != 0
     per_column = np.count_nonzero(support, axis=0)

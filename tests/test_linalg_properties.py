@@ -18,7 +18,6 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,7 +344,15 @@ def _json_cases():
     wide = st.tuples(st.integers(0, 12), st.integers(0, 12))
     sparse = wide.flatmap(lambda shape: _matrix(*shape, one_in_ten))
     identities = st.integers(0, 12).map(Matrix.identity)
-    return st.one_of(plain, big, cleared, products, sparse, identities)
+    # every entry over 2**64, so that the view's denominator passes int64
+    # while its numerators fit
+    odd = st.integers(-(2**40), 2**40).map(lambda v: Fraction(2 * v + 1, 2**64))
+    tiny = shapes.flatmap(lambda shape: _matrix(*shape, odd))
+    return st.one_of(plain, big, cleared, products, sparse, identities, tiny)
+
+
+def _dense_entries(m):
+    return [[scalar_to_json(v) for v in row] for row in fraction_rows(m)]
 
 
 def _assert_matrix_json(got, m):
@@ -353,8 +360,7 @@ def _assert_matrix_json(got, m):
     # chosen by the one density rule and is never the longer text; both
     # forms read back into the same matrix
     dense = {
-        "rows": m.rows, "cols": m.cols, "mode": "exact",
-        "entries": [[scalar_to_json(v) for v in row] for row in fraction_rows(m)],
+        "rows": m.rows, "cols": m.cols, "mode": "exact", "entries": _dense_entries(m),
     }
     nonzero = sum(v != 0 for row in fraction_rows(m) for v in row)
     assert ("nonzeros" in got) == (0 < m.rows * m.cols >= 8 * nonzero)
@@ -371,8 +377,11 @@ def _assert_matrix_json(got, m):
 
 
 @given(_json_cases())
+@example(Matrix.exact([["1/9223372036854775808"]]))
+@example(Matrix.exact([[Fraction(1, 2**64)] + [0] * 8]))
 def test_to_json_matches_per_entry_form(m):
     _assert_matrix_json(m.to_json(), m)
+    assert repr(m) == f"Matrix(rows={m.rows}, cols={m.cols}, entries={_dense_entries(m)!r})"
     # the float view rounds each exact entry once, as float(Fraction) does
     assert m.to_ndarray().tolist() == [[float(v) for v in row] for row in fraction_rows(m)]
 
@@ -391,20 +400,16 @@ def _json_stacks(draw):
 
 @given(_json_stacks())
 @example([Matrix.exact([[Fraction(1, 2)]]), Matrix.exact([[3]]), Matrix.exact([[0]])])
+@example([Matrix.exact([[Fraction(1, 2**64), 0]]), Matrix.exact([[0, 2**64]])])
 @example([Matrix(0, 3, ()), Matrix(0, 3, ())])
 @example([Matrix(2, 0, ((), ()))])
 def test_stack_json_matches_per_entry_form(mats):
-    # each row of a stack is written as its own matrix, whatever block of
-    # rows the writer scans it in
+    # each row of a stack is written as its own matrix
     rows, cols = mats[0].rows, mats[0].cols
-    s = linalg.stack(mats)
-    got = linalg.matrices_json(s, rows, cols)
+    got = linalg.matrices_json(linalg.stack(mats), rows, cols)
     assert len(got) == len(mats)
     for g, m in zip(got, mats):
         _assert_matrix_json(g, m)
-    for block in (1, 2 * rows * cols + 1):
-        with mock.patch.object(linalg, "_JSON_BLOCK", block):
-            assert linalg.matrices_json(s, rows, cols) == got
     if rows == cols > len(mats):  # a basis writes its stack the same way
         try:
             basis = AffinorBasis.of((Matrix.identity(rows), *mats))
@@ -455,8 +460,9 @@ def test_product_that_wraps_in_int64_stays_exact(case):
     big = 2**62
     wrapped = np.array([[big, big]], dtype=np.int64) @ np.array([[1], [1]], dtype=np.int64)
     assert int(wrapped[0, 0]) == -(2**63)  # what unchecked int64 would report
-    assert fraction_rows(Matrix.exact([[big, big]]) @ Matrix.exact([[1], [1]])) == (
-        (Fraction(2**63),),)
+    a, b = Matrix.exact([[big, big]]), Matrix.exact([[1], [1]])
+    assert fraction_rows(a @ b) == ((Fraction(2**63),),)
+    assert a.apply((Fraction(1), Fraction(1))) == (Fraction(2**63),)
     assert (Matrix.exact(case[0]) @ Matrix.exact(case[1])) == Matrix.exact(want)
 
 
@@ -683,6 +689,18 @@ def test_closure_table_scales_past_int64_in_python_ints():
     ys = solver._scaled_coordinates(linalg.pairwise_products(solver.generators, 4))
     assert ys.nums.dtype == np.int64 and solver.generators.den * ys.bound >= 2**63
     assert constants_cube(from_affinors(basis)) == _reference_closure(basis.mats)
+
+
+def test_coordinates_of_zero_targets_over_a_denominator_past_int64():
+    # a zero batch has bound 0, yet den_g * 0 must not be formed in int64
+    # when den_g itself does not fit there
+    basis = _scaled_quaternions([1, Fraction(1, 2**64), 1])
+    solver = linalg.SpanSolver(basis.stacked)
+    assert solver.generators.den >= 2**63
+    zeros = linalg._view(np.zeros((2, 16), dtype=np.int64), 1)
+    view, proved = solver.coordinates(zeros)
+    assert proved == [True, True] and view.den == 1 and not view.nums.any()
+    assert solver.coefficients(zeros) == [(Fraction(0),) * 4] * 2
 
 
 @given(st.integers(0, 4).flatmap(lambda n: _matrix(n, n)))
