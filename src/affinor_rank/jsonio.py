@@ -90,20 +90,20 @@ def _int(value, path, field) -> int:
 
 
 def exact_scalar_from_json(value, path, field) -> Fraction:
-    """An int, or a string ``Fraction`` reads, within ``MAX_DIGITS`` digits."""
     if isinstance(value, bool):
         raise InputFormatError(path, field, "booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # an exponent past 2 * MAX_DIGITS puts any nonzero mantissa past the
-        # limit, so "1e10000000" is refused before 10**exponent is built
-        exponent = value.lower().partition("e")[2]
+        # only an exponent or a string past MAX_DIGITS can pass the limit, and an
+        # exponent past 2 * MAX_DIGITS does, refused before 10**exponent is built
+        exponent = value.lower().partition("e")[2] if "e" in value or "E" in value else ""
         try:
             out = None if exponent and abs(int(exponent)) > 2 * MAX_DIGITS else Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InputFormatError(path, field, f"not a valid rational: {value!r}")
-        if out is None or max(abs(out.numerator), out.denominator) >= _TOO_LONG:
+        if out is None or (exponent or len(value) > MAX_DIGITS) and max(
+                abs(out.numerator), out.denominator) >= _TOO_LONG:
             raise InputFormatError(path, field, f"more than {MAX_DIGITS} digits")
         return out
     if isinstance(value, float):

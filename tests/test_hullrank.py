@@ -89,7 +89,7 @@ def test_basis_validation_scales_each_matrix_once(monkeypatch):
 
 
 def test_certificate_writes_its_basis_without_unstacking(monkeypatch):
-    # the embedded basis is written from its stack in one pass, not as one
+    # the embedded basis is written off the rows of its stack, not as one
     # view per blade of Cl(3,3)
     cb = clifford.build_clifford(clifford.CliffordSignature(3, 3))
     cert = clifford.clifford_rank_theorem_check(cb)
