@@ -22,11 +22,8 @@ from .algebra import (
 from .clifford import (
     CliffordBasis,
     CliffordSignature,
-    blade_product,
     build_clifford,
     clifford_rank_theorem_check,
-    doubled_generic_rank_check,
-    doubled_module_basis,
     verify_clifford_relations,
 )
 from .distributions import (
@@ -91,7 +88,6 @@ from .planarity import (
     CurveSpec,
     PlanarityReport,
     SampledCurve,
-    covariant_accel,
     geodesic_integrate,
     planarity_check,
 )

@@ -15,8 +15,7 @@ blades grade by grade in index-lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +25,7 @@ from .hullrank import (
     AffinorBasis,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    Inapplicable,
-    NoWitnessFound,
     RankCertificate,
-    certify_generic_rank,
     weak_rank_witness,
 )
 from .linalg import _Scaled, _is_identity_times, _rows_equal, pairwise_products
@@ -39,9 +35,6 @@ from .linalg import _Scaled, _is_identity_times, _rows_equal, pairwise_products
 # one more generator multiplies the stack by 8.  ``CliffordSignature``
 # refuses a larger signature before anything is allocated.
 _MAX_BUILD = 8
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -89,23 +82,6 @@ def _blade_label(mask: int) -> str:
     return "".join(f"e{i}" for i in _blade_indices(mask))
 
 
-def blade_product(a: int, b: int, s: int) -> tuple[int, int]:
-    """Product of two basis blades given as generator bitmasks.
-
-    Returns (sign, result mask).  The sign counts the transpositions needed
-    to interleave the generator words plus one flip per shared
-    negative-square generator.
-    """
-    swaps = 0
-    for g in _bits(b):
-        swaps += (a >> (g + 1)).bit_count()
-    sign = -1 if swaps & 1 else 1
-    for g in _bits(a & b):
-        if g >= s:
-            sign = -sign
-    return sign, a ^ b
-
-
 @dataclass(frozen=True)
 class CliffordBasis:
     """Left regular representation, blade order and labels."""
@@ -133,9 +109,11 @@ def _blade_stack(sig: CliffordSignature, blades: tuple[int, ...]) -> np.ndarray:
     """Left regular representation of every blade, as one int64 array.
 
     Entry [i, r, j] is the coefficient of blade r in blade i times blade j:
-    the sign of ``blade_product`` at row position(b_i XOR b_j), zero
-    elsewhere.  The sign parities are computed for all blade pairs at once,
-    one generator at a time.
+    (-1)^(w + q) at row position(b_i XOR b_j), zero elsewhere, with w the
+    transpositions that interleave the two generator words (each generator
+    of b_j passes every generator of b_i above it) and q the
+    negative-square generators the two blades share.  The sign parities
+    are computed for all blade pairs at once, one generator at a time.
     """
     dim = sig.dim
     index = np.arange(dim)
@@ -267,36 +245,3 @@ def clifford_rank_theorem_check(
     if isinstance(result, RankCertificate):
         return result
     raise AssertionError("no witness found for a regular representation")
-
-
-def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:
-    """The same blades acting diagonally on two copies of the module."""
-    s, m = cb.basis.stacked, cb.basis.m
-    blades = s.nums.reshape(-1, m, m)
-    nums = np.zeros((len(blades), 2 * m, 2 * m), dtype=s.nums.dtype)
-    nums[:, :m, :m] = nums[:, m:, m:] = blades
-    return AffinorBasis(s._replace(nums=nums.reshape(len(blades), -1)), 2 * m)
-
-
-def doubled_generic_rank_check(
-    sig: CliffordSignature,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-) -> Union[RankCertificate, Inapplicable, NoWitnessFound]:
-    """Generic-rank pipeline for the blades on a doubled module.
-
-    The doubled module restores the strict dimension inequality, and the
-    canonical witnesses are the unit on the first copy, which the weak
-    search tries first, and the pair (unit on the first copy, unit on the
-    second).
-    """
-    cb = build_clifford(sig)
-    dim = sig.dim
-    unit_first = tuple(_ONE if i == 0 else _ZERO for i in range(2 * dim))
-    unit_second = tuple(_ONE if i == dim else _ZERO for i in range(2 * dim))
-    return certify_generic_rank(
-        doubled_module_basis(cb),
-        trials=trials,
-        seed=seed,
-        extra_pairs=((unit_first, unit_second),),
-    )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -41,7 +40,7 @@ from .hullrank import (
     weak_rank_witness,
 )
 from .linalg import (_INT64_LIMIT, Matrix, _int_product, _is_identity_times, _lowest_terms,
-                     _rows_equal, _Scaled, _view, combine, inverse, pairwise_products, unstack)
+                     _rows_equal, _Scaled, _view, combine, inverse, pairwise_products)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,10 +105,6 @@ class ProjectorSystem:
     @property
     def n(self) -> int:
         return len(self.stacked.nums)
-
-    @cached_property
-    def projectors(self) -> tuple[Matrix, ...]:
-        return unstack(self.stacked, self.m)
 
     def affinor_basis(self) -> AffinorBasis:
         """Hull basis {E, P_1, .., P_(n-1)} spanning the projector span."""

@@ -13,9 +13,10 @@ regular functional (exact arithmetic, no probabilistic caveat); an
 identically vanishing symbolic hull minor is the zero determinant of the
 pencil, a proof of nonexistence, which is only attempted up to the hull
 search's symbolic size limit.  ``frobenius_iff_generic_rank`` reads both
-verdicts off that one outcome and checks it by means independent of the
-search: the identification, proved exactly on the unit vectors, and the
-witness's Gram determinant, recomputed from the structure constants.
+verdicts off that one outcome and checks it against the structure
+constants: the identification runs the search's hull product on the unit
+vectors and compares it with the table exactly, and the witness's Gram
+determinant is recomputed from the table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import ChatMatrices, StructureConstants, chat, verify_associativit
 from .errors import DimensionMismatch, InvalidAlgebra
 from .hullrank import (
     _SYMBOLIC_MAX_ROWS, AffinorBasis, DEFAULT_SEED, DEFAULT_TRIALS, NoWitnessFound,
-    RankCertificate, weak_rank_witness,
+    RankCertificate, _images, weak_rank_witness,
 )
 from .linalg import ExactVector, Matrix, _rows_equal, det, exact_vector, scalar_to_json
 
@@ -201,14 +202,18 @@ def _identification(sc: StructureConstants, mats: ChatMatrices) -> dict:
     """Check which operator orientation realizes the bilinear form.
 
     Both sides are linear in the functional, so agreement on the n unit
-    vectors proves the identity for every functional.  All e_s at once
-    compare each family, operator by operator, with the table's cube: its
-    axes in the order (1, 0, 2) for ``c_hat``, as they are for ``c_hat_star``.
+    vectors proves the identity for every functional.  For ``c_hat`` the
+    hull rows come from the search's own kernel, ``_images`` of every unit
+    functional e_k, whose row k * n + i has entry j = c[j][i][k], and are
+    compared with the table's cube, axes in the order (2, 1, 0); so a fault
+    in the hull product shows here.  ``c_hat_star`` is compared, operator
+    by operator, with the cube as it is.
     """
-    view = sc.table._scaled
-    plain, star = (
-        all(_rows_equal(family, view._replace(nums=sc.cube(axes).reshape(sc.n, -1))))
-        for family, axes in ((mats.c_hat, (1, 0, 2)), (mats.c_hat_star, (0, 1, 2))))
+    n, view = sc.n, sc.table._scaled
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    hull_rows = _images(mats.c_hat, n, units)._scaled
+    plain = all(_rows_equal(hull_rows, view._replace(nums=sc.cube((2, 1, 0)).reshape(n * n, n))))
+    star = all(_rows_equal(mats.c_hat_star, view._replace(nums=sc.cube().reshape(n, -1))))
     return {
         "multiplier_rows_match_gram_transpose": plain,
         "star_rows_match_gram": star,

@@ -156,17 +156,17 @@ class Hull:
         return self.rank_result.rank
 
 
-def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Row k * n + i: basis matrix i applied to ``vectors[k]``.
+def _images(s: _Scaled, m: int, vectors: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Row k * n + i: matrix i of the stack ``s`` of m x m matrices applied
+    to ``vectors[k]``.
 
-    One integer product of the stacked basis, reshaped to (n * m) x m,
-    with the vectors as columns; the result is in lowest terms, the same
-    view the rows would have if built one ``apply`` at a time.
+    One integer product of the stack, reshaped to (n * m) x m, with the
+    vectors as columns; the result is in lowest terms, the same view the
+    rows would have if built one ``apply`` at a time.
     """
-    n, m = basis.n, basis.m
+    n = s.nums.shape[0]
     if any(len(vec) != m for vec in vectors):
         raise DimensionMismatch(f"vectors must have the module dimension {m}")
-    s = basis.stacked
     x = _scale([v for vec in vectors for v in vec], (len(vectors), m))
     prod = _int_product(_Scaled(s.nums.reshape(n * m, m), s.den, s.bound),
                         x._replace(nums=x.nums.T), m)
@@ -177,13 +177,14 @@ def _images(basis: AffinorBasis, vectors: Sequence[Sequence[Fraction]]) -> Matri
 def hull(basis: AffinorBasis, x: Sequence[Fraction]) -> Hull:
     """Hull of ``x``: rows are the basis images, in basis order."""
     x = tuple(x)
-    mat = _images(basis, [x])
+    mat = _images(basis.stacked, basis.m, [x])
     return Hull(x, mat, rank(mat))
 
 
+# No command calls this; bench/tracing.py wraps it by name (ROADMAP item 4 frees it).
 def pair_span_dim(basis: AffinorBasis, x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Dimension of the sum of the hulls of two vectors."""
-    return rank(_images(basis, [x, y])).rank
+    return rank(_images(basis.stacked, basis.m, [x, y])).rank
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def weak_rank_witness(
     candidates = itertools.chain(
         _deterministic_candidates(m), _random_candidates(random.Random(seed), m, trials))
     x, pivots, tried, max_seen = _first_hit(
-        candidates, lambda batch: _images(basis, batch)._scaled.nums.tolist(),
+        candidates, lambda batch: _images(basis.stacked, m, batch)._scaled.nums.tolist(),
         n, n * m * m, True)
     if x is not None:
         return _weak_certificate(basis, x, pivots, trials=tried)
@@ -488,7 +489,7 @@ def certify_generic_rank(
     )
     pair, _, tried, best_dim = _first_hit(
         pair_candidates,
-        lambda batch: _images(basis, [v for xy in batch for v in xy])._scaled.nums.tolist(),
+        lambda batch: _images(basis.stacked, m, [v for xy in batch for v in xy])._scaled.nums.tolist(),
         2 * n, 2 * n * m * m, True)
     if pair is not None:
         return RankCertificate(

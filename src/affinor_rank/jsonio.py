@@ -69,6 +69,8 @@ def load_json(path: Union[str, Path]) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise InputFormatError(path, "<file>", "file not found")
+    except OSError as exc:  # a directory, or no permission to read
+        raise InputFormatError(path, "<file>", f"cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise InputFormatError(path, "<root>", f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except ValueError as exc:  # malformed, or an integer past MAX_DIGITS

@@ -586,6 +586,7 @@ class SpanSolver:
         nums = ys.nums if max(ys.bound, 1) * g < _INT64_LIMIT else ys.nums.astype(object)
         return _lowest_terms(nums * g, d * targets.den), proved
 
+    # No command calls this; bench/tracing.py wraps it by name (ROADMAP item 4 frees it).
     def coefficients(self, targets: _Scaled) -> list[Optional[ExactVector]]:
         """Coordinates over the generators of each target row, or None for
         a row outside the span."""
@@ -664,20 +665,3 @@ def has_full_row_rank(s: _Scaled) -> bool:
     if _full_row_rank_modp(rows, _PRIMES[0]):
         return True
     return _bareiss_rank(rows.tolist())[0] == len(rows)
-
-
-# ---------------------------------------------------------------------------
-# Misc helpers
-# ---------------------------------------------------------------------------
-
-
-def scalar_multiple_of_identity(m: Matrix) -> Optional[Fraction]:
-    """The q with m == q*identity, or None."""
-    if not m.is_square or not m.rows:
-        return None
-    view = m._scaled
-    q = view.nums[0, 0]
-    if not np.array_equal(view.nums, np.eye(m.rows, dtype=view.nums.dtype) * q):
-        return None
-    return Fraction(int(q), view.den)
-

@@ -9,12 +9,11 @@ all of R^n, which is what turns "no witness found" into a proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 Monomial = tuple[int, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Poly:
@@ -33,30 +32,14 @@ class Poly:
             return Poly(nvars)
         return Poly(nvars, {(0,) * nvars: value})
 
-    @staticmethod
-    def variable(nvars: int, index: int, coeff=_ONE) -> "Poly":
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return Poly(nvars, {mono: Fraction(coeff)})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _ZERO) + c
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) - c
         return Poly(self.nvars, out)
 
     def __neg__(self) -> "Poly":
@@ -69,20 +52,6 @@ class Poly:
                 m = tuple(x + y for x, y in zip(ma, mb))
                 out[m] = out.get(m, _ZERO) + ca * cb
         return Poly(self.nvars, out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
-
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        total = _ZERO
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
 
     def substitute(self, index: int, value) -> "Poly":
         """Fix one variable to an exact value (exponent slot collapses to 0)."""
@@ -101,7 +70,7 @@ class Poly:
         return max(m[index] for m in self.terms)
 
     def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {len(self.terms)} terms, deg {self.degree()})"
+        return f"Poly({self.nvars}, {len(self.terms)} terms)"
 
 
 def determinant(entries: list[list[Poly]]) -> Poly:

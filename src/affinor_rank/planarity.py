@@ -91,10 +91,6 @@ class ConnectionSpec:
         return ConnectionSpec(len(arr), constant_gamma=arr)
 
     @staticmethod
-    def flat(m: int) -> "ConnectionSpec":
-        return ConnectionSpec.constant(np.zeros((m, m, m)))
-
-    @staticmethod
     def polynomial(m: int, table) -> "ConnectionSpec":
         normal = tuple(tuple(tuple(
             tuple((float(c), tuple(int(p) for p in powers)) for c, powers in cell)
@@ -272,13 +268,6 @@ def _covariant_jet(conn: ConnectionSpec, curve: CurveSpec, t: float):
     return v, vv, acc
 
 
-def covariant_accel(conn: ConnectionSpec, curve: CurveSpec, t: float) -> np.ndarray:
-    """Acceleration corrected by the connection at parameter ``t``."""
-    if conn.m != curve.m:
-        raise DimensionMismatch("connection and curve dimensions differ")
-    return _covariant_jet(conn, curve, t)[2]
-
-
 # ---------------------------------------------------------------------------
 # Planarity check
 # ---------------------------------------------------------------------------
@@ -378,6 +367,7 @@ def planarity_check(
 # ---------------------------------------------------------------------------
 
 
+# Only geodesic_integrate calls this; it stays with it (ROADMAP item 4).
 def _integrate_second_order(
     accel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -407,6 +397,7 @@ def _integrate_second_order(
     return SampledCurve.of(ts, points, velocities)
 
 
+# No command calls this; bench/families.py builds its geodesic with it (ROADMAP item 4).
 def geodesic_integrate(
     conn: ConnectionSpec,
     x0: Sequence[float],

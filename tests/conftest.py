@@ -6,10 +6,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from affinor_rank import AffinorBasis, Matrix, StructureConstants, jsonio
+from affinor_rank import (AffinorBasis, CliffordBasis, CliffordSignature, ConnectionSpec, Matrix,
+                          StructureConstants, build_clifford, certify_generic_rank, jsonio)
 from affinor_rank.cli import _indices_below, _is_cube
+from affinor_rank.errors import DimensionMismatch
+from affinor_rank.hullrank import DEFAULT_SEED, DEFAULT_TRIALS
+from affinor_rank.multipoly import Poly
+from affinor_rank.planarity import _covariant_jet
 
 
 def cofactor_det(rows):
@@ -228,6 +234,108 @@ def block_double(mat: Matrix) -> Matrix:
     z = (Fraction(0),) * m
     rows = [row + z for row in entries] + [z + row for row in entries]
     return Matrix(2 * m, 2 * m, tuple(rows))
+
+
+def scalar_multiple_of_identity(m: Matrix):
+    """The q with m == q*identity, or None."""
+    if not m.is_square or not m.rows:
+        return None
+    view = m._scaled
+    q = view.nums[0, 0]
+    if not np.array_equal(view.nums, np.eye(m.rows, dtype=view.nums.dtype) * q):
+        return None
+    return Fraction(int(q), view.den)
+
+
+# Clifford blades one pair at a time, and the doubled module
+
+
+def _bits(mask: int) -> list[int]:
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def blade_product(a: int, b: int, s: int) -> tuple[int, int]:
+    """Product of two basis blades given as generator bitmasks.
+
+    Returns (sign, result mask).  The sign counts the transpositions needed
+    to interleave the generator words plus one flip per shared
+    negative-square generator.
+    """
+    swaps = 0
+    for g in _bits(b):
+        swaps += (a >> (g + 1)).bit_count()
+    sign = -1 if swaps & 1 else 1
+    for g in _bits(a & b):
+        if g >= s:
+            sign = -sign
+    return sign, a ^ b
+
+
+def doubled_module_basis(cb: CliffordBasis) -> AffinorBasis:
+    """The same blades acting diagonally on two copies of the module."""
+    s, m = cb.basis.stacked, cb.basis.m
+    blades = s.nums.reshape(-1, m, m)
+    nums = np.zeros((len(blades), 2 * m, 2 * m), dtype=s.nums.dtype)
+    nums[:, :m, :m] = nums[:, m:, m:] = blades
+    return AffinorBasis(s._replace(nums=nums.reshape(len(blades), -1)), 2 * m)
+
+
+def doubled_generic_rank_check(
+    sig: CliffordSignature,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+):
+    """Generic-rank pipeline for the blades on a doubled module.
+
+    The doubled module restores the strict dimension inequality, and the
+    canonical witnesses are the unit on the first copy, which the weak
+    search tries first, and the pair (unit on the first copy, unit on the
+    second).
+    """
+    cb = build_clifford(sig)
+    dim = sig.dim
+    unit_first = tuple(Fraction(int(i == 0)) for i in range(2 * dim))
+    unit_second = tuple(Fraction(int(i == dim)) for i in range(2 * dim))
+    return certify_generic_rank(
+        doubled_module_basis(cb),
+        trials=trials,
+        seed=seed,
+        extra_pairs=((unit_first, unit_second),),
+    )
+
+
+# Curves under a connection
+
+
+def flat_connection(m: int) -> ConnectionSpec:
+    return ConnectionSpec.constant(np.zeros((m, m, m)))
+
+
+def covariant_accel(conn: ConnectionSpec, curve, t: float) -> np.ndarray:
+    """Acceleration corrected by the connection at parameter ``t``."""
+    if conn.m != curve.m:
+        raise DimensionMismatch("connection and curve dimensions differ")
+    return _covariant_jet(conn, curve, t)[2]
+
+
+# Polynomials
+
+
+def poly_variable(nvars: int, index: int) -> Poly:
+    """The polynomial x_index."""
+    return Poly(nvars, {tuple(int(i == index) for i in range(nvars)): Fraction(1)})
+
+
+def poly_eval(p: Poly, point) -> Fraction:
+    """The value of ``p`` at an exact point, term by term."""
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        v = coeff
+        for x, e in zip(point, mono):
+            if e:
+                v *= x ** e
+        total += v
+    return total
 
 
 # Hand multiplication tables, the oracles for everything built on them.

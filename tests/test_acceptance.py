@@ -25,7 +25,6 @@ from affinor_rank import (
     certify_generic_rank,
     clifford_rank_theorem_check,
     distribution_rank_check,
-    doubled_generic_rank_check,
     find_frobenius_form,
     frobenius_iff_generic_rank,
     geodesic_integrate,
@@ -37,15 +36,19 @@ from affinor_rank import (
     weak_rank_witness,
 )
 from affinor_rank.cli import verify_certificate_detailed
-from affinor_rank.linalg import det, scalar_multiple_of_identity
+from affinor_rank.linalg import det
 
 from conftest import (
     block_double,
+    covariant_accel,
+    doubled_generic_rank_check,
     dual_number_constants,
+    flat_connection,
     local3_constants,
     matrix_algebra_2x2_constants,
     quaternion_matrices,
     rotation_block,
+    scalar_multiple_of_identity,
 )
 
 SEED = 0
@@ -271,7 +274,7 @@ def run_criterion_6(seed: int) -> dict:
               for _ in range(2)]
     verdicts = []
     for curve in curves:
-        for conn in (ConnectionSpec.flat(2), ConnectionSpec.constant(gamma2)):
+        for conn in (flat_connection(2), ConnectionSpec.constant(gamma2)):
             report = planarity_check(basis2, conn, curve, samples=30, tol=1e-6)
             verdicts.append(report.verdict)
     assert all(v == "planar" for v in verdicts)
@@ -284,20 +287,20 @@ def run_criterion_6(seed: int) -> dict:
         ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),),
          (("power", 1.0, 1.0),), ()),
     )
-    helix_report = planarity_check(basis4, ConnectionSpec.flat(4), helix, samples=25)
+    helix_report = planarity_check(basis4, flat_connection(4), helix, samples=25)
     assert helix_report.verdict == "not_planar"
     assert helix_report.counterexample is not None
     out["helix_counterexample_t"] = helix_report.counterexample[0]
     out["helix_residual"] = helix_report.counterexample[1]
 
     # (d) order-2 convergence of sampled-mode acceleration under halving
-    from affinor_rank import covariant_accel, SampledCurve
+    from affinor_rank import SampledCurve
 
     smooth = ClosedFormCurve(
         2, (0.0, 2.0),
         ((("cos", 1.0, 1.3),), (("power", 0.25, 3.0), ("sin", 0.5, 2.0))),
     )
-    conn_flat = ConnectionSpec.flat(2)
+    conn_flat = flat_connection(2)
     exact = covariant_accel(conn_flat, smooth, 1.0)
     errors = []
     for steps in (64, 128):

@@ -759,6 +759,24 @@ def test_float_mode_inputs_exit_with_data_error(capsys, tmp_path):
         assert "mode" in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "{dir}"],
+    ["verify-report", "{dir}"],
+    ["distributions", "--dims", "2,2", "--conjugate", "{dir}"],
+    ["planar", "--basis", "complex_r4_basis.json", "--connection", "{dir}",
+     "--curve", "helix_curve.json"],
+], ids=["rank", "verify-report", "distributions", "planar"])
+def test_an_input_path_that_cannot_be_read_is_a_data_error(capsys, tmp_path, argv):
+    # a directory opens, then fails to read: one stderr line names the path
+    argv = [str(tmp_path) if a == "{dir}" else str(FIXTURES / a) if a.endswith(".json") else a
+            for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err == f"affinor-rank: {tmp_path}: field '<file>': cannot read: Is a directory\n"
+
+
 def test_rank_rejects_a_float_labelled_basis(capsys, tmp_path):
     # the matrices stay exact; only the basis's own label says float
     basis = json.loads((FIXTURES / "quaternion_r8_basis.json").read_text())

@@ -12,11 +12,8 @@ from affinor_rank import (
     CliffordSignature,
     Matrix,
     RankCertificate,
-    blade_product,
     build_clifford,
     clifford_rank_theorem_check,
-    doubled_generic_rank_check,
-    doubled_module_basis,
     from_affinors,
     verify_associativity,
     verify_clifford_relations,
@@ -27,7 +24,10 @@ from affinor_rank.cli import EXIT_USAGE, main
 from affinor_rank.errors import SignatureTooLarge
 
 from conftest import (
+    blade_product,
     constants_cube,
+    doubled_generic_rank_check,
+    doubled_module_basis,
     fraction_rows,
     linear_combination,
     quaternion_constants,

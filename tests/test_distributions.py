@@ -23,7 +23,7 @@ from affinor_rank import (
 from affinor_rank import hullrank, linalg
 from affinor_rank.cli import main
 from affinor_rank.errors import DimensionMismatch, SingularChangeOfBasis
-from affinor_rank.linalg import SpanSolver, det, stack
+from affinor_rank.linalg import SpanSolver, det, stack, unstack
 
 from conftest import constants_cube, is_zero_matrix, random_exact_matrix
 
@@ -47,13 +47,13 @@ def _random_splitting(rng, m):
 
 def test_coordinate_splitting_m2():
     ps = projectors_from_splitting(Splitting(2, (1, 1)))
-    assert ps.projectors[0] == Matrix.exact([[1, 0], [0, 0]])
-    assert ps.projectors[1] == Matrix.exact([[0, 0], [0, 1]])
+    assert unstack(ps.stacked, ps.m)[0] == Matrix.exact([[1, 0], [0, 0]])
+    assert unstack(ps.stacked, ps.m)[1] == Matrix.exact([[0, 0], [0, 1]])
 
 
 def test_coordinate_splitting_m4():
     ps = projectors_from_splitting(Splitting(4, (2, 2)))
-    assert ps.projectors[0] == Matrix.exact(
+    assert unstack(ps.stacked, ps.m)[0] == Matrix.exact(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
 
@@ -63,7 +63,7 @@ def test_conjugated_splitting_keeps_identities(rng):
     ps = projectors_from_splitting(Splitting(4, (2, 2), q))
     assert verify_complete_system(ps).ok
     # oracle: direct products for one pair
-    p1, p2 = ps.projectors
+    p1, p2 = unstack(ps.stacked, ps.m)
     assert is_zero_matrix(p1 @ p2)
     assert p1 @ p1 == p1
 
@@ -91,7 +91,7 @@ def test_verify_rejects_overlapping_projectors():
 def test_single_block_system():
     ps = projectors_from_splitting(Splitting(3, (3,)))
     assert verify_complete_system(ps).ok
-    assert ps.projectors[0] == Matrix.identity(3)
+    assert unstack(ps.stacked, ps.m)[0] == Matrix.identity(3)
     report = distribution_rank_check(ps)
     assert report.weak.claimed_rank == 1
 
@@ -119,9 +119,9 @@ def test_rank_check_evaluates_the_witness_hull_once(monkeypatch, tmp_path):
     calls = []
     images = hullrank._images
 
-    def counted(basis, vectors):
+    def counted(s, m, vectors):
         calls.append(len(vectors))
-        return images(basis, vectors)
+        return images(s, m, vectors)
 
     monkeypatch.setattr(hullrank, "_images", counted)
     assert main(["distributions", "--dims", "2,2", "--out", str(tmp_path / "r.json")]) == 0
@@ -169,7 +169,7 @@ def test_unconjugated_build_is_the_indicator_diagonals(monkeypatch):
     eliminations, products = _count_kernels(monkeypatch)
     ps = projectors_from_splitting(Splitting(5, (2, 1, 2)))
     assert eliminations == [] and products == []
-    for p, ones in zip(ps.projectors, ([1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1])):
+    for p, ones in zip(unstack(ps.stacked, ps.m), ([1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1])):
         view = p._scaled
         assert (view.den, view.bound, view.nums.dtype) == (1, 1, np.int64)
         assert np.array_equal(view.nums, np.diag(ones))
@@ -227,7 +227,7 @@ def test_rewritten_basis_spans_the_projectors(rng):
         basis = ps.affinor_basis()
         # every projector lies in the span of the rewritten basis and
         # every rewritten element lies in the projector span
-        assert None not in SpanSolver(basis.stacked).coefficients(stack(ps.projectors))
+        assert None not in SpanSolver(basis.stacked).coefficients(ps.stacked)
         assert None not in SpanSolver(ps.stacked).coefficients(stack(basis.mats))
 
 

@@ -252,3 +252,26 @@ def test_failed_identification_is_a_disagreement(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(sc.to_json()))
     assert main(["frobenius", str(path)]) == EXIT_INTERNAL
     assert json.loads(capsys.readouterr().out)["result"]["agree"] is False
+
+
+def test_a_fault_in_the_hull_product_is_a_disagreement(monkeypatch, tmp_path, capsys):
+    # the identification reads its hull rows through the search's kernel;
+    # one wrong entry in that product must fail it, and the command exits 70
+    real = frobenius._images
+
+    def corrupted(s, m, vectors):
+        view = real(s, m, vectors)._scaled
+        nums = view.nums.copy()
+        nums[-1, 0] += view.den
+        return Matrix.from_view(view._replace(nums=nums, bound=view.bound + view.den))
+
+    monkeypatch.setattr(frobenius, "_images", corrupted)
+    sc = quaternion_constants()
+    report = frobenius_iff_generic_rank(sc)
+    assert report.frobenius.status == "frobenius"
+    assert report.identification["multiplier_rows_match_gram_transpose"] is False
+    assert report.agree is False
+    path = tmp_path / "quaternions.json"
+    path.write_text(json.dumps(sc.to_json()))
+    assert main(["frobenius", str(path)]) == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().out)["result"]["agree"] is False

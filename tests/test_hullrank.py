@@ -33,6 +33,7 @@ from conftest import (
     random_exact_matrix,
     reference_verify_certificate,
     rotation_block,
+    scalar_multiple_of_identity,
 )
 
 
@@ -247,8 +248,6 @@ def test_two_element_bases_witnessed_in_deterministic_phase(rng):
     # if every standard vector and the all-ones vector were eigenvectors,
     # the affinor would be a multiple of the identity; so the deterministic
     # phase must always succeed for two-element spans
-    from affinor_rank.linalg import scalar_multiple_of_identity
-
     e = Matrix.identity(4)
     deterministic = [_unit(4, i) for i in range(4)] + [(Fraction(1),) * 4]
     for _ in range(50):
@@ -378,8 +377,6 @@ def test_closure_failure_names_the_first_pair_in_row_major_order(quaternions_r8)
 
 
 def test_scalar_multiple_check():
-    from affinor_rank.linalg import scalar_multiple_of_identity
-
     e = Matrix.identity(4)
     basis = AffinorBasis.of((e, rotation_block(4)))
     assert scalar_multiple_check(basis) == ((False, None),)

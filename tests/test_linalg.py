@@ -32,6 +32,7 @@ from conftest import (
     cofactor_det,
     fraction_rows,
     linear_combination,
+    poly_variable,
     quaternion_matrices,
     random_exact_matrix,
 )
@@ -236,7 +237,7 @@ def test_generic_quaternion_element_is_invertible():
     sym_det = determinant(entries)
     norm = Poly(4)
     for v in range(4):
-        norm = norm + Poly.variable(4, v) * Poly.variable(4, v)
+        norm = norm + poly_variable(4, v) * poly_variable(4, v)
     expected = norm * norm
     assert sym_det.terms == expected.terms
 

@@ -888,7 +888,8 @@ def _projector_candidates(draw):
     dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
     m = sum(dims)
     q, _ = draw(_frame(m))
-    mats = list(projectors_from_splitting(Splitting(m, tuple(dims), q)).projectors)
+    ps = projectors_from_splitting(Splitting(m, tuple(dims), q))
+    mats = list(linalg.unstack(ps.stacked, m))
     t, i, j = draw(st.integers(0, len(mats) - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
     rows = [list(row) for row in fraction_rows(mats[t])]
     rows[i][j] += draw(_NUDGE)
@@ -937,7 +938,7 @@ def test_batched_projectors_match_fraction_conjugation(case):
     # P_i = Q D_i Q^-1, the sum over block i of Q's columns times Q^-1's rows
     dims, q, qe, qi = case
     m = sum(dims)
-    got = projectors_from_splitting(Splitting(m, dims, q)).projectors
+    got = linalg.unstack(projectors_from_splitting(Splitting(m, dims, q)).stacked, m)
     start = 0
     for p, size in zip(got, dims):
         block = range(start, start + size)
@@ -1199,7 +1200,7 @@ def test_hull_and_pair_rows_match_per_matrix_apply(case):
     assert h.matrix == Matrix.exact(rows)
     assert fraction_rows(h.matrix) == tuple(rows)
     assert h.rank_result == rank(Matrix.exact(rows))
-    assert hullrank._images(basis, [x, y]) == Matrix.exact(pair)
+    assert hullrank._images(basis.stacked, basis.m, [x, y]) == Matrix.exact(pair)
     assert hullrank.pair_span_dim(basis, x, y) == rank(Matrix.exact(pair)).rank
 
 

@@ -12,7 +12,6 @@ from affinor_rank import (
     ConnectionSpec,
     Matrix,
     SampledCurve,
-    covariant_accel,
     geodesic_integrate,
     inverse,
     planarity_check,
@@ -25,7 +24,7 @@ from affinor_rank.errors import (
 )
 from affinor_rank.planarity import _integrate_second_order
 
-from conftest import random_exact_matrix, rotation_block
+from conftest import covariant_accel, flat_connection, random_exact_matrix, rotation_block
 
 
 def _line(m, point, velocity, domain=(0.0, 1.0)):
@@ -77,7 +76,7 @@ def _random_constant_connection(rng, m, scale=0.3):
 
 
 def test_flat_straight_line_has_zero_acceleration():
-    conn = ConnectionSpec.flat(3)
+    conn = flat_connection(3)
     line = _line(3, (1.0, 2.0, 0.0), (0.5, -1.0, 2.0))
     for t in np.linspace(0.0, 1.0, 7):
         acc = covariant_accel(conn, line, float(t))
@@ -85,7 +84,7 @@ def test_flat_straight_line_has_zero_acceleration():
 
 
 def test_circle_acceleration_matches_symbolic_second_derivative():
-    conn = ConnectionSpec.flat(4)
+    conn = flat_connection(4)
     circle = _circle4()
     for t in (0.0, 0.7, 2.0):
         acc = covariant_accel(conn, circle, t)
@@ -114,7 +113,7 @@ def test_polynomial_connection_evaluation():
 
 
 def test_out_of_domain_and_grid_snapping():
-    conn = ConnectionSpec.flat(2)
+    conn = flat_connection(2)
     circle = ClosedFormCurve(2, (0.0, 1.0), ((("cos", 1.0, 1.0),), (("sin", 1.0, 1.0),)))
     with pytest.raises(OutOfDomain):
         covariant_accel(conn, circle, 2.0)
@@ -174,14 +173,14 @@ def test_non_finite_jets_raise():
     fast = _line(2, (0.0, 0.0), (1e300, 0.0))
     basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
     with pytest.raises(NonFiniteState):
-        planarity_check(basis, ConnectionSpec.flat(2), fast)
+        planarity_check(basis, flat_connection(2), fast)
     with pytest.raises(ValueError):
         ConnectionSpec.constant([[[math.nan]]])
 
 
 def test_sampled_acceleration_second_order_convergence():
     # halving the grid step shrinks the finite-difference error about 4x
-    conn = ConnectionSpec.flat(2)
+    conn = flat_connection(2)
     curve = ClosedFormCurve(
         2, (0.0, 2.0),
         ((("cos", 1.0, 1.3),), (("power", 0.25, 3.0), ("sin", 0.5, 2.0))),
@@ -205,7 +204,7 @@ def test_sampled_acceleration_second_order_convergence():
 
 
 def test_straight_lines_are_planar_for_every_basis(rng):
-    conn = ConnectionSpec.flat(4)
+    conn = flat_connection(4)
     line = _line(4, (0.0, 1.0, 2.0, 3.0), (1.0, -1.0, 0.5, 2.0))
     for _ in range(5):
         f = random_exact_matrix(rng, 4, 4, bound=3)
@@ -225,7 +224,7 @@ def test_dimension_two_everything_is_planar(rng):
         ClosedFormCurve(2, (0.1, 3.0), ((("power", 1.0, 2.0),), (("power", 1.0, 1.0), ("power", -0.5, 3.0)))),
         ClosedFormCurve(2, (0.0, 4.0), ((("cos", 2.0, 0.7), ("power", 0.3, 1.0)), (("sin", 1.5, 1.1),))),
     ]
-    conns = [ConnectionSpec.flat(2), _random_constant_connection(rng, 2)]
+    conns = [flat_connection(2), _random_constant_connection(rng, 2)]
     for curve in curves:
         for conn in conns:
             report = planarity_check(basis, conn, curve, samples=25)
@@ -234,7 +233,7 @@ def test_dimension_two_everything_is_planar(rng):
 
 def test_helix_fails_with_counterexample():
     basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
-    report = planarity_check(basis, ConnectionSpec.flat(4), _helix4(), samples=25)
+    report = planarity_check(basis, flat_connection(4), _helix4(), samples=25)
     assert report.verdict == "not_planar"
     assert report.counterexample is not None
     t, residual = report.counterexample
@@ -247,7 +246,7 @@ def test_helix_fails_with_counterexample():
 def test_circle_is_planar_for_complex_structure_on_r4():
     # acceleration is -position, which is the rotated tangent
     basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
-    report = planarity_check(basis, ConnectionSpec.flat(4), _circle4(), samples=30)
+    report = planarity_check(basis, flat_connection(4), _circle4(), samples=30)
     assert report.verdict == "planar"
 
 
@@ -268,7 +267,7 @@ def test_degenerate_tangent_flagged_indeterminate():
         ((("power", 1.0, 2.0),), (("power", 1.0, 3.0),)),
     )
     basis = AffinorBasis.of((Matrix.identity(2), rotation_block(2)))
-    report = planarity_check(basis, ConnectionSpec.flat(2), curve, samples=5, tol=1e-3)
+    report = planarity_check(basis, flat_connection(2), curve, samples=5, tol=1e-3)
     assert report.degenerate_samples == 5
     assert report.verdict == "indeterminate"
 
@@ -276,9 +275,9 @@ def test_degenerate_tangent_flagged_indeterminate():
 def test_planarity_dimension_checks():
     basis = AffinorBasis.of((Matrix.identity(4), rotation_block(4)))
     with pytest.raises(DimensionMismatch):
-        planarity_check(basis, ConnectionSpec.flat(2), _circle4())
+        planarity_check(basis, flat_connection(2), _circle4())
     with pytest.raises(InsufficientSamples):
-        planarity_check(basis, ConnectionSpec.flat(4), _circle4(), samples=2)
+        planarity_check(basis, flat_connection(4), _circle4(), samples=2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_planarity_dimension_checks():
 
 
 def test_flat_geodesics_are_straight_lines():
-    conn = ConnectionSpec.flat(3)
+    conn = flat_connection(3)
     curve = geodesic_integrate(conn, [1.0, 0.0, -2.0], [0.5, 1.0, 0.25], 2.0, 50)
     for i, t in enumerate(curve.ts):
         expected = np.array([1.0, 0.0, -2.0]) + t * np.array([0.5, 1.0, 0.25])
@@ -297,7 +296,7 @@ def test_flat_geodesics_are_straight_lines():
 
 def test_geodesic_step_count_guard():
     with pytest.raises(ValueError):
-        geodesic_integrate(ConnectionSpec.flat(2), [0.0, 0.0], [1.0, 0.0], 1.0, 5)
+        geodesic_integrate(flat_connection(2), [0.0, 0.0], [1.0, 0.0], 1.0, 5)
 
 
 def test_geodesic_blowup_detected():
