@@ -17,8 +17,10 @@ from its dense ``"entries"`` or, with a parser of its own, its sparse
 ``"nonzeros"``, as sparse rows of integer numerators over its own
 denominator, multiplies sparse rows in plain Python ints, and ranks by
 plain integer Gaussian elimination with gcd reduction instead of the
-producers' fraction-free (Bareiss) elimination.  A certificate whose data
-does not parse is rejected, not an input error.
+producers' fraction-free (Bareiss) elimination.  A basis embedded as
+generators and one word per element (``clifford --check-rank``) is never
+multiplied out.  A certificate whose data does not parse is rejected, not
+an input error.
 """
 
 from __future__ import annotations
@@ -413,28 +415,49 @@ def _nonzero_rows(items, m: int, where: str, field: str) -> tuple[list[list], in
 
 
 def _mats_from_basis_json(basis_json: dict, where: str, m: int) -> list[tuple[list, int]]:
-    """Each embedded m x m matrix as (sparse integer rows of (column, numerator)
-    pairs, lcm of its denominators), from its ``"entries"`` or its
-    ``"nonzeros"``; a matrix that has both, neither, or a malformed one
-    raises ``InputFormatError``."""
-    out = []
-    for k, mj in enumerate(basis_json["mats"]):
+    """Each embedded m x m matrix, of ``"mats"`` or else of ``"generators"``,
+    as (sparse integer rows of (column, numerator) pairs, lcm of its
+    denominators), from its ``"entries"`` or its ``"nonzeros"``; a matrix
+    that has both, neither, or a malformed one raises ``InputFormatError``."""
+    out, key = [], "mats" if "mats" in basis_json else "generators"
+    for k, mj in enumerate(basis_json[key]):
         if ("entries" in mj) == ("nonzeros" in mj):
-            raise InputFormatError(where, f"mats[{k}]", 'expected one of "entries" and "nonzeros"')
+            raise InputFormatError(where, f"{key}[{k}]", 'expected one of "entries" and "nonzeros"')
         if "nonzeros" in mj:
-            out.append(_nonzero_rows(mj["nonzeros"], m, where, f"mats[{k}].nonzeros"))
+            out.append(_nonzero_rows(mj["nonzeros"], m, where, f"{key}[{k}].nonzeros"))
             continue
         rows = mj["entries"]
         if not isinstance(rows, list) or len(rows) != m or any(
                 not isinstance(row, list) or len(row) != m for row in rows):
-            raise InputFormatError(where, f"mats[{k}].entries", f"expected {m} rows of {m}")
-        rows, den = _integer_rows(rows, where, f"mats[{k}].entries")
+            raise InputFormatError(where, f"{key}[{k}].entries", f"expected {m} rows of {m}")
+        rows, den = _integer_rows(rows, where, f"{key}[{k}].entries")
         out.append(([[(s, v) for s, v in compress(enumerate(row), row)] for row in rows], den))
     return out
 
 
 def _apply(mat, vec: list[int]) -> list[int]:
     return [sum([v * vec[s] for s, v in row]) for row in mat]
+
+
+def _word_rows(words: list, gens, witness: list[int]) -> tuple[Optional[list], str]:
+    """The hull rows of a basis in generator form, up to positive scale:
+    row(w) = G[w[0]] row(w[1:]) and row([]) = the witness, with G the
+    generator numerators.  None and the reason when ``words[0]`` is not
+    empty, a word is not a list of generator indices, repeats an earlier
+    word, or has a tail that is not an earlier word."""
+    if words[0] != []:
+        return None, "first basis element is not the identity"
+    rows: dict = {}
+    for i, word in enumerate(words):
+        if not _indices_below(word, len(gens)):
+            return None, f"words[{i}] is not a list of generator indices"
+        key = tuple(word)
+        if key in rows:
+            return None, f"words[{i}] repeats an earlier word"
+        if key and key[1:] not in rows:
+            return None, f"the tail of words[{i}] is not an earlier word"
+        rows[key] = _apply(gens[key[0]], rows[key[1:]]) if key else witness
+    return list(rows.values()), ""
 
 
 def _matmul(a, b) -> list[list[int]]:
@@ -499,13 +522,17 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     checks that basis element 0 is the identity.  Everything runs on
     integer numerators: the basis over one common denominator D, and the
     witness and pair vectors scaled by their own, which changes no rank and
-    no minor's singularity.
+    no minor's singularity.  A weak certificate may embed its basis as
+    generators and one word per element (``_word_rows``); its matrices are
+    never built, and each hull row is one product with an earlier row.
     """
     try:
         kind = cert["kind"]
         claimed = cert["claimed_rank"]
         basis_json = cert["basis"]
-        mats_json = basis_json["mats"]
+        words = None if "mats" in basis_json else basis_json["words"]
+        key = "mats" if words is None else "generators"
+        mats_json = basis_json[key]
         [witness], _ = _integer_rows([cert["witness"]], where, "witness")
         m = basis_json["m"]
         n = basis_json["n"]
@@ -516,32 +543,42 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         return False, mistyped
     if n < 1:
         return False, f"affinor basis has n = {n}, expected at least 1"
-    if not isinstance(mats_json, list) or len(mats_json) != n or len(witness) != m:
+    elements = mats_json if words is None else words
+    if not isinstance(mats_json, list) or not isinstance(elements, list) or len(
+            elements) != n or len(witness) != m:
         return False, "certificate dimensions are inconsistent"
     # the labels a reader of the basis checks must agree with the entries
     if basis_json.get("mode") != "exact":
         return False, f"basis.mode is {basis_json.get('mode')!r}, expected 'exact'"
     for k, mj in enumerate(mats_json):
         if not isinstance(mj, dict):
-            return False, f"mats[{k}] is not a matrix object"
+            return False, f"{key}[{k}] is not a matrix object"
         if mj.get("mode") != "exact":
-            return False, f"mats[{k}].mode is {mj.get('mode')!r}, expected 'exact'"
+            return False, f"{key}[{k}].mode is {mj.get('mode')!r}, expected 'exact'"
         for field in ("rows", "cols"):
             if type(mj.get(field)) is not int or mj[field] != m:
-                return False, f"mats[{k}].{field} is {mj.get(field)!r}, expected {m}"
+                return False, f"{key}[{k}].{field} is {mj.get(field)!r}, expected {m}"
     if kind not in ("weak", "generic"):
         return False, f"unknown certificate kind {kind!r}"
     if claimed != n:
         return False, f"claimed rank {claimed} differs from span rank {n}"
+    # the closure recheck multiplies basis matrices, which the generator form lists not
+    if words is not None and kind == "generic":
+        return False, "a generic certificate must list its basis matrices"
     # a sparse basis lists no zeros, so its text does not bound n * m * m
-    if n * m * m > jsonio.MAX_ENTRIES:
-        return False, f"{n} matrices of {m}x{m} exceed {jsonio.MAX_ENTRIES} entries"
-    # basis matrix k is mats[k] / den
+    count = max(n, len(mats_json))
+    if count * m * m > jsonio.MAX_ENTRIES:
+        return False, f"{count} matrices of {m}x{m} exceed {jsonio.MAX_ENTRIES} entries"
     mats = _mats_from_basis_json(basis_json, where, m)
-    den = lcm(*(d for _, d in mats))
-    mats = [mat if d == den else [[(s, v * (den // d)) for s, v in row] for row in mat]
-            for mat, d in mats]
-    hull_rows = [_apply(mat, witness) for mat in mats]
+    if words is not None:
+        hull_rows, problem = _word_rows(words, [mat for mat, _ in mats], witness)
+        if problem:
+            return False, problem
+    else:  # basis matrix k is mats[k] / den
+        den = lcm(*(d for _, d in mats))
+        mats = [mat if d == den else [[(s, v * (den // d)) for s, v in row] for row in mat]
+                for mat, d in mats]
+        hull_rows = [_apply(mat, witness) for mat in mats]
     recomputed = _fresh_rank(hull_rows)
     if recomputed != claimed:
         return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
@@ -591,7 +628,7 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         if pair_rank != 2 * n or pair_dim != 2 * n:
             return False, f"pair span rank is {pair_rank}, expected {2 * n}"
     # checked last, so every earlier message stands: an affinor basis starts with E
-    if mats[0] != [[(i, den)] for i in range(m)]:
+    if words is None and mats[0] != [[(i, den)] for i in range(m)]:
         return False, "first basis element is not the identity"
     return True, "ok"
 

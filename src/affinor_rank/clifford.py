@@ -147,7 +147,7 @@ def build_clifford(sig: CliffordSignature) -> CliffordBasis:
     nums = _blade_stack(sig, blades).reshape(dim, dim * dim)
     cb = CliffordBasis(
         signature=sig,
-        basis=AffinorBasis(_Scaled(nums, 1, 1), dim),
+        basis=AffinorBasis(_Scaled(nums, 1, 1), dim, tuple(tuple(_bits(b)) for b in blades)),
         blades=blades,
         labels=tuple(_blade_label(b) for b in blades),
     )

@@ -90,10 +90,15 @@ class AffinorBasis:
     independent, and the span rank n must be at most the module dimension
     m (n == m for multiplication-operator modules and full matrix-algebra
     representations, which act on a space of their own dimension).
+
+    A basis built from generators (a Clifford one) knows its ``words``:
+    element i is the ordered product of the generators ``words[i]`` names,
+    and every generator g is the element of the word (g,).
     """
 
     stacked: _Scaled
     m: int
+    words: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         s, m = self.stacked, self.m
@@ -134,13 +139,20 @@ class AffinorBasis:
     def __hash__(self) -> int:
         return hash(self.mats)
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "mode": EXACT,
-            "mats": matrices_json(self.stacked, self.m, self.m),
-        }
+    def to_json(self, generators: bool = False) -> dict:
+        """Every element matrix under ``"mats"``; with ``generators`` and
+        known words, the generator matrices and the words instead (a weak
+        certificate's form: the closure recheck needs every element)."""
+        out = {"m": self.m, "n": self.n, "mode": EXACT}
+        if not generators or self.words is None:
+            out["mats"] = matrices_json(self.stacked, self.m, self.m)
+            return out
+        letters = sum(len(w) == 1 for w in self.words)
+        rows = [self.words.index((g,)) for g in range(letters)]
+        out["generators"] = matrices_json(
+            self.stacked._replace(nums=self.stacked.nums[rows]), self.m, self.m)
+        out["words"] = [list(w) for w in self.words]
+        return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +235,7 @@ class RankCertificate:
             "witness": [scalar_to_json(v) for v in self.witness],
             "pivot_rows": list(self.pivot_rows),
             "pivot_cols": list(self.pivot_cols),
-            "basis": self.basis.to_json(),
+            "basis": self.basis.to_json(generators=self.kind == "weak"),
         }
         if self.closure is not None:
             out["closure"] = self.closure.to_json()

@@ -133,8 +133,22 @@ def _fraction_apply(mat, vec):
     return [sum(a * x for a, x in zip(row, vec)) for row in mat]
 
 
+def _word_products(gens, words, m: int) -> list:
+    """Each word's generators multiplied in order, in Fractions; the empty
+    word is the identity."""
+    out = []
+    for word in words:
+        mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        for g in word:
+            mat = [[sum(a * b for a, b in zip(row, col) if a and b) for col in zip(*gens[g])]
+                   for row in mat]
+        out.append(mat)
+    return out
+
+
 def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[bool, str]:
-    """(ok, message) of the Fraction verifier on one certificate."""
+    """(ok, message) of the Fraction verifier on one certificate, whose basis
+    in generator form it multiplies out word by word first."""
     def scalars(values, field):
         return [jsonio.exact_scalar_from_json(v, where, field) for v in values]
 
@@ -144,7 +158,10 @@ def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[b
         kind = cert["kind"]
         claimed = cert["claimed_rank"]
         basis_json = cert["basis"]
-        mats = [[scalars(row, "entries") for row in mj["entries"]] for mj in basis_json["mats"]]
+        key = "mats" if "mats" in basis_json else "generators"
+        mats = [[scalars(row, "entries") for row in mj["entries"]] for mj in basis_json[key]]
+        if key == "generators":
+            mats = _word_products(mats, basis_json["words"], basis_json["m"])
         witness = scalars(cert["witness"], "witness")
         m = basis_json["m"]
         n = basis_json["n"]
@@ -160,6 +177,8 @@ def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[b
         return False, f"unknown certificate kind {kind!r}"
     if claimed != n:
         return False, f"claimed rank {claimed} differs from span rank {n}"
+    if key == "generators" and kind == "generic":
+        return False, "a generic certificate must list its basis matrices"
     hull_rows = [_fraction_apply(mat, witness) for mat in mats]
     recomputed = _fraction_rank(hull_rows)
     if recomputed != claimed:

@@ -490,11 +490,13 @@ def test_verify_report_rejects_malformed_certificate(capsys, tmp_path, tamper):
     assert verdict["result"]["verified"] is False
 
 
-# Defects of one sparse matrix (the blade e1, 32 nonzeros) in a Cl(3,2)
-# certificate; every other field is intact.
+# Defects of one sparse matrix in a certificate whose every other field is
+# intact: the projector P_1 of the splitting of R^8 into four planes (two
+# nonzeros, under "mats"), and the generator e1 of Cl(3,2) (32 nonzeros,
+# under "generators").
 
 
-def _set_in_e1(path, value):
+def _set_in_matrix(path, value):
     def tamper(mat):
         *parents, key = path
         for parent in parents:
@@ -526,35 +528,134 @@ def cl32_report(tmp_path_factory):
     assert main(["clifford", "--s", "3", "--t", "2", "--check-rank", "--out", str(out)]) == 0
     assert verify_certificate_detailed(out)[0]
     report = json.loads(out.read_text())
-    assert report["result"]["rank_certificate"]["basis"]["mats"][1]["nonzeros"][0] == [0, 1, 1]
+    basis = report["result"]["rank_certificate"]["basis"]
+    assert "mats" not in basis and len(basis["generators"]) == 5
+    assert basis["generators"][0]["nonzeros"][0] == [0, 1, 1]
     return report
 
 
-@pytest.mark.parametrize("tamper", [
-    pytest.param(_both_forms, id="both_forms"),
-    pytest.param(_neither_form, id="neither_form"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 0), False), id="index_bool"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 1), 1.0), id="index_float"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 1), "1"), id="index_string"),
-    pytest.param(_set_in_e1(("nonzeros", -1, 1), 32), id="index_out_of_range"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 0), -1), id="index_negative"),
-    pytest.param(_swap_first_two, id="unsorted"),
-    pytest.param(_repeat_first, id="duplicate"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 2), 0), id="value_zero"),
-    pytest.param(_set_in_e1(("nonzeros", 0, 2), "1/z"), id="value_unparsable"),
-    pytest.param(_set_in_e1(("nonzeros", 0), [0, 1]), id="pair_not_triple"),
-    pytest.param(_set_in_e1(("nonzeros",), "[]"), id="not_a_list"),
-    pytest.param(_set_in_e1(("rows",), 31), id="rows_not_m"),
-    pytest.param(_set_in_e1(("cols",), 33), id="cols_not_m"),
-])
-def test_verify_report_rejects_malformed_sparse_matrix(capsys, tmp_path, cl32_report, tamper):
-    report = json.loads(json.dumps(cl32_report))
-    tamper(report["result"]["rank_certificate"]["basis"]["mats"][1])
+@pytest.fixture(scope="module")
+def planes_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("planes") / "report.json"
+    assert main(["distributions", "--dims", "2,2,2,2", "--out", str(out)]) == 0
+    assert verify_certificate_detailed(out)[0]
+    report = json.loads(out.read_text())
+    assert report["result"]["rank"]["generic"]["basis"]["mats"][1]["nonzeros"] == [
+        [0, 0, 1], [1, 1, 1]]
+    return report
+
+
+def _verdict_of_tampered(capsys, tmp_path, report, tamper, *path):
+    """(exit code, verify-report result) of a copy of ``report`` whose
+    field at ``path`` is given to ``tamper``."""
+    report = json.loads(json.dumps(report))
+    target = report
+    for key in path:
+        target = target[key]
+    tamper(target)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(report))
     code, verdict = _run(capsys, "verify-report", str(tampered))
+    return code, verdict["result"]
+
+
+_SPARSE_TAMPERS = pytest.mark.parametrize("tamper", [
+    pytest.param(_both_forms, id="both_forms"),
+    pytest.param(_neither_form, id="neither_form"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 0), False), id="index_bool"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 1), 1.0), id="index_float"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 1), "1"), id="index_string"),
+    pytest.param(_set_in_matrix(("nonzeros", -1, 1), 32), id="index_out_of_range"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 0), -1), id="index_negative"),
+    pytest.param(_swap_first_two, id="unsorted"),
+    pytest.param(_repeat_first, id="duplicate"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 2), 0), id="value_zero"),
+    pytest.param(_set_in_matrix(("nonzeros", 0, 2), "1/z"), id="value_unparsable"),
+    pytest.param(_set_in_matrix(("nonzeros", 0), [0, 1]), id="pair_not_triple"),
+    pytest.param(_set_in_matrix(("nonzeros",), "[]"), id="not_a_list"),
+    pytest.param(_set_in_matrix(("rows",), 31), id="rows_not_m"),
+    pytest.param(_set_in_matrix(("cols",), 33), id="cols_not_m"),
+])
+
+
+@_SPARSE_TAMPERS
+def test_verify_report_rejects_malformed_sparse_matrix(capsys, tmp_path, planes_report, tamper):
+    code, result = _verdict_of_tampered(capsys, tmp_path, planes_report, tamper,
+                                        "result", "rank", "generic", "basis", "mats", 1)
     assert code == EXIT_NEGATIVE
-    assert verdict["result"]["verified"] is False
+    assert result["verified"] is False
+    assert [d["ok"] for d in result["details"]] == [False, True]
+
+
+@_SPARSE_TAMPERS
+def test_verify_report_rejects_malformed_sparse_generator(capsys, tmp_path, cl32_report, tamper):
+    code, result = _verdict_of_tampered(capsys, tmp_path, cl32_report, tamper,
+                                        "result", "rank_certificate", "basis", "generators", 0)
+    assert code == EXIT_NEGATIVE
+    assert result["verified"] is False
+
+
+def _set_word(index, word):
+    def tamper(basis):
+        basis["words"][index] = word
+    return tamper
+
+
+def _swap_words(i, j):
+    def tamper(basis):
+        words = basis["words"]
+        words[i], words[j] = words[j], words[i]
+    return tamper
+
+
+_BAD_LETTERS = "words[{}] is not a list of generator indices"
+
+
+# Cl(3,2): five generators, words[1..5] are [0]..[4] and words[6] is [0, 1]
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_set_word(6, [0, 5]), _BAD_LETTERS.format(6), id="letter_out_of_range"),
+    pytest.param(_set_word(6, [-1, 1]), _BAD_LETTERS.format(6), id="letter_negative"),
+    pytest.param(_set_word(1, [False]), _BAD_LETTERS.format(1), id="letter_bool"),
+    pytest.param(_set_word(6, [0, "1"]), _BAD_LETTERS.format(6), id="letter_string"),
+    pytest.param(_set_word(6, "01"), _BAD_LETTERS.format(6), id="word_not_a_list"),
+    pytest.param(_set_word(0, [0]), "first basis element is not the identity",
+                 id="first_word_nonempty"),
+    # [0, 1] moves before its tail [1]
+    pytest.param(_swap_words(1, 6), "the tail of words[1] is not an earlier word",
+                 id="tail_later"),
+    pytest.param(_set_word(6, [0, 1, 1]), "the tail of words[6] is not an earlier word",
+                 id="tail_missing"),
+    pytest.param(_set_word(2, [0]), "words[2] repeats an earlier word", id="repeated_word"),
+    pytest.param(lambda basis: basis["words"].pop(), "certificate dimensions are inconsistent",
+                 id="one_word_short"),
+    pytest.param(lambda basis: basis.update(words={}), "certificate dimensions are inconsistent",
+                 id="words_not_a_list"),
+])
+def test_verify_report_rejects_tampered_words(capsys, tmp_path, cl32_report, tamper, message):
+    code, result = _verdict_of_tampered(capsys, tmp_path, cl32_report, tamper,
+                                        "result", "rank_certificate", "basis")
+    assert code == EXIT_NEGATIVE
+    assert result["verified"] is False
+    assert result["details"][0]["message"] == message
+
+
+def test_verify_report_rejects_generator_form_without_its_words(capsys, tmp_path, cl32_report):
+    code, result = _verdict_of_tampered(capsys, tmp_path, cl32_report,
+                                        lambda basis: basis.pop("words"),
+                                        "result", "rank_certificate", "basis")
+    assert code == EXIT_NEGATIVE
+    assert result["details"][0]["message"].startswith("malformed certificate: KeyError")
+
+
+def test_verify_report_rejects_a_generic_certificate_in_generator_form(
+        capsys, tmp_path, cl32_report):
+    # no command writes one: the closure recheck multiplies the basis matrices
+    def tamper(cert):
+        cert["kind"] = "generic"
+    code, result = _verdict_of_tampered(capsys, tmp_path, cl32_report, tamper,
+                                        "result", "rank_certificate")
+    assert code == EXIT_NEGATIVE
+    assert result["details"][0]["message"] == "a generic certificate must list its basis matrices"
 
 
 def test_verify_report_rejects_a_changed_sparse_value(capsys, tmp_path):
@@ -600,6 +701,18 @@ def test_cl43_report_is_small_and_verifies(capsys, tmp_path):
     out = tmp_path / "cl43.json"
     assert main(["clifford", "--s", "4", "--t", "3", "--check-rank", "--out", str(out)]) == 0
     assert out.stat().st_size < 500_000
+    code, verdict = _run(capsys, "verify-report", str(out))
+    assert code == EXIT_POSITIVE
+    assert verdict["result"]["verified"] is True
+
+
+def test_cl43_report_embeds_generators_and_is_under_20_kb(capsys, tmp_path):
+    # 7 generators of 128 nonzeros and 128 words, instead of 128 blades
+    out = tmp_path / "cl43.json"
+    assert main(["clifford", "--s", "4", "--t", "3", "--check-rank", "--out", str(out)]) == 0
+    assert out.stat().st_size < 20_000
+    basis = json.loads(out.read_text())["result"]["rank_certificate"]["basis"]
+    assert len(basis["generators"]) == 7 and len(basis["words"]) == 128
     code, verdict = _run(capsys, "verify-report", str(out))
     assert code == EXIT_POSITIVE
     assert verdict["result"]["verified"] is True
@@ -703,6 +816,27 @@ def test_verify_report_rejects_an_oversized_sparse_basis(capsys, tmp_path):
     assert verdict["result"]["verified"] is False
     message = verdict["result"]["details"][0]["message"]
     assert message == f"1 matrices of {m}x{m} exceed {MAX_ENTRIES} entries"
+
+
+def test_verify_report_caps_the_generators_too(capsys, tmp_path):
+    # one element, but five empty 2048 x 2048 generators, each parsed into
+    # 2048 rows: a generator list is capped like a basis
+    m = 2048
+    empty = {"rows": m, "cols": m, "mode": "exact", "nonzeros": []}
+    cert = {
+        "kind": "weak", "claimed_rank": 1, "witness": [1] + [0] * (m - 1),
+        "pivot_rows": [0], "pivot_cols": [0],
+        "basis": {"m": m, "n": 1, "mode": "exact", "generators": [empty] * 5, "words": [[]]},
+    }
+    path = tmp_path / "many_generators.json"
+    path.write_text(json.dumps({"result": {"certificate": cert}}))
+    code, verdict = _run(capsys, "verify-report", str(path))
+    assert code == EXIT_NEGATIVE
+    message = verdict["result"]["details"][0]["message"]
+    assert message == f"5 matrices of {m}x{m} exceed {MAX_ENTRIES} entries"
+    cert["basis"]["generators"] = [empty]
+    path.write_text(json.dumps({"result": {"certificate": cert}}))
+    assert _run(capsys, "verify-report", str(path))[1]["result"]["verified"] is True
 
 
 def test_verifier_imports_neither_linalg_nor_multipoly():

@@ -20,7 +20,7 @@ from affinor_rank import (
     verify_unity,
 )
 from affinor_rank import clifford, linalg
-from affinor_rank.cli import EXIT_USAGE, main
+from affinor_rank.cli import EXIT_USAGE, _verify_certificate_dict, main
 from affinor_rank.errors import SignatureTooLarge
 
 from conftest import (
@@ -32,6 +32,7 @@ from conftest import (
     linear_combination,
     quaternion_constants,
     quaternion_matrices,
+    reference_verify_certificate,
 )
 
 
@@ -221,6 +222,49 @@ def test_blade_stack_matches_blade_product(s, t):
             sign, d = blade_product(a, b, s)
             want[i, position[d], j] = sign
     assert np.array_equal(clifford._blade_stack(sig, blades), want)
+
+
+_UP_TO_SIX_GENERATORS = [(s, k - s) for k in range(1, 7) for s in range(k + 1)]
+
+
+@pytest.mark.parametrize("s, t", _UP_TO_SIX_GENERATORS)
+def test_each_word_multiplies_out_to_its_blade(s, t):
+    # words list generators in ascending order, each tail earlier, and the
+    # ordered product of a word's generators is that row of the blade stack
+    cb = build_clifford(CliffordSignature(s, t))
+    k, m, nums = s + t, cb.basis.m, cb.basis.stacked.nums.reshape(-1, cb.basis.m, cb.basis.m)
+    words = cb.basis.words
+    assert words == tuple(tuple(i - 1 for i in clifford._blade_indices(b)) for b in cb.blades)
+    assert words[:k + 1] == ((),) + tuple((g,) for g in range(k))
+    for i, word in enumerate(words):
+        assert list(word) == sorted(set(word)) and (not word or word[1:] in words[:i])
+        product = np.eye(m, dtype=np.int64)
+        for g in word:
+            product = product @ nums[1 + g]
+        assert np.array_equal(product, nums[i]), cb.labels[i]
+
+
+@pytest.mark.parametrize("s, t", _UP_TO_SIX_GENERATORS)
+def test_generator_form_certificate_verifies(s, t):
+    cb = build_clifford(CliffordSignature(s, t))
+    cert = json.loads(json.dumps(clifford_rank_theorem_check(cb).to_json()))
+    basis = cert["basis"]
+    assert "mats" not in basis and len(basis["generators"]) == s + t
+    assert basis["words"] == [list(w) for w in cb.basis.words]
+    assert _verify_certificate_dict(cert) == (True, "ok")
+    if s + t <= 4:  # the oracle multiplies dense Fraction matrices
+        assert reference_verify_certificate(cert) == (True, "ok")
+
+
+def test_emitted_clifford_basis_lists_every_blade(tmp_path):
+    # --emit writes the input format, which rank reads; only certificates
+    # carry the generator form
+    emitted = tmp_path / "cl21.json"
+    assert main(["clifford", "--s", "2", "--t", "1", "--emit", str(emitted)]) == 0
+    basis = json.loads(emitted.read_text())
+    cb = build_clifford(CliffordSignature(2, 1))
+    assert "generators" not in basis and "words" not in basis
+    assert basis["mats"] == [mat.to_json() for mat in cb.basis.mats]
 
 
 def test_cl33_certificate_and_json_leave_entries_unbuilt(monkeypatch):

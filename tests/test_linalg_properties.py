@@ -38,6 +38,7 @@ from affinor_rank import (
     build_clifford,
     certify_generic_rank,
     chat,
+    clifford_rank_theorem_check,
     det,
     from_affinors,
     gram,
@@ -1302,6 +1303,44 @@ def _tampered_certificate(draw):
 @settings(max_examples=100)
 @given(_tampered_certificate())
 def test_integer_verifier_matches_fraction_reference(case):
+    site, cert = case
+    expected = reference_verify_certificate(cert)
+    assert _verify_certificate_dict(cert) == expected
+    if site == "intact":
+        assert expected == (True, "ok")
+
+
+@st.composite
+def _tampered_clifford_certificate(draw):
+    """The certificate of a Clifford module of at most four generators, so
+    that the oracle's Fraction products stay small, its basis in generator
+    form: intact, with its witness zeroed, or with one entry of its witness,
+    pivots or a generator replaced (a generator's entry may be fractional,
+    which the integer verifier's rows carry as a positive scale)."""
+    k = draw(st.integers(1, 4))
+    s = draw(st.integers(0, k))
+    cb = build_clifford(CliffordSignature(s, k - s))
+    cert = json.loads(json.dumps(clifford_rank_theorem_check(cb).to_json()))
+    m = 1 << k
+    index = st.integers(0, m - 1)
+    site = draw(st.sampled_from(("intact", "zeroed", "witness", "pivots", "generator")))
+    if site == "zeroed":
+        cert["witness"] = [0] * m
+    elif site == "witness":
+        cert["witness"][draw(index)] = draw(_JSON_SCALARS)
+    elif site == "pivots":
+        key = draw(st.sampled_from(("pivot_rows", "pivot_cols")))
+        cert[key][draw(index)] = draw(st.integers(-1, m))
+    elif site == "generator":
+        g = draw(st.integers(0, k - 1))
+        gen = cert["basis"]["generators"][g] = densify(cert["basis"]["generators"][g])
+        gen["entries"][draw(index)][draw(index)] = draw(_JSON_SCALARS)
+    return site, cert
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tampered_clifford_certificate())
+def test_integer_verifier_matches_fraction_reference_on_generator_form(case):
     site, cert = case
     expected = reference_verify_certificate(cert)
     assert _verify_certificate_dict(cert) == expected

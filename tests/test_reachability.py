@@ -96,8 +96,10 @@ def _commands(tmp: Path) -> list:
         ["algebra", "verify", f["local3_constants"]],
         ["frobenius", local3_mixed],
         ["frobenius", f["dual_numbers_constants"], "--format", "text"],
-        ["clifford", "--s", "1", "--t", "1", "--check-rank", "--emit", str(tmp / "cl.json")],
+        ["clifford", "--s", "1", "--t", "1", "--check-rank", "--emit", str(tmp / "cl.json"),
+         "--out", str(tmp / "cl_report.json")],
         ["rank", str(tmp / "cl.json")],
+        ["verify-report", str(tmp / "cl_report.json")],  # a basis in generator form
         ["distributions", "--dims", "2,2", "--conjugate", f["conjugation_q4"],
          "--emit", str(tmp / "dist.json"), "--format", "text"],
         ["planar", "--basis", f["complex_r4_basis"], "--connection", f["flat4_connection"],
