@@ -91,11 +91,27 @@ def _int(value, path, field) -> int:
     return value
 
 
-def exact_scalar_from_json(value, path, field) -> Fraction:
+def exact_pair_from_json(value, path, field) -> tuple[int, int]:
+    """An exact scalar as (numerator, denominator), not reduced.
+
+    A JSON int is taken over 1, and an ASCII ``-?digits/digits`` string of
+    at most ``MAX_DIGITS`` characters with a nonzero denominator is split by
+    ``int()``; any other value is read by ``Fraction``, whose rules (and the
+    digit limit) decide what is accepted and with which message.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if slash and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
+            try:  # int() refuses more digits than a lowered interpreter limit
+                num, den = int(num), int(den)
+            except ValueError:
+                den = 0
+            if den:
+                return num, den
     if isinstance(value, bool):
         raise InputFormatError(path, field, "booleans are not scalars")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         # only an exponent or a string past MAX_DIGITS can pass the limit, and an
         # exponent past 2 * MAX_DIGITS does, refused before 10**exponent is built
@@ -107,12 +123,17 @@ def exact_scalar_from_json(value, path, field) -> Fraction:
         if out is None or (exponent or len(value) > MAX_DIGITS) and max(
                 abs(out.numerator), out.denominator) >= _TOO_LONG:
             raise InputFormatError(path, field, f"more than {MAX_DIGITS} digits")
-        return out
+        return out.numerator, out.denominator
     if isinstance(value, float):
         raise InputFormatError(
             path, field, "floats are not accepted as exact scalars; write p/q or an integer"
         )
     raise InputFormatError(path, field, f"not a scalar: {value!r}")
+
+
+def exact_scalar_from_json(value, path, field) -> Fraction:
+    num, den = exact_pair_from_json(value, path, field)
+    return Fraction(num, den) if den != 1 else Fraction(num)  # the one-argument form is faster
 
 
 def float_scalar_from_json(value, path, field) -> float:

@@ -12,7 +12,7 @@ import pytest
 from affinor_rank import (AffinorBasis, CliffordBasis, CliffordSignature, ConnectionSpec, Matrix,
                           StructureConstants, build_clifford, certify_generic_rank, jsonio)
 from affinor_rank.cli import _indices_below, _is_cube
-from affinor_rank.errors import DimensionMismatch
+from affinor_rank.errors import DimensionMismatch, InputFormatError
 from affinor_rank.hullrank import DEFAULT_SEED, DEFAULT_TRIALS
 from affinor_rank.multipoly import Poly
 from affinor_rank.planarity import _covariant_jet
@@ -105,6 +105,31 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(v == 0 for row in fraction_rows(m) for v in row)
 
 
+def reference_exact_scalar(value, path, field) -> Fraction:
+    """The exact scalar reader as it was written over ``Fraction(str)``, the
+    reference for ``jsonio.exact_pair_from_json``: same values, same errors."""
+    if isinstance(value, bool):
+        raise InputFormatError(path, field, "booleans are not scalars")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2] if "e" in value or "E" in value else ""
+        try:
+            out = None if exponent and abs(int(exponent)) > 2 * jsonio.MAX_DIGITS else Fraction(
+                value)
+        except (ValueError, ZeroDivisionError):
+            raise InputFormatError(path, field, f"not a valid rational: {value!r}")
+        if out is None or (exponent or len(value) > jsonio.MAX_DIGITS) and max(
+                abs(out.numerator), out.denominator) >= 10 ** jsonio.MAX_DIGITS:
+            raise InputFormatError(path, field, f"more than {jsonio.MAX_DIGITS} digits")
+        return out
+    if isinstance(value, float):
+        raise InputFormatError(
+            path, field, "floats are not accepted as exact scalars; write p/q or an integer"
+        )
+    raise InputFormatError(path, field, f"not a scalar: {value!r}")
+
+
 # The certificate verifier as it was written over Fractions, the reference
 # for the integer verifier in ``cli``: same checks, same order, same messages.
 
@@ -150,7 +175,7 @@ def reference_verify_certificate(cert: dict, where: str = "<report>") -> tuple[b
     """(ok, message) of the Fraction verifier on one certificate, whose basis
     in generator form it multiplies out word by word first."""
     def scalars(values, field):
-        return [jsonio.exact_scalar_from_json(v, where, field) for v in values]
+        return [reference_exact_scalar(v, where, field) for v in values]
 
     cert = densify(cert)
 

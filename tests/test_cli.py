@@ -674,6 +674,75 @@ def test_verify_report_rejects_a_changed_sparse_value(capsys, tmp_path):
         assert verdict["result"]["details"][0]["message"] == "closure equation fails at pair (1, 1)"
 
 
+@pytest.fixture(scope="module")
+def conjugated_planes_report(tmp_path_factory):
+    # "p/q" entries, a closure table, and one basis in both certificates
+    out = tmp_path_factory.mktemp("conjugated") / "report.json"
+    assert main(["distributions", "--dims", "2,2", "--conjugate",
+                 str(FIXTURES / "conjugation_q4.json"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rank = report["result"]["rank"]
+    assert rank["weak"]["basis"] == rank["generic"]["basis"]
+    assert rank["weak"]["basis"]["mats"][1]["entries"][0][0] == "3/2"
+    return report
+
+
+def test_verify_report_reads_a_shared_basis_once(monkeypatch, capsys, tmp_path,
+                                                 conjugated_planes_report):
+    calls = []
+    read = cli._mats_from_basis_json
+
+    def counted(basis_json, where, m):
+        calls.append(m)
+        return read(basis_json, where, m)
+
+    monkeypatch.setattr(cli, "_mats_from_basis_json", counted)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(conjugated_planes_report))
+    for _ in range(2):  # once per report: nothing read is kept for the next one
+        code, verdict = _run(capsys, "verify-report", str(path))
+        assert code == EXIT_POSITIVE
+        assert verdict["result"]["certificates_checked"] == 2
+    assert calls == [4, 4]
+
+
+_FLOAT = "floats are not accepted as exact scalars; write p/q or an integer"
+
+
+# one entry of one certificate's basis changed: the generic certificate is
+# checked first, so a changed weak basis meets the intact one already read;
+# 1.0 and true equal 1 under ==, and "6/4" and "1" spell the intact values
+@pytest.mark.parametrize("target", ["generic", "weak"])
+@pytest.mark.parametrize("mat, i, j, value, messages", [
+    pytest.param(0, 3, 3, 1.0, {"generic": f"field 'mats[0].entries': {_FLOAT}",
+                                "weak": f"field 'mats[0].entries': {_FLOAT}"}, id="float"),
+    pytest.param(0, 0, 0, True, {"generic": "field 'mats[0].entries': booleans are not scalars",
+                                 "weak": "field 'mats[0].entries': booleans are not scalars"},
+                 id="bool"),
+    pytest.param(0, 3, 3, 5, {"generic": "closure equation fails at pair (0, 0)",
+                              "weak": _NOT_THE_IDENTITY}, id="identity_changed"),
+    pytest.param(1, 0, 0, "3/1", {"generic": "closure equation fails at pair (1, 1)",
+                                  "weak": "ok"}, id="value_changed"),
+    pytest.param(1, 0, 0, "6/4", {"generic": "ok", "weak": "ok"}, id="respelled"),
+    pytest.param(0, 1, 1, "1", {"generic": "ok", "weak": "ok"}, id="int_as_string"),
+])
+def test_a_basis_differing_in_one_entry_is_read_on_its_own(
+        capsys, tmp_path, conjugated_planes_report, target, mat, i, j, value, messages):
+    report = json.loads(json.dumps(conjugated_planes_report))
+    report["result"]["rank"][target]["basis"]["mats"][mat]["entries"][i][j] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(path))
+    message = messages[target]
+    if message.startswith("field "):
+        message = f"malformed certificate: {path}: {message}"
+    want = {kind: ("ok" if kind != target else message) for kind in ("generic", "weak")}
+    assert {d["kind"]: d["message"] for d in verdict["result"]["details"]} == want
+    assert [d["ok"] for d in verdict["result"]["details"]] == [
+        want[kind] == "ok" for kind in ("generic", "weak")]
+    assert code == (EXIT_POSITIVE if all(v == "ok" for v in want.values()) else EXIT_NEGATIVE)
+
+
 # Cl(2,1) spans all of R^8, too much for a generic rank; the four planes of
 # R^8 get a generic certificate
 @pytest.mark.parametrize("argv, want", [

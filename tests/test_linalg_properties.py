@@ -16,6 +16,7 @@ one entry tampered.
 import itertools
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -57,8 +58,10 @@ from affinor_rank import (
 from affinor_rank import algebra, cli, frobenius
 from affinor_rank.algebra import ChatMatrices
 from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
-from affinor_rank.errors import InvalidAlgebra, InvalidBasis, NotClosed, NotInvertible
-from affinor_rank.jsonio import constants_from_json, matrix_from_json
+from affinor_rank.errors import (InputFormatError, InvalidAlgebra, InvalidBasis, NotClosed,
+                                 NotInvertible)
+from affinor_rank.jsonio import (MAX_DIGITS, constants_from_json, exact_pair_from_json,
+                                 exact_scalar_from_json, matrix_from_json)
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
 
 from conftest import (
@@ -75,6 +78,7 @@ from conftest import (
     matrix_algebra_2x2_constants,
     quaternion_constants,
     quaternion_matrices,
+    reference_exact_scalar,
     reference_verify_certificate,
     rotation_block,
 )
@@ -1232,6 +1236,31 @@ def test_verifier_rank_matches_fraction_elimination(rows):
     assert _fresh_rank(rows) == len(_naive_pivots([[Fraction(v) for v in row] for row in rows]))
 
 
+@st.composite
+def _sparse_rows_and_vector(draw):
+    """An m x m matrix as the verifier's sparse rows of (column, nonzero int),
+    with one nonzero a row (as in a Clifford generator) or any number, and a
+    vector of length m."""
+    m = draw(st.integers(1, 6))
+    one = draw(st.booleans())
+    rows = []
+    for _ in range(m):
+        cols = [draw(st.integers(0, m - 1))] if one else sorted(
+            draw(st.sets(st.integers(0, m - 1), max_size=m)))
+        rows.append([(c, draw(st.integers(-9, 9).filter(bool))) for c in cols])
+    return rows, draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+
+
+@given(_sparse_rows_and_vector())
+def test_verifier_apply_matches_the_dense_product(case):
+    rows, vec = case
+    dense = [[0] * len(vec) for _ in rows]
+    for out, row in zip(dense, rows):
+        for c, v in row:
+            out[c] = v
+    assert cli._apply(rows, vec) == [sum(a * x for a, x in zip(row, vec)) for row in dense]
+
+
 def _regular_local(k: int) -> tuple[Matrix, ...]:
     """Left multiplications of unity plus k - 1 square-zero elements, on two copies."""
     mats = [Matrix.identity(k)] + [
@@ -1249,7 +1278,8 @@ _CERTIFIED_SPANS = (
     tuple(block_double(a) for a in quaternion_matrices()),
 )
 
-_TAMPER_SITES = ("intact", "basis", "witness", "closure", "pair", "pivots", "collapsed")
+_TAMPER_SITES = ("intact", "basis", "witness", "closure", "pair", "pivots", "collapsed",
+                 "unity_doubled", "unity_moved", "coefficient")
 
 # a scalar as a report writes it, or as an unreduced fraction string
 _JSON_SCALARS = _SCALARS.flatmap(lambda v: st.sampled_from(
@@ -1261,7 +1291,9 @@ def _tampered_certificate(draw):
     """A generic certificate of a rescaled span in a random frame (small
     rational entries, or some near 2**31): intact, with one entry of its
     basis, witness, closure table, pair or pivots replaced, or with the
-    witness zeroed or the pair collapsed to y = x (rank drops)."""
+    witness zeroed or the pair collapsed to y = x (rank drops), or with
+    element 0 set to 2E, one entry of E moved, or one closure coefficient
+    (of a product with element 0 half the time) raised by one."""
     span = draw(st.sampled_from(_CERTIFIED_SPANS))
     m, n = span[0].rows, len(span)
     q, q_inv = draw(_frame(m))
@@ -1297,7 +1329,28 @@ def _tampered_certificate(draw):
             cert["witness"] = [0] * m
         else:
             cert["pair"]["y"] = list(cert["pair"]["x"])
+    elif site.startswith("unity"):
+        _tamper_unity(draw, site, cert, m)
+    elif site == "coefficient":
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if draw(st.booleans()):
+            i, j = draw(st.sampled_from(((0, j), (i, 0))))
+        cell = cert["closure"]["C"][i][j]
+        cell[k] = scalar_to_json(exact_scalar_from_json(cell[k], "", "") + 1)
     return site, cert
+
+
+def _tamper_unity(draw, site, cert, m):
+    """Element 0 of a certificate's basis, in dense "mats" form, set to 2E
+    (``unity_doubled``) or to E with one entry moved along its row."""
+    cert["basis"] = densify(cert["basis"])
+    entries = cert["basis"]["mats"][0]["entries"] = [
+        [int(r == s) for s in range(m)] for r in range(m)]
+    if site == "unity_doubled":
+        entries[:] = [[2 * v for v in row] for row in entries]
+    else:
+        r = draw(st.integers(0, m - 1))
+        entries[r][r], entries[r][(r + draw(st.integers(1, m - 1))) % m] = 0, 1
 
 
 @settings(max_examples=100)
@@ -1316,14 +1369,18 @@ def _tampered_clifford_certificate(draw):
     that the oracle's Fraction products stay small, its basis in generator
     form: intact, with its witness zeroed, or with one entry of its witness,
     pivots or a generator replaced (a generator's entry may be fractional,
-    which the integer verifier's rows carry as a positive scale)."""
+    which the integer verifier's rows carry as a positive scale); or, with
+    every blade listed under "mats" (the form without words), with element
+    0 set to 2E or one entry of E moved.  A weak certificate has no closure
+    table to change."""
     k = draw(st.integers(1, 4))
     s = draw(st.integers(0, k))
     cb = build_clifford(CliffordSignature(s, k - s))
     cert = json.loads(json.dumps(clifford_rank_theorem_check(cb).to_json()))
     m = 1 << k
     index = st.integers(0, m - 1)
-    site = draw(st.sampled_from(("intact", "zeroed", "witness", "pivots", "generator")))
+    site = draw(st.sampled_from(("intact", "zeroed", "witness", "pivots", "generator",
+                                 "unity_doubled", "unity_moved")))
     if site == "zeroed":
         cert["witness"] = [0] * m
     elif site == "witness":
@@ -1335,6 +1392,9 @@ def _tampered_clifford_certificate(draw):
         g = draw(st.integers(0, k - 1))
         gen = cert["basis"]["generators"][g] = densify(cert["basis"]["generators"][g])
         gen["entries"][draw(index)][draw(index)] = draw(_JSON_SCALARS)
+    elif site.startswith("unity"):
+        cert["basis"] = json.loads(json.dumps(cb.basis.to_json()))
+        _tamper_unity(draw, site, cert, m)
     return site, cert
 
 
@@ -1346,3 +1406,69 @@ def test_integer_verifier_matches_fraction_reference_on_generator_form(case):
     assert _verify_certificate_dict(cert) == expected
     if site == "intact":
         assert expected == (True, "ok")
+
+
+# exact scalars as a file may hold them: "p/q" with ASCII or other digits,
+# signs, spaces, underscores, decimals, exponents, zero or leading-zero
+# denominators, strings either side of MAX_DIGITS, and JSON's other values
+_DIGIT_TEXT = st.text(alphabet="0123456789", min_size=1, max_size=6)
+_SCALAR_TEXT = st.one_of(
+    st.builds("{}{}/{}".format, st.sampled_from(("", "-", "+", " ", "--", "\u2212")),
+              _DIGIT_TEXT, _DIGIT_TEXT),
+    st.text(alphabet="0123456789/-+ _.eE\u0663\u0966\u00b2", max_size=10),
+    st.sampled_from(("1/0", "0/00", "-0/1", "007/003", "1_000/7", "1/2 ", "\u0663/\u0664",
+                     "1.5", "-2.5e-3", "3E2", "1e8601", "/3", "3/", "")),
+    st.builds(lambda size, slash: "7" * (size - 2 * slash) + "/3" * slash,
+              st.sampled_from((MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1, MAX_DIGITS + 2)),
+              st.booleans()),
+)
+_JSON_SCALARS_ANY = st.one_of(_SCALAR_TEXT, st.integers(), st.booleans(), st.floats(),
+                              st.none())
+
+
+def _examples(values):
+    """``@example(v)`` for each of ``values``."""
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return decorate
+
+
+def _read_or_message(reader, value):
+    try:
+        return reader(value, "scalars.json", "x")
+    except InputFormatError as exc:
+        return str(exc)
+
+
+_READER_EXAMPLES = (
+    "1/0", "0/00", "007/003", "-3/4", "+3/4", " 3/4", "3_0/4", "\u0663/\u0664", "1.5", "1e3",
+    "7" * (MAX_DIGITS - 2) + "/3", "7" * (MAX_DIGITS - 1) + "/3", "7" * MAX_DIGITS,
+    "7" * (MAX_DIGITS + 1), 10 ** 30, -5, True, False, 1.0, None)
+
+
+@given(_JSON_SCALARS_ANY)
+@_examples(_READER_EXAMPLES)
+def test_pair_reader_matches_the_fraction_reader(value):
+    want = _read_or_message(reference_exact_scalar, value)
+    pair = _read_or_message(exact_pair_from_json, value)
+    scalar = _read_or_message(exact_scalar_from_json, value)
+    if isinstance(want, str):
+        assert pair == scalar == want
+    else:
+        assert pair[1] > 0 and Fraction(*pair) == want
+        assert type(scalar) is Fraction and scalar == want
+
+
+def test_pair_reader_under_a_lowered_digit_limit():
+    # int() then refuses what the "p/q" split would take, and Fraction says why
+    value = "7" * 700 + "/3"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = _read_or_message(exact_pair_from_json, value)
+        want = _read_or_message(reference_exact_scalar, value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want and "not a valid rational" in got

@@ -102,6 +102,10 @@ def _commands(tmp: Path) -> list:
         ["verify-report", str(tmp / "cl_report.json")],  # a basis in generator form
         ["distributions", "--dims", "2,2", "--conjugate", f["conjugation_q4"],
          "--emit", str(tmp / "dist.json"), "--format", "text"],
+        ["distributions", "--dims", "2,2", "--conjugate", f["conjugation_q4"],
+         "--out", str(tmp / "dist_report.json")],
+        # "p/q" entries, a closure table, and one basis in two certificates
+        ["verify-report", str(tmp / "dist_report.json")],
         ["planar", "--basis", f["complex_r4_basis"], "--connection", f["flat4_connection"],
          "--curve", f["helix_curve"], "--format", "text"],
         ["planar", "--basis", f["complex_r2_basis"], "--connection", poly_conn,
