@@ -18,13 +18,10 @@ and each matrix, from its dense ``"entries"`` or, with a parser of its
 own, its sparse ``"nonzeros"``, as sparse rows of integer numerators over
 its own denominator, multiplies sparse rows in plain Python ints, and
 ranks by plain integer Gaussian elimination with gcd reduction instead of
-the producers' fraction-free (Bareiss) elimination.  A basis that several
-certificates of one report embed is read once for that report.  A matrix
-with one nonzero a row is applied by index, a basis embedded as
+the producers' fraction-free (Bareiss) elimination.  A basis embedded as
 generators and one word per element (``clifford --check-rank``) is never
-multiplied out, and when element 0 is the identity the closure recheck
-takes its products with it as scalings.  A certificate whose data does
-not parse is rejected, not an input error.
+multiplied out.  A certificate whose data does not parse is rejected, not
+an input error.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import marshal
 import os
 import sys
 import time
@@ -435,8 +431,6 @@ def _mats_from_basis_json(basis_json: dict, where: str, m: int) -> list[tuple[li
 
 
 def _apply(mat, vec: list[int]) -> list[int]:
-    if set(map(len, mat)) == {1}:  # one nonzero a row, as in a Clifford generator
-        return [v * vec[s] for [(s, v)] in mat]
     return [sum([v * vec[s] for s, v in row]) for row in mat]
 
 
@@ -513,19 +507,7 @@ def _mistyped(fields: dict) -> Optional[str]:
     return None
 
 
-def _read_basis(basis_json: dict, where: str, m: int, seen: dict) -> list[tuple[list, int]]:
-    """``_mats_from_basis_json`` of a basis, read once however often it appears:
-    ``seen`` maps the marshal bytes of each basis read to its matrices.  Equal
-    bytes are equal JSON, types included, where ``==`` takes 1, 1.0 and true
-    for equal."""
-    key = marshal.dumps(basis_json, 2)  # version 2 writes no back-references
-    if key not in seen:
-        seen[key] = _mats_from_basis_json(basis_json, where, m)
-    return seen[key]
-
-
-def _verify_certificate_dict(cert: dict, where: str = "<report>",
-                             seen: Optional[dict] = None) -> tuple[bool, str]:
+def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool, str]:
     """Audit one embedded certificate from scratch.
 
     Recomputes the hull of the stored witness with fresh matrix-vector
@@ -538,7 +520,6 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>",
     no minor's singularity.  A weak certificate may embed its basis as
     generators and one word per element (``_word_rows``); its matrices are
     never built, and each hull row is one product with an earlier row.
-    A basis equal to one in ``seen`` (see ``_read_basis``) is not read again.
     """
     try:
         kind = cert["kind"]
@@ -583,18 +564,16 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>",
     count = max(n, len(mats_json))
     if count * m * m > jsonio.MAX_ENTRIES:
         return False, f"{count} matrices of {m}x{m} exceed {jsonio.MAX_ENTRIES} entries"
-    mats = _read_basis(basis_json, where, m, {} if seen is None else seen)
-    if words is not None:  # words[0] == [] is the identity, or _word_rows says so
+    mats = _mats_from_basis_json(basis_json, where, m)
+    if words is not None:
         hull_rows, problem = _word_rows(words, [mat for mat, _ in mats], witness)
         if problem:
             return False, problem
-        unity = True
     else:  # basis matrix k is mats[k] / den
         den = lcm(*(d for _, d in mats))
         mats = [mat if d == den else [[(s, v * (den // d)) for s, v in row] for row in mat]
                 for mat, d in mats]
         hull_rows = [_apply(mat, witness) for mat in mats]
-        unity = mats[0] == [[(i, den)] for i in range(m)]
     recomputed = _fresh_rank(hull_rows)
     if recomputed != claimed:
         return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
@@ -628,17 +607,13 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>",
         if not _is_cube(c, n):
             return False, f"closure.C is not {n} x {n} x {n}"
         # A_i A_j == sum_k c_ijk A_k with A_k = M_k / den and c_ij = p / q
-        # reads q * (M_i M_j) == den * sum_k p_k M_k; with M_0 = den * E,
-        # M_0 M_j and M_i M_0 are den * M_j and den * M_i, and are not multiplied
+        # reads q * (M_i M_j) == den * sum_k p_k M_k
         for i in range(n):
             for j in range(n):
+                prod = _matmul(mats[i], mats[j])
                 [p], q = _integer_rows([c[i][j]], where, "closure")
-                if unity and not i * j:
-                    prod = _combine([q * den], [mats[i or j]])
-                else:
-                    prod = _matmul(mats[i], mats[j])
-                    if q != 1:
-                        prod = [[q * v for v in row] for row in prod]
+                if q != 1:
+                    prod = [[q * v for v in row] for row in prod]
                 if prod != _combine([den * pk for pk in p], mats):
                     return False, f"closure equation fails at pair ({i}, {j})"
         if len(x) != m or len(y) != m:
@@ -648,7 +623,7 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>",
         if pair_rank != 2 * n or pair_dim != 2 * n:
             return False, f"pair span rank is {pair_rank}, expected {2 * n}"
     # checked last, so every earlier message stands: an affinor basis starts with E
-    if not unity:
+    if words is None and mats[0] != [[(i, den)] for i in range(m)]:
         return False, "first basis element is not the identity"
     return True, "ok"
 
@@ -675,10 +650,9 @@ def verify_certificate_detailed(report_path) -> tuple[bool, list[dict]]:
         raise MissingCertificate(f"{report_path}: no rank certificate found in report")
     details = []
     all_ok = True
-    seen: dict = {}  # the bases read so far, for this report only
     for idx, cert in enumerate(certs):
         try:
-            ok, message = _verify_certificate_dict(cert, str(report_path), seen)
+            ok, message = _verify_certificate_dict(cert, str(report_path))
         except InputFormatError as exc:  # a scalar or a nonzero list that does not parse
             ok, message = False, f"malformed certificate: {exc}"
         details.append({"index": idx, "kind": cert.get("kind"), "ok": ok, "message": message})

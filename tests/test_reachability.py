@@ -104,7 +104,7 @@ def _commands(tmp: Path) -> list:
          "--emit", str(tmp / "dist.json"), "--format", "text"],
         ["distributions", "--dims", "2,2", "--conjugate", f["conjugation_q4"],
          "--out", str(tmp / "dist_report.json")],
-        # "p/q" entries, a closure table, and one basis in two certificates
+        # "p/q" entries and a closure table, read as integer pairs
         ["verify-report", str(tmp / "dist_report.json")],
         ["planar", "--basis", f["complex_r4_basis"], "--connection", f["flat4_connection"],
          "--curve", f["helix_curve"], "--format", "text"],
