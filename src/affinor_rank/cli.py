@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     p_rank.add_argument("--generic", action="store_true",
                         help="run the full generic-rank pipeline")
     p_rank.add_argument("--probe-inversion", action="store_true",
-                        help="also sample span elements for invertibility")
+                        help="also test span elements for invertibility")
 
     p_frob = sub.add_parser("frobenius", help="Frobenius form detection",
                             parents=[common])
@@ -511,11 +511,11 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     """Audit one embedded certificate from scratch.
 
     Recomputes the hull of the stored witness with fresh matrix-vector
-    loops, ranks it by plain integer Gaussian elimination, rechecks the
-    pivot minor, and for generic certificates also rechecks the closure
-    equations, the dimension inequality and the pair witness; last, it
-    checks that basis element 0 is the identity.  Everything runs on
-    integer numerators: the basis over one common denominator D, and the
+    loops and ranks its pivot minor by plain integer Gaussian elimination,
+    which proves the hull rank; for generic certificates it also rechecks
+    the closure equations, the dimension inequality and the pair witness;
+    last, it checks that basis element 0 is the identity.  Everything runs
+    on integer numerators: the basis over one common denominator D, and the
     witness and pair vectors scaled by their own, which changes no rank and
     no minor's singularity.  A weak certificate may embed its basis as
     generators and one word per element (``_word_rows``); its matrices are
@@ -574,18 +574,23 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         mats = [mat if d == den else [[(s, v * (den // d)) for s, v in row] for row in mat]
                 for mat, d in mats]
         hull_rows = [_apply(mat, witness) for mat in mats]
-    recomputed = _fresh_rank(hull_rows)
-    if recomputed != claimed:
-        return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
     pivot_rows = cert.get("pivot_rows", [])
     pivot_cols = cert.get("pivot_cols", [])
+    problem = None
     if not _indices_below(pivot_rows, n) or not _indices_below(pivot_cols, m):
-        return False, "pivot indices are not integers within the hull matrix"
-    if len(pivot_rows) != claimed or len(pivot_cols) != claimed:
-        return False, "pivot sets do not match the claimed rank"
-    minor = [[hull_rows[i][j] for j in pivot_cols] for i in pivot_rows]
-    if _fresh_rank(minor) < claimed:
-        return False, "certified pivot minor is singular"
+        problem = "pivot indices are not integers within the hull matrix"
+    elif len(pivot_rows) != claimed or len(pivot_cols) != claimed:
+        problem = "pivot sets do not match the claimed rank"
+    elif _fresh_rank([[hull_rows[i][j] for j in pivot_cols] for i in pivot_rows]) < claimed:
+        problem = "certified pivot minor is singular"
+    # a nonsingular claimed x claimed minor of the n = claimed hull rows
+    # proves the hull rank; the whole hull is ranked only to name the first
+    # check that fails
+    if problem:
+        recomputed = _fresh_rank(hull_rows)
+        if recomputed != claimed:
+            return False, f"hull rank of the witness is {recomputed}, claim was {claimed}"
+        return False, problem
     if kind == "generic":
         try:
             c = cert["closure"]["C"]

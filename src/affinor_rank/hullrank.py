@@ -293,7 +293,10 @@ class Inapplicable:
 
 @dataclass(frozen=True)
 class AllSampledInvertible:
-    """Every sampled span element was invertible: evidence, not proof."""
+    """No candidate span element was singular; ``samples`` counts the n + 1
+    fixed and ``trials`` random candidates this covers.  A closed division
+    algebra holds no singular one, and its random ones are not drawn;
+    otherwise each was decided by elimination: evidence, not proof."""
 
     samples: int
     implied_weak_rank: int
@@ -543,29 +546,65 @@ def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fra
     return tuple(out)
 
 
+def _is_division_algebra(basis: AffinorBasis) -> bool:
+    """Whether the span is closed and every nonzero element of it invertible.
+
+    A closed span is a real algebra acting on R^m, so by Frobenius's
+    theorem (1878; Palais, Amer. Math. Monthly 75, 1968) that makes it R, C
+    or H (n = 1, 2 or 4), and holds exactly when tr(a^2) < 0 for every
+    nonzero a in it with tr a = 0.  With N_i the stack's numerators, those
+    a are spanned by m N_i - tr(N_i) E for i >= 1, whose trace form is m
+    times G_ij = m tr(N_i N_j) - tr N_i tr N_j: negative definite exactly
+    when every leading principal minor of -G is positive (Sylvester).
+    """
+    n, m, s = basis.n, basis.m, basis.stacked
+    if n not in (1, 2, 4):
+        return False
+    try:
+        _algebra.from_affinors(basis)
+    except (NotClosed, InvalidBasis):
+        return False
+    squares = s.nums.reshape(n, m, m)
+    # row (a, b) holds entry [b][a] of each N_j, so the product's [i][j] is tr(N_i N_j)
+    flipped = _Scaled(squares.transpose(2, 1, 0).reshape(m * m, n), s.den, s.bound)
+    traces = _int_product(s, flipped, m * m).tolist()
+    t = squares.trace(axis1=1, axis2=2).tolist()
+    neg = [[t[i] * t[j] - m * traces[i][j] for j in range(1, n)] for i in range(1, n)]
+    for k in range(1, n):
+        rk, _, _, sign, last = _bareiss_rank([row[:k] for row in neg[:k]])
+        if rk < k or sign * last < 0:
+            return False
+    return True
+
+
 def inversion_probe(
     basis: AffinorBasis,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> Union[AllSampledInvertible, CounterexampleFound]:
-    """Sample span elements and test invertibility.
+    """Test span elements for invertibility.
 
-    A singular sample refutes "every nonzero element is invertible"
-    definitively; an all-pass is probabilistic evidence only and says so.
-    Basis elements themselves and the all-ones combination are tried before
-    random coefficients.  A batch of samples is one integer product of
-    their coefficients with the stacked basis, and a sample is singular
+    A singular candidate refutes "every nonzero element is invertible"
+    definitively.  Basis elements themselves and the all-ones combination
+    are tried first; past them, a closed division algebra
+    (``_is_division_algebra``) draws no random candidate, as none can be
+    singular, and for any other span an all-pass is probabilistic evidence
+    only and says so.  A batch of candidates is one integer product of
+    their coefficients with the stacked basis, and a candidate is singular
     exactly when fraction-free elimination of its numerators drops rank.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = basis.n, basis.m
-    candidates = itertools.chain(
-        _deterministic_candidates(n), _random_candidates(random.Random(seed), n, trials)
-    )
-    coeffs, _, tried, _ = _first_hit(
-        candidates, lambda batch: combine(batch, basis.stacked).nums.reshape(-1, m).tolist(),
+
+    def candidates():
+        yield from _deterministic_candidates(n)
+        if not _is_division_algebra(basis):
+            yield from _random_candidates(random.Random(seed), n, trials)
+
+    coeffs, _, _, _ = _first_hit(
+        candidates(), lambda batch: combine(batch, basis.stacked).nums.reshape(-1, m).tolist(),
         m, n * m * m, False)
     if coeffs is not None:
         return CounterexampleFound(coeffs=exact_vector(coeffs), det=Fraction(0))
-    return AllSampledInvertible(samples=tried, implied_weak_rank=n)
+    return AllSampledInvertible(samples=n + 1 + trials, implied_weak_rank=n)

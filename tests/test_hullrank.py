@@ -413,6 +413,17 @@ def test_inversion_probe_projector_counterexample():
     assert result.det == 0
 
 
+def test_inversion_probe_samples_a_span_that_is_not_closed():
+    # the trace-zero A has tr(A^2) = -10 < 0, but A^2 leaves span{E, A}, so
+    # the theorem does not apply, and sampling finds a multiple of A +- 2E
+    a = Matrix.exact([[0, -3, 0, 0], [3, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]])
+    basis = AffinorBasis.of((Matrix.identity(4), a))
+    assert not hullrank._is_division_algebra(basis)
+    result = inversion_probe(basis)
+    assert isinstance(result, CounterexampleFound)
+    assert abs(result.coeffs[0]) == 2 * abs(result.coeffs[1])
+
+
 def test_inversion_probe_identity_span():
     basis = AffinorBasis.of((Matrix.identity(3),))
     assert isinstance(inversion_probe(basis), AllSampledInvertible)
@@ -435,11 +446,19 @@ def _counting(monkeypatch, module, name, counts, *aliases):
 
 
 def test_searches_make_one_product_per_batch(monkeypatch, quaternions_r8):
-    # batches double from 1, so 85 pair candidates take 7 products and 69
-    # probe samples 7; a one-at-a-time search makes 85 and 69
+    # batches double from 1, so 85 pair candidates take 7 products and 67
+    # probe samples 7; a one-at-a-time search makes 85 and 67
     from affinor_rank import hullrank
 
-    counts = {}
+    counts, drawn = {}, []
+    real_draws = hullrank._random_candidates
+
+    def counted_draws(*args):
+        for vec in real_draws(*args):
+            drawn.append(vec)
+            yield vec
+
+    monkeypatch.setattr(hullrank, "_random_candidates", counted_draws)
     _counting(monkeypatch, hullrank, "_images", counts)
     _counting(monkeypatch, linalg, "combine", counts, hullrank)
     _counting(monkeypatch, linalg, "rank", counts, hullrank)
@@ -451,6 +470,15 @@ def test_searches_make_one_product_per_batch(monkeypatch, quaternions_r8):
     assert isinstance(outcome, NoWitnessFound) and outcome.stage == "pair"
     assert outcome.trials == 15 + 6 + 64
     assert counts.pop("_images") - weak_products <= 8
-    assert isinstance(inversion_probe(quaternions_r8), AllSampledInvertible)
-    assert counts.pop("combine") <= 8
+    # {E, M} with M^2 = 2E has no rational singular element, and is no
+    # division algebra, so every random candidate is drawn
+    two = AffinorBasis.of((Matrix.identity(2), Matrix.exact([[0, 2], [1, 0]])))
+    drawn.clear()
+    assert inversion_probe(two) == AllSampledInvertible(samples=67, implied_weak_rank=2)
+    assert len(drawn) == 64 and counts.pop("combine") <= 8
+    # the quaternions are a division algebra: its 5 fixed candidates take
+    # batches of 1, 2 and 2, and no random one is drawn
+    drawn.clear()
+    assert inversion_probe(quaternions_r8) == AllSampledInvertible(samples=69, implied_weak_rank=4)
+    assert counts.pop("combine") == 3 and not drawn
     assert "rank" not in counts

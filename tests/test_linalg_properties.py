@@ -1083,6 +1083,65 @@ def test_inversion_probe_finds_the_first_singular_candidate(basis, seed, trials)
         assert got == CounterexampleFound(coeffs=expected, det=Fraction(0))
 
 
+def _shift(m: int, k: int) -> Matrix:
+    """The k-th power of the nilpotent Jordan block of size m."""
+    return Matrix.exact([[int(j == i + k) for j in range(m)] for i in range(m)])
+
+
+def _doubled(*mats):
+    return tuple(block_double(Matrix.exact(a)) for a in mats)
+
+
+_E2 = [[1, 0], [0, 1]]
+_ROOT_TWO = [[0, 2], [1, 0]]  # M^2 = 2E: no rational M + c E is singular
+
+# Closed spans on R^2 and R^4, and whether each is a division algebra.
+_CLOSED_SPANS = (
+    ((Matrix.identity(2),), True),
+    ((Matrix.identity(2), rotation_block(2)), True),
+    # E + J is not trace-free: the trace form is read on the trace-zero part
+    ((Matrix.identity(4), linear_combination([Matrix.identity(4), rotation_block(4)], [1, 1])),
+     True),
+    (quaternion_matrices(), True),
+    # dual numbers, and truncated polynomials on a Jordan block
+    ((Matrix.identity(2), _shift(2, 1)), False),
+    (_doubled(_E2, [[0, 1], [0, 0]]), False),
+    (tuple(_shift(3, k) for k in range(3)), False),
+    (tuple(_shift(4, k) for k in range(4)), False),
+    # M2(R) and C + C, whose fixed candidates are all invertible
+    (_doubled(_E2, [[2, 0], [0, -2]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]), False),
+    (tuple(Matrix.exact(a) for a in (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, -2, 0, 0], [2, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]],
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])), False),
+    ((Matrix.identity(2), Matrix.exact(_ROOT_TWO)), False),
+    (_doubled(_E2, _ROOT_TWO), False),
+)
+
+
+@st.composite
+def _framed_closed_span(draw):
+    """A closed span of ``_CLOSED_SPANS`` in a random frame, and whether it
+    is a division algebra."""
+    mats, division = draw(st.sampled_from(_CLOSED_SPANS))
+    m = mats[0].rows
+    q, q_inv = draw(_frame(m))
+    return AffinorBasis.of([Matrix(m, m, _naive_matmul(Matrix(m, m, _naive_matmul(q, a)), q_inv))
+                            for a in mats]), division
+
+
+@settings(max_examples=100)
+@given(_framed_closed_span(), st.integers(0, 3), st.integers(1, 40))
+def test_inversion_probe_decides_division_algebras_as_sampling_does(span, seed, trials):
+    basis, division = span
+    assert hullrank._is_division_algebra(basis) == division
+    # the probe must end as the test above's one-at-a-time cofactor search
+    # over every candidate ends, also where it draws no random candidate
+    test_inversion_probe_finds_the_first_singular_candidate.hypothesis.inner_test(
+        basis, seed, trials)
+
+
 def _draws(rng, m, trials):
     """The seeded random candidates, written out: entries in [-b, b], with
     b = 4 doubled every 8 draws, and the zero vector drawn again."""

@@ -75,6 +75,11 @@ def _commands(tmp: Path) -> list:
     # {E, E_12, E_21} is not closed: E_12 E_21 = E_11 leaves the span
     open_span = _write(tmp / "open.json", _basis([eye6, _unit(6, 0, 1), _unit(6, 1, 0)]))
     singular = _write(tmp / "singular.json", _basis([[[1, 0], [0, 1]], _unit(2, 0, 0)]))
+    # M2(R) as {E, 2X, Y, Z} on R^4 (doubled, as n <= m): its fixed candidates
+    # are invertible, and the trace form shows it is no division algebra
+    m2 = _write(tmp / "m2.json", _basis([
+        [r + [0, 0] for r in a] + [[0, 0] + r for r in a]
+        for a in ([[1, 0], [0, 1]], [[2, 0], [0, -2]], [[0, 1], [1, 0]], [[0, -1], [1, 0]])]))
     poly = [[[[] for _ in range(2)] for _ in range(2)] for _ in range(2)]
     poly[0][1][1] = [[0.5, [1, 0]]]
     poly_conn = _write(tmp / "poly.json", {"m": 2, "gamma": {"poly": poly}})
@@ -93,6 +98,7 @@ def _commands(tmp: Path) -> list:
         ["rank", f["quaternion_r4_basis"], "--generic", "--format", "text"],
         ["rank", open_span, "--generic"],
         ["rank", singular, "--probe-inversion"],
+        ["rank", m2, "--probe-inversion"],
         ["algebra", "verify", f["local3_constants"]],
         ["frobenius", local3_mixed],
         ["frobenius", f["dual_numbers_constants"], "--format", "text"],
