@@ -41,22 +41,32 @@ def dump(name, payload):
     print(f"wrote {path}")
 
 
+def labelled(obj):
+    """``obj`` with ``"mode": "exact"`` on it and on each matrix it lists.
+    Writers no longer emit the label; the fixtures keep the form older
+    versions wrote, so running them shows that readers still take it."""
+    out = dict(obj, mode="exact")
+    if "mats" in obj:
+        out["mats"] = [dict(mj, mode="exact") for mj in obj["mats"]]
+    return out
+
+
 def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
 
     e4 = Matrix.identity(4)
-    dump("complex_r4_basis.json", AffinorBasis.of((e4, rotation_block(4))).to_json())
+    dump("complex_r4_basis.json", labelled(AffinorBasis.of((e4, rotation_block(4))).to_json()))
     dump(
         "complex_r2_basis.json",
-        AffinorBasis.of((Matrix.identity(2), rotation_block(2))).to_json(),
+        labelled(AffinorBasis.of((Matrix.identity(2), rotation_block(2))).to_json()),
     )
     dump(
         "quaternion_r8_basis.json",
-        AffinorBasis.of(tuple(Matrix.exact(double(q)) for q in QUATERNIONS)).to_json(),
+        labelled(AffinorBasis.of(tuple(Matrix.exact(double(q)) for q in QUATERNIONS)).to_json()),
     )
     dump(
         "quaternion_r4_basis.json",
-        AffinorBasis.of(tuple(map(Matrix.exact, QUATERNIONS))).to_json(),
+        labelled(AffinorBasis.of(tuple(map(Matrix.exact, QUATERNIONS))).to_json()),
     )
 
     dual = {"n": 2, "C": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
@@ -102,7 +112,7 @@ def main():
 
     dump(
         "conjugation_q4.json",
-        Matrix.exact([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]]).to_json(),
+        labelled(Matrix.exact([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]]).to_json()),
     )
 
 

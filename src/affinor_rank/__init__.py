@@ -72,7 +72,6 @@ from .hullrank import (
     hull,
     inversion_probe,
     pair_span_dim,
-    scalar_multiple_check,
     weak_rank_witness,
 )
 from .linalg import (

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidAlgebra, InvalidBasis, NotClosed, ShapeMismatch
 from .linalg import (
-    EXACT, Matrix, SpanSolver, _Scaled, _int_product, _is_identity_times, _json_rows, _rows_equal,
+    Matrix, SpanSolver, _Scaled, _int_product, _is_identity_times, _json_rows, _rows_equal,
     _view, pairwise_products, products_refused,
 )
 
@@ -61,7 +61,7 @@ class StructureConstants:
 
     def to_json(self) -> dict:
         rows, n = _json_rows(self.table._scaled.nums, self.table._scaled.den), self.n
-        return {"n": n, "mode": EXACT, "C": [rows[i * n:(i + 1) * n] for i in range(n)]}
+        return {"n": n, "C": [rows[i * n:(i + 1) * n] for i in range(n)]}
 
 
 @dataclass(frozen=True, eq=False)

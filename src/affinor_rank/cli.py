@@ -187,14 +187,9 @@ def _cmd_algebra_verify(args) -> tuple[int, dict]:
 def _cmd_rank(args) -> tuple[int, dict]:
     basis = jsonio.basis_from_json(jsonio.load_json(args.basis), args.basis)
     seed = args.seed if args.seed is not None else _env_seed()
-    multiples = _hullrank.scalar_multiple_check(basis)
     result: dict = {
         "m": basis.m,
         "n": basis.n,
-        "scalar_multiples_of_identity": [
-            {"index": i + 1, "is_multiple": flag, "q": None if q is None else str(q)}
-            for i, (flag, q) in enumerate(multiples)
-        ],
         "evidence": {"trials": args.trials, "seed": seed},
     }
     if args.probe_inversion:
@@ -252,9 +247,6 @@ def _cmd_clifford(args) -> tuple[int, dict]:
         "dimension": sig.dim,
         "labels": list(cb.labels),
         "relations": relations.to_json(),
-        # basis position 1..k+1 holds what is often indexed 0..k elsewhere:
-        # the unity occupies position 1.
-        "index_note": "basis indices are 1-based with the unity first",
     }
     if args.emit:
         _write(args.emit, "--emit", _encode(cb.to_json()))
@@ -542,14 +534,15 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
     if not isinstance(mats_json, list) or not isinstance(elements, list) or len(
             elements) != n or len(witness) != m:
         return False, "certificate dimensions are inconsistent"
-    # the labels a reader of the basis checks must agree with the entries
-    if basis_json.get("mode") != "exact":
-        return False, f"basis.mode is {basis_json.get('mode')!r}, expected 'exact'"
+    # the labels a reader of the basis checks must agree with the entries;
+    # "mode" is optional, as on input
+    if basis_json.get("mode", "exact") != "exact":
+        return False, f"basis.mode is {basis_json['mode']!r}, expected 'exact'"
     for k, mj in enumerate(mats_json):
         if not isinstance(mj, dict):
             return False, f"{key}[{k}] is not a matrix object"
-        if mj.get("mode") != "exact":
-            return False, f"{key}[{k}].mode is {mj.get('mode')!r}, expected 'exact'"
+        if mj.get("mode", "exact") != "exact":
+            return False, f"{key}[{k}].mode is {mj['mode']!r}, expected 'exact'"
         for field in ("rows", "cols"):
             if type(mj.get(field)) is not int or mj[field] != m:
                 return False, f"{key}[{k}].{field} is {mj.get(field)!r}, expected {m}"
@@ -593,7 +586,8 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
         return False, problem
     if kind == "generic":
         try:
-            c = cert["closure"]["C"]
+            closure = cert["closure"]
+            c = closure["C"]
             pair = cert["pair"]
             [x], _ = _integer_rows([pair["x"]], where, "pair.x")
             [y], _ = _integer_rows([pair["y"]], where, "pair.y")
@@ -609,6 +603,10 @@ def _verify_certificate_dict(cert: dict, where: str = "<report>") -> tuple[bool,
             return False, "dimension inequality record is wrong"
         if ineq_m != m:
             return False, "dimension inequality module size is wrong"
+        if type(closure.get("n")) is not int or closure["n"] != n:
+            return False, f"closure.n is {closure.get('n')!r}, expected {n}"
+        if closure.get("mode", "exact") != "exact":
+            return False, f"closure.mode is {closure['mode']!r}, expected 'exact'"
         if not _is_cube(c, n):
             return False, f"closure.C is not {n} x {n} x {n}"
         # A_i A_j == sum_k c_ijk A_k with A_k = M_k / den and c_ij = p / q

@@ -43,7 +43,6 @@ from typing import Iterator, Optional, Sequence, Union
 from . import algebra as _algebra
 from .errors import DimensionMismatch, InvalidBasis, NotClosed
 from .linalg import (
-    EXACT,
     ExactVector,
     Matrix,
     RankResult,
@@ -143,7 +142,7 @@ class AffinorBasis:
         """Every element matrix under ``"mats"``; with ``generators`` and
         known words, the generator matrices and the words instead (a weak
         certificate's form: the closure recheck needs every element)."""
-        out = {"m": self.m, "n": self.n, "mode": EXACT}
+        out = {"m": self.m, "n": self.n}
         if not generators or self.words is None:
             out["mats"] = matrices_json(self.stacked, self.m, self.m)
             return out
@@ -534,16 +533,6 @@ def certify_generic_rank(
 # ---------------------------------------------------------------------------
 # Side checks
 # ---------------------------------------------------------------------------
-
-
-def scalar_multiple_check(basis: AffinorBasis) -> tuple[tuple[bool, Optional[Fraction]], ...]:
-    """For each non-identity element, whether it is a scalar multiple of E."""
-    s, out = basis.stacked, []
-    for nums in s.nums[1:]:
-        q = int(nums[0])
-        ok = q != 0 and bool(_is_identity_times(nums, q, basis.m))
-        out.append((ok, Fraction(q, s.den) if ok else None))
-    return tuple(out)
 
 
 def _is_division_algebra(basis: AffinorBasis) -> bool:

@@ -7,22 +7,19 @@ methods); this module only reads.
 
 Formats:
 
-* matrix: ``{"rows": r, "cols": c, "mode": "exact", "entries": [[..],
-  ..]}`` with entries written as integers or "p/q" strings, or the sparse
-  form ``{"rows": r, "cols": c, "mode": "exact", "nonzeros": [[i, j, v],
-  ..]}`` listing the nonzero entries v at row i and column j; ``"mode"`` is
-  required and ``"exact"`` is its only accepted value.  ``Matrix.to_json``
-  writes the sparse form when the matrix is not empty and at most one
-  entry in eight is nonzero.  A matrix has exactly one of ``"entries"``
-  and ``"nonzeros"``; in ``"nonzeros"`` the indices are integers (not
-  booleans) within the shape, the pairs (i, j) come in strictly
-  increasing row-major order (so none repeats), and no v is zero.  A
-  matrix holds at most ``MAX_ENTRIES`` entries, sparse or dense;
-* affinor basis: ``{"m": m, "n": n, "mode": "exact", "mats": [matrix,
-  ..]}``; a ``"mode"`` other than ``"exact"`` is rejected, as on its
-  matrices; n * m * m is at most ``MAX_ENTRIES``; a basis with n == m (an
-  operator span acting on its own coefficient space) is accepted on
-  load;
+* matrix: ``{"rows": r, "cols": c, "entries": [[..], ..]}`` with entries
+  written as integers or "p/q" strings, or the sparse form ``{"rows": r,
+  "cols": c, "nonzeros": [[i, j, v], ..]}`` listing the nonzero entries v
+  at row i and column j.  ``Matrix.to_json`` writes the sparse form when
+  the matrix is not empty and at most one entry in eight is nonzero.  A
+  matrix has exactly one of ``"entries"`` and ``"nonzeros"``; in
+  ``"nonzeros"`` the indices are integers (not booleans) within the shape,
+  the pairs (i, j) come in strictly increasing row-major order (so none
+  repeats), and no v is zero.  A matrix holds at most ``MAX_ENTRIES``
+  entries, sparse or dense;
+* affinor basis: ``{"m": m, "n": n, "mats": [matrix, ..]}``; n * m * m is
+  at most ``MAX_ENTRIES``; a basis with n == m (an operator span acting on
+  its own coefficient space) is accepted on load;
 * structure constants: ``{"n": n, "C": [[[..]]]}``, exact scalars, with
   1 <= n and n**4 at most ``linalg.MAX_PRODUCT_ENTRIES`` (n <= 32);
 * connection: ``{"m": m, "gamma": {"constant": [[[..]]]}}`` or ``{"m": m,
@@ -34,6 +31,10 @@ Formats:
   "velocities": optional}``.  Every number of a connection or a curve must
   be finite: NaN, infinities and integers past the float range are
   rejected.
+
+A matrix, a basis and structure constants may carry ``"mode"``, which
+older writers put on each of them: it is optional, ``"exact"`` is its only
+accepted value, and no writer emits it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Union
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import EXACT, Matrix, _scale, _scale_sparse, products_refused
+from .linalg import Matrix, _scale, _scale_sparse, products_refused
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
 
 #: Most entries a matrix, or a basis in all, may hold: the size of the
@@ -148,14 +149,17 @@ def float_scalar_from_json(value, path, field) -> float:
     return out
 
 
+def _check_mode(obj, path, field: str, refusal: str):
+    """Refuse a ``"mode"`` other than ``"exact"``; a missing one is exact."""
+    mode = obj.get("mode", "exact")
+    if mode != "exact":
+        raise InputFormatError(path, field, refusal.format(mode=mode))
+
+
 def matrix_from_json(obj, path, where: str = "") -> Matrix:
-    mode = _need(obj, "mode", path, where)
-    if mode != EXACT:
-        raise InputFormatError(
-            path, f"{where}mode", f"unsupported mode {mode!r}; matrices are exact"
-        )
     rows = _int(_need(obj, "rows", path, where), path, f"{where}rows")
     cols = _int(_need(obj, "cols", path, where), path, f"{where}cols")
+    _check_mode(obj, path, f"{where}mode", "unsupported mode {mode!r}; matrices are exact")
     if rows < 0 or cols < 0 or rows * cols > MAX_ENTRIES:
         raise InputFormatError(
             path, f"{where}rows", f"{rows}x{cols} is not a shape of at most {MAX_ENTRIES} entries")
@@ -219,9 +223,7 @@ def basis_from_json(obj, path) -> AffinorBasis:
             raise InputFormatError(path, f"mats[{i}]", f"expected an {m}x{m} matrix")
         mats.append(mat)
     # after the matrices, so a matrix's own mode error is the one reported
-    mode = obj.get("mode", EXACT)
-    if mode != EXACT:
-        raise InputFormatError(path, "mode", f"unsupported mode {mode!r}; bases are exact")
+    _check_mode(obj, path, "mode", "unsupported mode {mode!r}; bases are exact")
     return AffinorBasis.of(mats)
 
 
@@ -231,9 +233,7 @@ def constants_from_json(obj, path) -> StructureConstants:
     refused = f"an algebra with unity has n >= 1, got {n}" if n < 1 else products_refused(n, n)
     if refused:
         raise InputFormatError(path, "n", refused)
-    mode = obj.get("mode", EXACT)
-    if mode != EXACT:
-        raise InputFormatError(path, "mode", "structure constants must be exact")
+    _check_mode(obj, path, "mode", "structure constants must be exact")
     return StructureConstants.exact(_cube(_need(obj, "C", path, ""), n, path, "C",
                                           lambda v, at: exact_scalar_from_json(v, path, at)))
 

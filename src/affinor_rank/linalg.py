@@ -62,9 +62,6 @@ from .errors import InvalidBasis, NotInvertible, NotSquare, ShapeMismatch
 
 ExactVector = tuple[Fraction, ...]
 
-#: Scalar tag written into matrix JSON; the only one a reader accepts.
-EXACT = "exact"
-
 _ZERO = Fraction(0)
 
 
@@ -316,7 +313,7 @@ def _matrix_json(nums: np.ndarray, rows: int, cols: int, den: int) -> dict:
     one entry in eight is nonzero, ``"nonzeros"``, the triples [i, j, v] of
     its nonzero entries in row-major order (at that density never the longer
     text while both dimensions stay below 10**5), each value in lowest terms."""
-    out = {"rows": rows, "cols": cols, "mode": EXACT}
+    out = {"rows": rows, "cols": cols}
     if nums.size == 0 or 8 * np.count_nonzero(nums) > nums.size:
         out["entries"] = _json_rows(nums.reshape(rows, cols), den)
         return out

@@ -78,8 +78,6 @@ def test_rank_reads_entries_past_int64(capsys, tmp_path):
     code, report = _run(capsys, "rank", str(path))
     assert code == EXIT_POSITIVE
     assert report["result"]["claimed_rank"] == 2
-    assert report["result"]["scalar_multiples_of_identity"] == [
-        {"index": 1, "is_multiple": False, "q": None}]
     basis = densify(report["result"]["certificate"]["basis"])
     assert basis["mats"][1]["entries"][0][0] == big
 
@@ -496,12 +494,12 @@ def test_verify_report_rejects_malformed_certificate(capsys, tmp_path, tamper):
 # under "generators").
 
 
-def _set_in_matrix(path, value):
-    def tamper(mat):
+def _set_at(path, value):
+    def tamper(node):
         *parents, key = path
         for parent in parents:
-            mat = mat[parent]
-        mat[key] = value
+            node = node[parent]
+        node[key] = value
     return tamper
 
 
@@ -562,19 +560,19 @@ def _verdict_of_tampered(capsys, tmp_path, report, tamper, *path):
 _SPARSE_TAMPERS = pytest.mark.parametrize("tamper", [
     pytest.param(_both_forms, id="both_forms"),
     pytest.param(_neither_form, id="neither_form"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 0), False), id="index_bool"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 1), 1.0), id="index_float"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 1), "1"), id="index_string"),
-    pytest.param(_set_in_matrix(("nonzeros", -1, 1), 32), id="index_out_of_range"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 0), -1), id="index_negative"),
+    pytest.param(_set_at(("nonzeros", 0, 0), False), id="index_bool"),
+    pytest.param(_set_at(("nonzeros", 0, 1), 1.0), id="index_float"),
+    pytest.param(_set_at(("nonzeros", 0, 1), "1"), id="index_string"),
+    pytest.param(_set_at(("nonzeros", -1, 1), 32), id="index_out_of_range"),
+    pytest.param(_set_at(("nonzeros", 0, 0), -1), id="index_negative"),
     pytest.param(_swap_first_two, id="unsorted"),
     pytest.param(_repeat_first, id="duplicate"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 2), 0), id="value_zero"),
-    pytest.param(_set_in_matrix(("nonzeros", 0, 2), "1/z"), id="value_unparsable"),
-    pytest.param(_set_in_matrix(("nonzeros", 0), [0, 1]), id="pair_not_triple"),
-    pytest.param(_set_in_matrix(("nonzeros",), "[]"), id="not_a_list"),
-    pytest.param(_set_in_matrix(("rows",), 31), id="rows_not_m"),
-    pytest.param(_set_in_matrix(("cols",), 33), id="cols_not_m"),
+    pytest.param(_set_at(("nonzeros", 0, 2), 0), id="value_zero"),
+    pytest.param(_set_at(("nonzeros", 0, 2), "1/z"), id="value_unparsable"),
+    pytest.param(_set_at(("nonzeros", 0), [0, 1]), id="pair_not_triple"),
+    pytest.param(_set_at(("nonzeros",), "[]"), id="not_a_list"),
+    pytest.param(_set_at(("rows",), 31), id="rows_not_m"),
+    pytest.param(_set_at(("cols",), 33), id="cols_not_m"),
 ])
 
 
@@ -825,6 +823,94 @@ def test_verify_report_rejects_relabelled_basis(capsys, tmp_path, path, value, m
     assert verdict["result"]["details"][0]["message"] == message
 
 
+def _claim_rank_3(cert):
+    cert["claimed_rank"], cert["pivot_rows"], cert["pivot_cols"] = 3, [0, 1, 2], [0, 1, 2]
+
+
+# One check of the verifier each, on the quaternion_r8 generic report (m = 8,
+# n = 4); a vector one entry short once ended in exit 70 (IndexError)
+@pytest.mark.parametrize("tamper, message", [
+    (_set_at(("closure", "n"), 999), "closure.n is 999, expected 4"),
+    (_set_at(("closure", "mode"), "float"), "closure.mode is 'float', expected 'exact'"),
+    (_set_at(("kind",), "foo"), "unknown certificate kind 'foo'"),
+    (_claim_rank_3, "claimed rank 3 differs from span rank 4"),
+    (_set_at(("witness",), [1] + [0] * 6), "certificate dimensions are inconsistent"),
+    (_set_at(("pair", "x"), [1] + [0] * 6), "pair vectors do not match the module dimension"),
+], ids=["closure.n", "closure.mode", "kind", "claimed_rank", "witness_short", "pair.x_short"])
+def test_verify_report_rejects_a_tampered_generic_certificate(capsys, tmp_path, tamper, message):
+    code, result = _verdict_of_tampered(
+        capsys, tmp_path, _generic_report(tmp_path), tamper, "result", "certificate")
+    assert code == EXIT_NEGATIVE
+    assert result["verified"] is False
+    assert result["details"][0]["message"] == message
+
+
+def _with_exact_mode(obj):
+    """A copy of ``obj`` with ``"mode": "exact"`` on every matrix, basis and
+    closure table, as writers put it before they dropped the label."""
+    if isinstance(obj, list):
+        return [_with_exact_mode(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    out = {k: _with_exact_mode(v) for k, v in obj.items()}
+    if {"rows", "cols"} <= obj.keys() or {"m", "n"} <= obj.keys() or {"n", "C"} <= obj.keys():
+        out["mode"] = "exact"
+    return out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank", str(FIXTURES / "quaternion_r8_basis.json"), "--generic"], EXIT_POSITIVE),
+    (["rank", str(FIXTURES / "complex_r4_basis.json")], EXIT_POSITIVE),
+    (["clifford", "--s", "1", "--t", "1", "--check-rank"], EXIT_POSITIVE),
+    (["distributions", "--dims", "2,2", "--conjugate", str(FIXTURES / "conjugation_q4.json")],
+     EXIT_POSITIVE),
+], ids=["rank_generic", "rank_weak", "clifford", "distributions"])
+def test_verify_report_gives_old_and_new_reports_one_verdict(capsys, tmp_path, argv, code):
+    new = tmp_path / "new.json"
+    assert main(argv + ["--out", str(new)]) == code
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_with_exact_mode(json.loads(new.read_text()))))
+    assert old.read_text().count('"mode": "exact"') > 2
+    verdicts = [_run(capsys, "verify-report", str(path)) for path in (new, old)]
+    assert verdicts[0][0] == verdicts[1][0] == EXIT_POSITIVE
+    assert verdicts[0][1]["result"] == verdicts[1][1]["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["clifford", "--s", "1", "--t", "1"],
+    ["distributions", "--dims", "2,2"],
+], ids=["clifford", "distributions"])
+def test_emitted_bases_read_back_with_and_without_mode(capsys, tmp_path, argv):
+    new = tmp_path / "basis.json"
+    assert main(argv + ["--emit", str(new)]) == EXIT_POSITIVE
+    capsys.readouterr()
+    basis = json.loads(new.read_text())
+    assert "mode" not in basis and all("mode" not in mj for mj in basis["mats"])
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_with_exact_mode(basis)))
+    results = []
+    for path in (new, old):
+        code, report = _run(capsys, "rank", str(path))
+        assert code == EXIT_POSITIVE
+        results.append(report["result"])
+    assert results[0]["certificate"]["witness"] == results[1]["certificate"]["witness"]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("name", [
+    "complex_r2_basis", "complex_r4_basis", "quaternion_r4_basis", "quaternion_r8_basis"])
+def test_committed_fixtures_with_mode_read_as_without(capsys, tmp_path, name):
+    # the committed bases still carry "mode": "exact" on the basis and each matrix
+    fixture = FIXTURES / f"{name}.json"
+    text = fixture.read_text()
+    assert text.count('"mode": "exact",') == json.loads(text)["n"] + 1
+    bare = tmp_path / "bare.json"
+    bare.write_text(text.replace('"mode": "exact",', ""))
+    results = [_run(capsys, "rank", str(path))[1]["result"] for path in (fixture, bare)]
+    assert results[0] == results[1]
+    assert results[0]["outcome"] == "certified"
+
+
 def test_verify_report_rejects_an_empty_basis(capsys, tmp_path):
     # every check of an n = 0 certificate is vacuous; AffinorBasis refuses it too
     cert = {
@@ -929,17 +1015,18 @@ def test_float_mode_inputs_exit_with_data_error(capsys, tmp_path):
     q_path = tmp_path / "float_q.json"
     q_path.write_text(json.dumps(_float_matrix(4)))
     invocations = [
-        ["rank", str(basis_path)],
-        ["planar", "--basis", str(basis_path),
-         "--connection", str(FIXTURES / "flat4_connection.json"),
-         "--curve", str(FIXTURES / "helix_curve.json")],
-        ["distributions", "--dims", "2,2", "--conjugate", str(q_path)],
+        (["rank", str(basis_path)], basis_path, "mats[1].mode"),
+        (["planar", "--basis", str(basis_path),
+          "--connection", str(FIXTURES / "flat4_connection.json"),
+          "--curve", str(FIXTURES / "helix_curve.json")], basis_path, "mats[1].mode"),
+        (["distributions", "--dims", "2,2", "--conjugate", str(q_path)], q_path, "mode"),
     ]
-    for argv in invocations:
+    for argv, path, field in invocations:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == EXIT_DATA, argv
-        assert "mode" in err, argv
+        assert err == (f"affinor-rank: {path}: field '{field}': "
+                       "unsupported mode 'float'; matrices are exact\n"), argv
 
 
 @pytest.mark.parametrize("argv", [

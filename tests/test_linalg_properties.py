@@ -365,13 +365,13 @@ def _assert_matrix_json(got, m):
     # chosen by the one density rule and is never the longer text; both
     # forms read back into the same matrix
     dense = {
-        "rows": m.rows, "cols": m.cols, "mode": "exact", "entries": _dense_entries(m),
+        "rows": m.rows, "cols": m.cols, "entries": _dense_entries(m),
     }
     nonzero = sum(v != 0 for row in fraction_rows(m) for v in row)
     assert ("nonzeros" in got) == (0 < m.rows * m.cols >= 8 * nonzero)
     assert densify(got) == dense
     if "nonzeros" in got:
-        assert set(got) == {"rows", "cols", "mode", "nonzeros"}
+        assert set(got) == {"rows", "cols", "nonzeros"}
         positions = [(i, j) for i, j, _ in got["nonzeros"]]
         assert positions == sorted(set(positions)) and len(positions) == nonzero
         assert len(cli._encode(got)) <= len(cli._encode(dense))
@@ -841,8 +841,7 @@ def test_gram_matches_the_fraction_sum(sc, data):
 @example(StructureConstants.exact([[["1", "1/2"], ["-3/4", 0]], [[0, "5/7"], [1, "2/3"]]]))
 def test_table_round_trips_through_json_and_fractions(sc):
     c = constants_cube(sc)
-    written = {"n": sc.n, "mode": "exact",
-               "C": [[[scalar_to_json(v) for v in row] for row in plane] for plane in c]}
+    written = {"n": sc.n, "C": [[[scalar_to_json(v) for v in row] for row in plane] for plane in c]}
     text = json.dumps(sc.to_json(), sort_keys=True)
     assert text == json.dumps(written, sort_keys=True)
     back = constants_from_json(json.loads(text), "<mem>")
