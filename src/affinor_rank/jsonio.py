@@ -7,16 +7,11 @@ methods); this module only reads.
 
 Formats:
 
-* matrix: ``{"rows": r, "cols": c, "entries": [[..], ..]}`` with entries
-  written as integers or "p/q" strings, or the sparse form ``{"rows": r,
-  "cols": c, "nonzeros": [[i, j, v], ..]}`` listing the nonzero entries v
-  at row i and column j.  ``Matrix.to_json`` writes the sparse form when
-  the matrix is not empty and at most one entry in eight is nonzero.  A
-  matrix has exactly one of ``"entries"`` and ``"nonzeros"``; in
-  ``"nonzeros"`` the indices are integers (not booleans) within the shape,
-  the pairs (i, j) come in strictly increasing row-major order (so none
-  repeats), and no v is zero.  A matrix holds at most ``MAX_ENTRIES``
-  entries, sparse or dense;
+* matrix: ``{"rows": r, "cols": c}`` with dense ``"entries"``, integers or
+  "p/q" strings, or sparse ``"nonzeros"``, read by ``wire.matrix_content``;
+  ``Matrix.to_json`` writes the sparse form when the matrix is not empty
+  and at most one entry in eight is nonzero.  A matrix holds at most
+  ``MAX_ENTRIES`` entries, sparse or dense;
 * affinor basis: ``{"m": m, "n": n, "mats": [matrix, ..]}``; n * m * m is
   at most ``MAX_ENTRIES``; a basis with n == m (an operator span acting on
   its own coefficient space) is accepted on load;
@@ -39,45 +34,16 @@ accepted value, and no writer emits it.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Union
 
 from .algebra import StructureConstants
 from .errors import AffinorRankError, InputFormatError
 from .hullrank import AffinorBasis
-from .linalg import Matrix, _scale, _scale_sparse, products_refused
+from .linalg import Matrix, _sparse_view, products_refused
 from .planarity import ClosedFormCurve, ConnectionSpec, CurveSpec, SampledCurve
-
-#: Most entries a matrix, or a basis in all, may hold: the size of the
-#: largest stack the package builds, Cl(4,4)'s 256 blades of 256 x 256.  The
-#: sparse form leaves its zeros out, so without a cap a few bytes of input
-#: could ask for any amount of memory.
-MAX_ENTRIES = 1 << 24
-
-#: Most digits a scalar's numerator or denominator may have: Python's
-#: default limit on writing an int as text, which a report would hit.
-MAX_DIGITS = sys.int_info.default_max_str_digits
-_TOO_LONG = 10 ** MAX_DIGITS
-
-
-def load_json(path: Union[str, Path]) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputFormatError(path, "<file>", "file not found")
-    except OSError as exc:  # a directory, or no permission to read
-        raise InputFormatError(path, "<file>", f"cannot read: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(path, "<root>", f"not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except ValueError as exc:  # malformed, or an integer past MAX_DIGITS
-        raise InputFormatError(path, "<root>", f"invalid JSON: {exc}")
-    except RecursionError:
-        raise InputFormatError(path, "<root>", "JSON nested too deeply")
+# cli reads files through jsonio.load_json, where bench/tracing.py wraps it
+from .wire import MAX_ENTRIES, exact_pair_from_json, load_json, matrix_content  # noqa: F401
 
 
 def _need(obj: dict, key: str, path, where: str):
@@ -90,46 +56,6 @@ def _int(value, path, field) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(path, field, f"expected an integer, got {value!r}")
     return value
-
-
-def exact_pair_from_json(value, path, field) -> tuple[int, int]:
-    """An exact scalar as (numerator, denominator), not reduced.
-
-    A JSON int is taken over 1, and an ASCII ``-?digits/digits`` string of
-    at most ``MAX_DIGITS`` characters with a nonzero denominator is split by
-    ``int()``; any other value is read by ``Fraction``, whose rules (and the
-    digit limit) decide what is accepted and with which message.
-    """
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and len(value) <= MAX_DIGITS and value.isascii():
-        num, slash, den = value.partition("/")
-        if slash and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
-            try:  # int() refuses more digits than a lowered interpreter limit
-                num, den = int(num), int(den)
-            except ValueError:
-                den = 0
-            if den:
-                return num, den
-    if isinstance(value, bool):
-        raise InputFormatError(path, field, "booleans are not scalars")
-    if isinstance(value, str):
-        # only an exponent or a string past MAX_DIGITS can pass the limit, and an
-        # exponent past 2 * MAX_DIGITS does, refused before 10**exponent is built
-        exponent = value.lower().partition("e")[2] if "e" in value or "E" in value else ""
-        try:
-            out = None if exponent and abs(int(exponent)) > 2 * MAX_DIGITS else Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputFormatError(path, field, f"not a valid rational: {value!r}")
-        if out is None or (exponent or len(value) > MAX_DIGITS) and max(
-                abs(out.numerator), out.denominator) >= _TOO_LONG:
-            raise InputFormatError(path, field, f"more than {MAX_DIGITS} digits")
-        return out.numerator, out.denominator
-    if isinstance(value, float):
-        raise InputFormatError(
-            path, field, "floats are not accepted as exact scalars; write p/q or an integer"
-        )
-    raise InputFormatError(path, field, f"not a scalar: {value!r}")
 
 
 def exact_scalar_from_json(value, path, field) -> Fraction:
@@ -163,48 +89,8 @@ def matrix_from_json(obj, path, where: str = "") -> Matrix:
     if rows < 0 or cols < 0 or rows * cols > MAX_ENTRIES:
         raise InputFormatError(
             path, f"{where}rows", f"{rows}x{cols} is not a shape of at most {MAX_ENTRIES} entries")
-    if ("entries" in obj) == ("nonzeros" in obj):
-        raise InputFormatError(
-            path, f"{where}entries", 'expected exactly one of "entries" and "nonzeros"')
-    if "nonzeros" in obj:
-        return _sparse_matrix_from_json(obj["nonzeros"], rows, cols, path, f"{where}nonzeros")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise InputFormatError(path, f"{where}entries", f"expected {rows} rows")
-    values = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputFormatError(path, f"{where}entries[{i}]", f"expected {cols} entries")
-        if set(map(type, row)) <= {int}:  # plain JSON ints, bools excluded
-            values += row
-        else:
-            values += [exact_scalar_from_json(v, path, f"{where}entries[{i}][{j}]")
-                       for j, v in enumerate(row)]
-    return Matrix.from_view(_scale(values, (rows, cols)))
-
-
-def _sparse_matrix_from_json(items, rows: int, cols: int, path, field) -> Matrix:
-    """The matrix of a ``"nonzeros"`` list, checked as the module docstring says."""
-    if not isinstance(items, list):
-        raise InputFormatError(path, field, "expected a list of [i, j, value] triples")
-    positions, values = [], []
-    for k, item in enumerate(items):
-        at = f"{field}[{k}]"
-        if not isinstance(item, list) or len(item) != 3:
-            raise InputFormatError(path, at, "expected [i, j, value]")
-        i, j, v = item
-        if type(i) is not int or type(j) is not int or not (0 <= i < rows and 0 <= j < cols):
-            raise InputFormatError(
-                path, at, f"index ({i!r}, {j!r}) is not a pair of integers within {rows}x{cols}")
-        pos = i * cols + j
-        if positions and pos <= positions[-1]:
-            raise InputFormatError(path, at, "indices are not in increasing row-major order")
-        value = v if type(v) is int else exact_scalar_from_json(v, path, f"{at}[2]")
-        if not value:
-            raise InputFormatError(path, f"{at}[2]", "a listed entry is zero")
-        positions.append(pos)
-        values.append(value)
-    return Matrix.from_view(_scale_sparse(values, positions, (rows, cols)))
+    content, den = matrix_content(obj, rows, cols, path, where)
+    return Matrix.from_view(_sparse_view(content, (rows, cols), den))
 
 
 def basis_from_json(obj, path) -> AffinorBasis:

@@ -250,14 +250,15 @@ def _scale(values: Sequence[Union[int, Fraction]], shape: tuple[int, ...]) -> _S
     return _Scaled(np.array(nums, dtype=dtype).reshape(shape), den, bound)
 
 
-def _scale_sparse(values: Sequence[Union[int, Fraction]], positions: Sequence[int],
-                  shape: tuple[int, int]) -> _Scaled:
-    """Scaled view of the matrix of ``shape`` that is zero but for
-    ``values`` at the flat row-major ``positions``."""
-    nonzero = _scale(values, (len(values),))
-    nums = np.zeros(shape[0] * shape[1], dtype=nonzero.nums.dtype)
-    nums[positions] = nonzero.nums
-    return _Scaled(nums.reshape(shape), nonzero.den, nonzero.bound)
+def _sparse_view(content: list, shape: tuple[int, int], den: int) -> _Scaled:
+    """Scaled view of the matrix of ``shape`` that is zero but for the
+    integer numerators over ``den`` that ``content`` lists, row by row, as
+    (i, [(j, numerator), ..]) (``wire.matrix_content``)."""
+    values = [v for _, row in content for _, v in row]
+    bound = max(map(abs, values), default=0)
+    nums = np.zeros(shape[0] * shape[1], dtype=np.int64 if bound < _INT64_LIMIT else object)
+    nums[[i * shape[1] + j for i, row in content for j, _ in row]] = values
+    return _lowest_terms(nums.reshape(shape), den)
 
 
 def _product_dtype(a: _Scaled, b: _Scaled, inner: int):

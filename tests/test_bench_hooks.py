@@ -84,8 +84,9 @@ def test_bench_tracing_records_the_identity_checks(tmp_path, argv, want, span):
 
 
 def test_bench_tracing_records_the_verifier(tmp_path):
-    # the verifier's traced layers wrap _fresh_rank, _matmul and
-    # _mats_from_basis_json by name; the last reads sparse matrices too
+    # the verifier's traced layers wrap _fresh_rank, _matmul,
+    # _mats_from_basis_json and load_json by name wherever they are bound:
+    # in cli and jsonio, and in verify, which calls them as globals
     report = tmp_path / "generic.json"
     assert main(["rank", str(ROOT / "docs/fixtures/quaternion_r8_basis.json"), "--generic",
                  "--out", str(report)]) == 0
@@ -93,6 +94,7 @@ def test_bench_tracing_records_the_verifier(tmp_path):
     assert "nonzeros" in cert["basis"]["mats"][1]
     code, calls = _traced_calls(tmp_path, ["verify-report", str(report)])
     assert code == 0
-    for span in ("cli.verify.fresh_rank", "cli.verify.closure_recheck", "jsonio.build"):
+    for span in ("cli.verify", "cli.verify.fresh_rank", "cli.verify.closure_recheck",
+                 "jsonio.build", "jsonio.load"):
         assert calls.get(span, 0) > 0, span
 

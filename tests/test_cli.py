@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from affinor_rank import algebra, cli, clifford, distributions, linalg
+from affinor_rank import algebra, cli, clifford, distributions, linalg, verify, wire
 from affinor_rank.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -22,9 +23,9 @@ from affinor_rank.cli import (
     main,
     verify_certificate_detailed,
 )
-from affinor_rank.errors import MissingCertificate
-from affinor_rank.jsonio import MAX_ENTRIES
+from affinor_rank.errors import InputFormatError, MissingCertificate
 from affinor_rank.linalg import MAX_PRODUCT_ENTRIES, products_refused
+from affinor_rank.wire import MAX_ENTRIES
 
 from conftest import densify, reference_verify_certificate
 
@@ -557,7 +558,7 @@ def _verdict_of_tampered(capsys, tmp_path, report, tamper, *path):
     return code, verdict["result"]
 
 
-_SPARSE_TAMPERS = pytest.mark.parametrize("tamper", [
+_SPARSE_TAMPER_PARAMS = [
     pytest.param(_both_forms, id="both_forms"),
     pytest.param(_neither_form, id="neither_form"),
     pytest.param(_set_at(("nonzeros", 0, 0), False), id="index_bool"),
@@ -573,7 +574,8 @@ _SPARSE_TAMPERS = pytest.mark.parametrize("tamper", [
     pytest.param(_set_at(("nonzeros",), "[]"), id="not_a_list"),
     pytest.param(_set_at(("rows",), 31), id="rows_not_m"),
     pytest.param(_set_at(("cols",), 33), id="cols_not_m"),
-])
+]
+_SPARSE_TAMPERS = pytest.mark.parametrize("tamper", _SPARSE_TAMPER_PARAMS)
 
 
 @_SPARSE_TAMPERS
@@ -591,6 +593,67 @@ def test_verify_report_rejects_malformed_sparse_generator(capsys, tmp_path, cl32
                                         "result", "rank_certificate", "basis", "generators", 0)
     assert code == EXIT_NEGATIVE
     assert result["verified"] is False
+
+
+def _densified(tamper):
+    def dense_tamper(mat):
+        mat.update(densify(mat))
+        del mat["nonzeros"]
+        tamper(mat)
+    return dense_tamper
+
+
+def _shorten_row(mat):
+    mat["entries"][2].pop()
+
+
+# The one reader of a matrix's content, wire.matrix_content, serves both an
+# input basis and a basis embedded in a report; rows and cols are labels,
+# which each caller checks in its own words.
+_LABEL_TAMPERS = ("rows_not_m", "cols_not_m")
+
+
+@pytest.mark.parametrize("tamper", [p for p in _SPARSE_TAMPER_PARAMS
+                                    if p.id not in _LABEL_TAMPERS] + [
+    pytest.param(_densified(_set_at(("entries", 3, 3), 1.0)), id="dense_float"),
+    pytest.param(_densified(_set_at(("entries", 0, 0), True)), id="dense_bool"),
+    pytest.param(_densified(_shorten_row), id="dense_short_row"),
+    pytest.param(_densified(_set_at(("nonzeros",), [])), id="dense_both_forms"),
+])
+def test_one_matrix_defect_gives_one_message(capsys, tmp_path, planes_report, tamper):
+    basis = json.loads(json.dumps(planes_report["result"]["rank"]["generic"]["basis"]))
+    tamper(basis["mats"][1])
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    assert main(["rank", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    prefix = f"{cli.TOOL_NAME}: {path}: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    code, result = _verdict_of_tampered(capsys, tmp_path, planes_report, tamper,
+                                        "result", "rank", "generic", "basis", "mats", 1)
+    assert code == EXIT_NEGATIVE
+    assert result["details"][0]["message"] == (
+        f"malformed certificate: {tmp_path / 'tampered.json'}: {err[len(prefix):-1]}")
+
+
+@pytest.mark.parametrize("tamper, rank_error, verifier_message", [
+    (_set_at(("rows",), 31), "field 'mats[1]': expected an 8x8 matrix",
+     "mats[1].rows is 31, expected 8"),
+    (_set_at(("cols",), 33), "field 'mats[1]': expected an 8x8 matrix",
+     "mats[1].cols is 33, expected 8"),
+], ids=_LABEL_TAMPERS)
+def test_matrix_label_defects_keep_each_reader_s_message(
+        capsys, tmp_path, planes_report, tamper, rank_error, verifier_message):
+    basis = json.loads(json.dumps(planes_report["result"]["rank"]["generic"]["basis"]))
+    tamper(basis["mats"][1])
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    assert main(["rank", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"{cli.TOOL_NAME}: {path}: {rank_error}\n"
+    code, result = _verdict_of_tampered(capsys, tmp_path, planes_report, tamper,
+                                        "result", "rank", "generic", "basis", "mats", 1)
+    assert code == EXIT_NEGATIVE
+    assert result["details"][0]["message"] == verifier_message
 
 
 def _set_word(index, word):
@@ -692,11 +755,11 @@ _FLOAT = "floats are not accepted as exact scalars; write p/q or an integer"
 # fails, with its own message; "6/4" and "1" spell the intact values
 @pytest.mark.parametrize("target", ["generic", "weak"])
 @pytest.mark.parametrize("mat, i, j, value, messages", [
-    pytest.param(0, 3, 3, 1.0, {"generic": f"field 'mats[0].entries': {_FLOAT}",
-                                "weak": f"field 'mats[0].entries': {_FLOAT}"}, id="float"),
-    pytest.param(0, 0, 0, True, {"generic": "field 'mats[0].entries': booleans are not scalars",
-                                 "weak": "field 'mats[0].entries': booleans are not scalars"},
-                 id="bool"),
+    pytest.param(0, 3, 3, 1.0, {"generic": f"field 'mats[0].entries[3][3]': {_FLOAT}",
+                                "weak": f"field 'mats[0].entries[3][3]': {_FLOAT}"}, id="float"),
+    pytest.param(0, 0, 0, True,
+                 {"generic": "field 'mats[0].entries[0][0]': booleans are not scalars",
+                  "weak": "field 'mats[0].entries[0][0]': booleans are not scalars"}, id="bool"),
     pytest.param(0, 3, 3, 5, {"generic": "closure equation fails at pair (0, 0)",
                               "weak": _NOT_THE_IDENTITY}, id="identity_changed"),
     pytest.param(1, 0, 0, "3/1", {"generic": "closure equation fails at pair (1, 1)",
@@ -799,6 +862,35 @@ def test_verify_report_rejects_mistyped_fields(capsys, tmp_path, path, value):
         assert verdict["result"]["verified"] is False
         message = verdict["result"]["details"][0]["message"]
         assert message == f"{'.'.join(path)} must be an integer, got {wrong!r}"
+
+
+# A vector written as a string of its digits, or as an object keyed "0".."7":
+# iterated, these read digit by digit, or as 0, 1, .., 7, and each verified
+# before the verifier required a list.
+@pytest.mark.parametrize("path", [("witness",), ("pair", "x"), ("pair", "y")],
+                         ids=["witness", "pair.x", "pair.y"])
+@pytest.mark.parametrize("spell", [
+    pytest.param(lambda vec: "".join(map(str, vec)), id="digit_string"),
+    pytest.param(lambda vec: {str(k): v for k, v in enumerate(vec)}, id="dict"),
+])
+def test_verify_report_rejects_a_vector_that_is_not_a_list(capsys, tmp_path, path, spell):
+    report = _generic_report(tmp_path)
+    cert = report["result"]["certificate"]
+    *parents, key = path
+    target = cert
+    for parent in parents:
+        target = target[parent]
+    target[key] = spell(target[key])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    code, verdict = _run(capsys, "verify-report", str(tampered))
+    assert code == EXIT_NEGATIVE
+    assert verdict["result"]["verified"] is False
+    message = f"field '{'.'.join(path)}': expected a list of scalars"
+    assert verdict["result"]["details"][0]["message"] == (
+        f"malformed certificate: {tampered}: {message}")
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        reference_verify_certificate(cert, str(tampered))
 
 
 # A relabelled quaternion_r8 report: the entries are intact, only the labels
@@ -974,18 +1066,24 @@ def test_verify_report_caps_the_generators_too(capsys, tmp_path):
     assert _run(capsys, "verify-report", str(path))[1]["result"]["verified"] is True
 
 
-def test_verifier_imports_neither_linalg_nor_multipoly():
+@pytest.mark.parametrize("module", [verify, wire], ids=["verify", "wire"])
+def test_verifier_imports_only_the_stdlib_errors_and_wire(module):
     # verify-report is an independent recheck: it shares no kernel with the
-    # producers and runs on plain Python ints
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    # producers and runs on plain Python ints, so its modules import nothing
+    # but the standard library and the package's errors and wire readers
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:  # relative: name each module
+            base = "." * node.level + (node.module or "")
+            names.update([base] if node.module else (base + alias.name for alias in node.names))
         elif isinstance(node, ast.ImportFrom):
-            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-    parts = {part for name in names for part in name.split(".")}
-    assert not parts & {"linalg", "multipoly", "numpy"}, names
+            names.add(node.module)
+    allowed = {".errors", ".wire"}
+    assert {name for name in names if name not in allowed
+            and name.split(".")[0] not in sys.stdlib_module_names} == set(), names
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

@@ -20,8 +20,9 @@ from affinor_rank import (
     verify_unity,
 )
 from affinor_rank import clifford, linalg
-from affinor_rank.cli import EXIT_USAGE, _verify_certificate_dict, main
+from affinor_rank.cli import EXIT_USAGE, main
 from affinor_rank.errors import SignatureTooLarge
+from affinor_rank.verify import _verify_certificate_dict
 
 from conftest import (
     blade_product,

@@ -22,8 +22,8 @@ from affinor_rank import (
 )
 from affinor_rank import clifford, hullrank, linalg
 from affinor_rank.errors import DimensionMismatch, InvalidBasis
-from affinor_rank.cli import _verify_certificate_dict
 from affinor_rank.linalg import rank
+from affinor_rank.verify import _verify_certificate_dict
 
 from conftest import (
     fraction_rows,

@@ -57,12 +57,12 @@ from affinor_rank import (
 )
 from affinor_rank import algebra, cli, frobenius
 from affinor_rank.algebra import ChatMatrices
-from affinor_rank.cli import _fresh_rank, _verify_certificate_dict
 from affinor_rank.errors import (InputFormatError, InvalidAlgebra, InvalidBasis, NotClosed,
                                  NotInvertible)
-from affinor_rank.jsonio import (MAX_DIGITS, constants_from_json, exact_pair_from_json,
-                                 exact_scalar_from_json, matrix_from_json)
+from affinor_rank.jsonio import constants_from_json, exact_scalar_from_json, matrix_from_json
 from affinor_rank.linalg import has_full_row_rank, scalar_to_json
+from affinor_rank.verify import _fresh_rank, _verify_certificate_dict
+from affinor_rank.wire import MAX_DIGITS, exact_pair_from_json
 
 from conftest import (
     block_double,
